@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CatalanError, CatalanSequence, ParseError
+from .core import CatalanError, CatalanSequence, ParseError, parse_natural
 
 
 @dataclass(frozen=True)
@@ -20,6 +20,11 @@ class ChordDiagram:
     Chords are stored sorted ascending by smaller endpoint with each pair
     as (smaller, larger).  Rotations and reflections are distinct
     diagrams; the labels are part of the object.
+
+    Non-crossing is checked in one pass over the points 1..2n with a stack
+    of open chords: the chords are non-crossing exactly when every larger
+    endpoint closes the chord on top of the stack.  When it does not, its
+    chord (a, b) and the top chord (c, d) cross as a < c < b < d.
     """
 
     n: int
@@ -33,10 +38,19 @@ class ChordDiagram:
         points = [p for chord in normalized for p in chord]
         if sorted(points) != list(range(1, 2 * self.n + 1)):
             raise CatalanError("chords must pair each of the points 1..2n exactly once")
-        for idx, (a, b) in enumerate(normalized):
-            for c, d in normalized[idx + 1 :]:
-                if c < b < d:  # sorted order gives a < c already
-                    raise CatalanError(f"chords {a}-{b} and {c}-{d} cross")
+        partner = [0] * (2 * self.n + 1)
+        for a, b in normalized:
+            partner[a] = b
+            partner[b] = a
+        open_chords: list[int] = []
+        for p in range(1, 2 * self.n + 1):
+            q = partner[p]
+            if q > p:
+                open_chords.append(p)
+                continue
+            top = open_chords.pop()
+            if top != q:
+                raise CatalanError(f"chords {q}-{p} and {top}-{partner[top]} cross")
         for a, b in normalized:  # implied by non-crossing + perfect, so an assert
             assert (b - a) % 2 == 1, "chord spans an even gap"
 
@@ -86,9 +100,10 @@ def parse_chords(text: str) -> ChordDiagram:
     pairs = []
     for part in text.split(","):
         i, sep, j = part.partition("-")
-        if not sep or not i.isdigit() or not j.isdigit():
+        pair = (parse_natural(i), parse_natural(j))
+        if not sep or None in pair:
             raise ParseError(f"bad chord {part!r}, expected the form 'i-j'")
-        pairs.append((int(i), int(j)))
+        pairs.append(pair)
     try:
         return ChordDiagram(len(pairs), tuple(pairs))
     except CatalanError as exc:

@@ -71,6 +71,22 @@ class DomainError(CatalanError):
     """A valid sequence lies outside the image of a partial codec."""
 
 
+def parse_natural(text: str) -> int | None:
+    """The value of a nonempty run of ASCII digits; None for any other text.
+
+    ``str.isdigit`` alone also accepts digits such as '²' that ``int``
+    rejects, and ``int`` refuses runs longer than the interpreter's
+    int-string limit, so text parsers read their numbers through here and
+    raise ParseError on None.
+    """
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            pass
+    return None
+
+
 @dataclass(frozen=True)
 class CatalanSequence:
     """A validated Catalan sequence.

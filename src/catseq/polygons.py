@@ -9,14 +9,15 @@ are the triangles across its (a, c) / (c, b) edges, apex c on base
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import CatalanError, CatalanSequence, ParseError
+from .core import CatalanError, CatalanSequence, ParseError, parse_natural
 from .trees import BinaryTree, Node, decode_tree, encode_tree, node_count
 
 
 class MalformedTriangulationError(CatalanError):
-    """Some base edge has no unique apex; the diagonal set is inconsistent."""
+    """Some base edge has no apex; the diagonal set is inconsistent."""
 
 
 class SizeMismatchError(CatalanError):
@@ -30,6 +31,11 @@ class Triangulation:
     Diagonals are stored as (a, b) with a < b, sorted ascending; the root
     side (0, m-1) is never a diagonal.  m = 2 is the degenerate polygon
     with no triangles at all.
+
+    Non-crossing is checked in one stack pass over the diagonals sorted by
+    (a ascending, b descending).  The stack holds the diagonals that nest
+    around the current one; those ending at or before its a are popped, and
+    it crosses the top (c, d) exactly when c < a < d < b.
     """
 
     m: int
@@ -52,10 +58,14 @@ class Triangulation:
                 raise CatalanError(f"diagonal {a}-{b} is outside the vertex range")
             if b - a < 2 or (a, b) == (0, self.m - 1):
                 raise CatalanError(f"{a}-{b} is a polygon side, not a diagonal")
-        for idx, (a, b) in enumerate(normalized):
-            for c, d in normalized[idx + 1 :]:
-                if a < c < b < d:
-                    raise CatalanError(f"diagonals {a}-{b} and {c}-{d} cross")
+        enclosing: list[tuple[int, int]] = []
+        for a, b in sorted(normalized, key=lambda d: (d[0], -d[1])):
+            while enclosing and enclosing[-1][1] <= a:
+                enclosing.pop()
+            if enclosing and enclosing[-1][1] < b:
+                c, d = enclosing[-1]
+                raise CatalanError(f"diagonals {c}-{d} and {a}-{b} cross")
+            enclosing.append((a, b))
 
 
 def dual_tree(tri: Triangulation) -> BinaryTree:
@@ -63,31 +73,33 @@ def dual_tree(tri: Triangulation) -> BinaryTree:
 
     region(a, b) is empty when (a, b) is a polygon side; otherwise the
     unique apex c with edges (a, c) and (c, b) splits it into a left
-    region (a, c) and a right region (c, b).
+    region (a, c) and a right region (c, b).  In a triangulation no edge
+    from a ends strictly between c and b, since it would cross (c, b), so
+    c is the largest neighbour of a below b: a binary search in a's sorted
+    list of higher neighbours, then one lookup that (c, b) is an edge.
     """
     m = tri.m
     if m == 2:
         return None
-    edges = {(i, i + 1) for i in range(m - 1)} | set(tri.diagonals)
-    apexes: dict[tuple[int, int], int] = {}
-    regions: dict[tuple[int, int], BinaryTree] = {}
-    stack: list[tuple[tuple[int, int], bool]] = [((0, m - 1), False)]
+    higher = [[a + 1] for a in range(m - 1)]  # sorted, as tri.diagonals is
+    for a, b in tri.diagonals:
+        higher[a].append(b)
+    diagonals = set(tri.diagonals)
+    regions: dict[tuple[int, int], BinaryTree] = {}  # sides are empty: never stored
+    stack: list[tuple[int, int, int]] = [(0, m - 1, 0)]  # apex 0: not yet split
     while stack:
-        (a, b), expanded = stack.pop()
-        if b == a + 1:
-            regions[(a, b)] = None
+        a, b, c = stack.pop()
+        if c:
+            regions[(a, b)] = Node(regions.pop((a, c), None), regions.pop((c, b), None))
             continue
-        if expanded:
-            c = apexes[(a, b)]
-            regions[(a, b)] = Node(regions[(a, c)], regions[(c, b)])
-            continue
-        candidates = [c for c in range(a + 1, b) if (a, c) in edges and (c, b) in edges]
-        if len(candidates) != 1:
-            raise MalformedTriangulationError(f"base {a}-{b} has {len(candidates)} apexes")
-        apexes[(a, b)] = candidates[0]
-        stack.append(((a, b), True))
-        stack.append(((candidates[0], b), False))
-        stack.append(((a, candidates[0]), False))
+        c = higher[a][bisect_left(higher[a], b) - 1]
+        if not (a < c < b and (c + 1 == b or (c, b) in diagonals)):
+            raise MalformedTriangulationError(f"base {a}-{b} has no apex")
+        stack.append((a, b, c))
+        if c + 1 < b:
+            stack.append((c, b, 0))
+        if a + 1 < c:
+            stack.append((a, c, 0))
     return regions[(0, m - 1)]
 
 
@@ -149,17 +161,19 @@ def decode_polygon(s: CatalanSequence) -> Triangulation:
 def parse_polygon(text: str) -> Triangulation:
     """Parse "m;a-b,c-d,..." with diagonals optional, e.g. "5;0-2,0-3" or "3;"."""
     head, sep, tail = text.partition(";")
-    if not sep or not head.isdigit():
+    m = parse_natural(head)
+    if not sep or m is None:
         raise ParseError("expected 'm;diagonals' with a numeric side count")
     diagonals = []
     if tail:
         for part in tail.split(","):
             a, dash, b = part.partition("-")
-            if not dash or not a.isdigit() or not b.isdigit():
+            diagonal = (parse_natural(a), parse_natural(b))
+            if not dash or None in diagonal:
                 raise ParseError(f"bad diagonal {part!r}, expected the form 'a-b'")
-            diagonals.append((int(a), int(b)))
+            diagonals.append(diagonal)
     try:
-        return Triangulation(int(head), tuple(diagonals))
+        return Triangulation(m, tuple(diagonals))
     except CatalanError as exc:
         raise ParseError(f"bad triangulation: {exc}") from exc
 

@@ -57,6 +57,48 @@ def matched_pairs(bits: str) -> set[tuple[int, int]]:
     return pairs
 
 
+def perfect_matchings(points: list[int]):
+    """Yield every perfect matching of ``points`` as a list of pairs."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for k, partner in enumerate(rest):
+        for tail in perfect_matchings(rest[:k] + rest[k + 1 :]):
+            yield [(first, partner), *tail]
+
+
+def crosses(first: tuple[int, int], second: tuple[int, int]) -> bool:
+    """Two chords or diagonals cross: a < c < b < d in some order.
+
+    Each is an unordered pair of points on a circle; pairs that share an
+    endpoint or nest do not cross.
+    """
+    a, b = sorted(first)
+    c, d = sorted(second)
+    return a < c < b < d or c < a < d < b
+
+
+def cycle_lemma_word(n: int, rng) -> str:
+    """A uniform random valid word of semilength n, in O(n) time.
+
+    Shuffle n '0's and n + 1 '1's.  Exactly one of the 2n + 1 rotations
+    keeps every proper prefix from holding more 1s than 0s: the one that
+    starts just after the first lowest point of the walk (the cycle
+    lemma).  Its last symbol is a '1'; dropping it leaves a valid word,
+    and each valid word arises from exactly 2n + 1 shuffles.
+    """
+    steps = ["0"] * n + ["1"] * (n + 1)
+    rng.shuffle(steps)
+    balance, lowest, cut = 0, 0, 0
+    for pos, ch in enumerate(steps, start=1):
+        balance += 1 if ch == "0" else -1
+        if balance < lowest:
+            lowest, cut = balance, pos
+    rotated = steps[cut:] + steps[:cut]
+    return "".join(rotated[:-1])
+
+
 def ref_encode_tree(t) -> str:
     """Recursive reference encoder straight from the edge-pair rules.
 

@@ -1,9 +1,12 @@
+import re
+from itertools import combinations
+
 import pytest
 
 from catseq.chords import ChordDiagram, decode_chords, encode_chords, parse_chords, render_chords
 from catseq.core import CatalanError, ParseError, enumerate_sequences, validate
 
-from oracle import matched_pairs
+from oracle import crosses, matched_pairs, perfect_matchings
 
 
 class TestConstructor:
@@ -22,6 +25,23 @@ class TestConstructor:
             ChordDiagram(1, ((1, 3),))  # point 2 missing, 3 out of pair range
         with pytest.raises(CatalanError):
             ChordDiagram(2, ((1, 2),))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_accepts_exactly_the_non_crossing_matchings(self, n):
+        accepted = 0
+        for matching in perfect_matchings(list(range(1, 2 * n + 1))):
+            non_crossing = not any(crosses(p, q) for p, q in combinations(matching, 2))
+            try:
+                ChordDiagram(n, tuple(matching))
+            except CatalanError as exc:
+                named = re.fullmatch(r"chords (\d+)-(\d+) and (\d+)-(\d+) cross", str(exc))
+                assert not non_crossing and named
+                a, b, c, d = map(int, named.groups())
+                assert crosses((a, b), (c, d)) and {(a, b), (c, d)} <= set(matching)
+            else:
+                assert non_crossing
+                accepted += 1
+        assert accepted == len(enumerate_sequences(n))
 
 
 class TestCodec:
@@ -81,7 +101,18 @@ class TestTextForm:
         assert parse_chords("1-8,2-7,3-4,5-6").chords == ((1, 8), (2, 7), (3, 4), (5, 6))
         assert parse_chords("").n == 0
 
-    @pytest.mark.parametrize("text", ["1-2,", "1:2", "1-2,3-x", "1-3,2-4", "0-1"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1-2,",
+            "1:2",
+            "1-2,3-x",
+            "1-3,2-4",
+            "0-1",
+            "1-\u00b2",
+            pytest.param("1-" + "9" * 5000, id="5000-digit-label"),
+        ],
+    )
     def test_parse_rejects(self, text):
         with pytest.raises(ParseError):
             parse_chords(text)

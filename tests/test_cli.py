@@ -81,6 +81,20 @@ class TestCodecs:
         code, out, err = run(capsys, "decode", "--family", "tree", "0120")
         assert code == 1 and out == ""
 
+    @pytest.mark.parametrize(
+        "family,text",
+        [
+            ("chords", "1-\u00b2"),
+            ("polygon", "\u00b2;"),
+            ("polygon", "4;0-\u00b2"),
+            pytest.param("chords", "1-" + "9" * 5000, id="chords-5000-digit-label"),
+            pytest.param("polygon", "9" * 5000 + ";", id="polygon-5000-digit-side-count"),
+        ],
+    )
+    def test_malformed_numbers_are_errors_not_tracebacks(self, capsys, family, text):
+        code, out, err = run(capsys, "encode", "--family", family, "--input", text)
+        assert code == 1 and out == "" and err.startswith("catseq: error:")
+
 
 class TestOrderAndRandom:
     def test_rank(self, capsys):

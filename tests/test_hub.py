@@ -1,11 +1,32 @@
+import random
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catseq.core import CatalanError, DomainError, enumerate_sequences, validate
 from catseq.families import FAMILIES, family_ids, resolve, transcode
 from catseq.render import render_dot, render_mountain
 from catseq.trees import decode_tree
 
+from oracle import cycle_lemma_word
+
 TOTAL_FAMILIES = [name for name, fam in FAMILIES.items() if fam.total]
+
+# Numbers include digits that str.isdigit accepts but int rejects ('²',
+# Arabic-Indic three) and a run past the interpreter's int-string limit.
+_NUMBERS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.sampled_from(["\u00b2", "\u0663", "1\u00b2", "9" * 4301]),
+)
+_PAIRS = st.lists(st.tuples(_NUMBERS, _NUMBERS).map("-".join), max_size=4).map(",".join)
+_TEXTS = st.one_of(
+    st.text(max_size=20),
+    st.text(alphabet="01-,;()*. a+HV", max_size=20),
+    _PAIRS,
+    st.tuples(_NUMBERS, _PAIRS).map(";".join),
+)
 
 
 class TestRegistry:
@@ -63,6 +84,26 @@ class TestTranscode:
                     there = transcode(src, dst, texts[src])
                     assert there == texts[dst]
                     assert transcode(dst, src, there) == texts[src]
+
+    @pytest.mark.parametrize("name", family_ids())
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(text=_TEXTS)
+    def test_parse_returns_or_raises_only_catalan_errors(self, name, text):
+        try:
+            FAMILIES[name].parse(text)
+        except CatalanError:
+            pass
+
+    @pytest.mark.parametrize("name", ["chords", "polygon"])
+    def test_text_round_trip_at_n_10000_within_budget(self, name):
+        word = cycle_lemma_word(10_000, random.Random(name))
+        fam = FAMILIES[name]
+        start = time.perf_counter()
+        text = fam.render(fam.decode(validate(word)))
+        back = fam.encode(fam.parse(text)).bits
+        elapsed = time.perf_counter() - start
+        assert back == word
+        assert elapsed < 1.5, f"{name} round trip at n = 10^4 took {elapsed:.2f} s"
 
     @pytest.mark.parametrize("n", range(7))
     def test_semilength_is_preserved(self, n):

@@ -1,3 +1,6 @@
+import re
+from itertools import combinations
+
 import pytest
 
 from catseq.core import CatalanError, ParseError, enumerate_sequences, validate
@@ -13,6 +16,8 @@ from catseq.polygons import (
     render_polygon,
 )
 from catseq.trees import Node, node_count
+
+from oracle import crosses
 
 
 class TestConstructor:
@@ -43,6 +48,24 @@ class TestConstructor:
         with pytest.raises(CatalanError):
             Triangulation(1, ())
 
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_accepts_exactly_the_non_crossing_diagonal_sets(self, m):
+        diagonals = [(a, b) for a, b in combinations(range(m), 2) if 2 <= b - a < m - 1]
+        accepted = 0
+        for chosen in combinations(diagonals, m - 3):
+            non_crossing = not any(crosses(p, q) for p, q in combinations(chosen, 2))
+            try:
+                Triangulation(m, chosen)
+            except CatalanError as exc:
+                named = re.fullmatch(r"diagonals (\d+)-(\d+) and (\d+)-(\d+) cross", str(exc))
+                assert not non_crossing and named
+                a, b, c, d = map(int, named.groups())
+                assert crosses((a, b), (c, d)) and {(a, b), (c, d)} <= set(chosen)
+            else:
+                assert non_crossing
+                accepted += 1
+        assert accepted == len(enumerate_sequences(m - 2))
+
 
 class TestDualTree:
     def test_examples(self):
@@ -58,10 +81,17 @@ class TestDualTree:
             assert node_count(dual_tree(tri)) == m - 2
 
     def test_malformed_diagonal_set(self):
-        tri = Triangulation(5, ((0, 2), (0, 3)))
-        object.__setattr__(tri, "diagonals", ((0, 2), (0, 2)))  # corrupt past validation
-        with pytest.raises(MalformedTriangulationError):
-            dual_tree(tri)
+        corruptions = [
+            (5, ((0, 2), (0, 2))),  # a duplicate in place of 0-3
+            (6, ((0, 2), (0, 4))),  # 0-3 missing
+            (6, ((0, 2), (0, 4), (1, 4))),  # 1-4, crossing 0-2, in place of 0-3
+            (6, ((0, 2), (1, 3), (3, 5))),  # 0-2 and 1-3 cross
+        ]
+        for m, corrupted in corruptions:
+            tri = Triangulation(m, tuple((0, k) for k in range(2, m - 1)))
+            object.__setattr__(tri, "diagonals", corrupted)  # corrupt past validation
+            with pytest.raises(MalformedTriangulationError):
+                dual_tree(tri)
 
 
 class TestRebuild:
@@ -115,7 +145,22 @@ class TestTextForm:
         assert parse_polygon("5;0-2,0-3") == Triangulation(5, ((0, 2), (0, 3)))
         assert parse_polygon("3;") == Triangulation(3, ())
 
-    @pytest.mark.parametrize("text", ["5", ";", "x;", "5;0-2", "5;02,03", "4;0-2,1-3", "5;0-2,0:3"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "5",
+            ";",
+            "x;",
+            "5;0-2",
+            "5;02,03",
+            "4;0-2,1-3",
+            "5;0-2,0:3",
+            "\u00b2;",
+            "4;0-\u00b2",
+            pytest.param("9" * 5000 + ";", id="5000-digit-side-count"),
+            pytest.param("4;0-" + "9" * 5000, id="5000-digit-vertex"),
+        ],
+    )
     def test_parse_rejects(self, text):
         with pytest.raises(ParseError):
             parse_polygon(text)
