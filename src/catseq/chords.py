@@ -1,16 +1,17 @@
 """Non-crossing perfect matchings of 2n labeled points on a circle.
 
 Encoding writes 0 at the smaller endpoint and 1 at the larger endpoint
-of every chord.  Decoding repeatedly extracts the leftmost adjacent
-0-then-1 among the positions still present, keeping original labels,
-which is why a doubly linked list over positions drives it.
+of every chord.  The paper decodes by repeatedly extracting the leftmost
+adjacent 0-then-1 among the positions still present, keeping original
+labels.  Each pair so extracted is a 0 and the 1 that matches it as
+parentheses, so decoding here is one pass of stack matching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CatalanError, CatalanSequence, ParseError, parse_natural
+from .core import CatalanError, CatalanSequence, ParseError, parse_natural, quote_prefix
 
 
 @dataclass(frozen=True)
@@ -65,31 +66,14 @@ def encode_chords(d: ChordDiagram) -> CatalanSequence:
 
 
 def decode_chords(s: CatalanSequence) -> ChordDiagram:
-    """Repeated first-01 extraction; inverse of encode_chords.
-
-    Each removal can create one new adjacency, between the neighbors of
-    the removed pair, so the scan backs up a single step instead of
-    restarting; a valid remainder always contains another 01.
-    """
-    bits = s.bits
-    count = len(bits)
-    nxt = list(range(1, count + 1))
-    prv = list(range(-1, count - 1))
+    """Inverse of encode_chords: each 1 closes a chord at the latest open 0."""
+    open_points: list[int] = []
     pairs: list[tuple[int, int]] = []
-    cursor = 0
-    while len(pairs) < s.semilength:
-        assert cursor < count, "valid remainder ran out of adjacent 01 pairs"
-        after = nxt[cursor]
-        if bits[cursor] == "0" and after < count and bits[after] == "1":
-            pairs.append((cursor + 1, after + 1))
-            left, right = prv[cursor], nxt[after]
-            if left >= 0:
-                nxt[left] = right
-            if right < count:
-                prv[right] = left
-            cursor = left if left >= 0 else right
+    for p, bit in enumerate(s.bits, start=1):
+        if bit == "0":
+            open_points.append(p)
         else:
-            cursor = after
+            pairs.append((open_points.pop(), p))
     return ChordDiagram(s.semilength, tuple(pairs))
 
 
@@ -102,7 +86,7 @@ def parse_chords(text: str) -> ChordDiagram:
         i, sep, j = part.partition("-")
         pair = (parse_natural(i), parse_natural(j))
         if not sep or None in pair:
-            raise ParseError(f"bad chord {part!r}, expected the form 'i-j'")
+            raise ParseError(f"bad chord {quote_prefix(part)}, expected the form 'i-j'")
         pairs.append(pair)
     try:
         return ChordDiagram(len(pairs), tuple(pairs))

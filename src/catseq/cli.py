@@ -14,7 +14,12 @@ from . import counting, core, families, render
 from .core import CatalanError, DomainError, validate
 from .trees import decode_tree
 
-_METHODS = ("closed", "convolution", "linear", "series")
+_METHODS = {
+    "closed": counting.catalan_closed,
+    "convolution": counting.catalan_convolution,
+    "linear": counting.catalan_linear,
+    "series": lambda n: counting.catalan_series(n + 1).coefficients[n],
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,17 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args) -> int:
-    if args.method == "closed":
-        value = counting.catalan_closed(args.n)
-    elif args.method == "convolution":
-        value = counting.catalan_convolution(args.n)
-    elif args.method == "linear":
-        value = counting.catalan_linear(args.n)
-    else:
-        if args.n < 0:
-            raise CatalanError("Catalan numbers are indexed from 0")
-        value = counting.catalan_series(args.n + 1).coefficients[args.n]
-    print(value)
+    if args.n < 0:  # catalan_series would object to its prefix length instead
+        raise CatalanError("Catalan numbers are indexed from 0")
+    print(_METHODS[args.method](args.n))
     return 0
 
 

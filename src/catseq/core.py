@@ -87,6 +87,12 @@ def parse_natural(text: str) -> int | None:
     return None
 
 
+def quote_prefix(text: str) -> str:
+    """``repr(text)``, cut to 20 characters plus '...' when longer, so that
+    an error message quoting a part of some input stays short."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+
+
 @dataclass(frozen=True)
 class CatalanSequence:
     """A validated Catalan sequence.

@@ -12,8 +12,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import CatalanError, CatalanSequence, ParseError, parse_natural
-from .trees import BinaryTree, Node, decode_tree, encode_tree, node_count
+from .core import CatalanError, CatalanSequence, ParseError, parse_natural, quote_prefix
+from .trees import BinaryTree, Node, _fold, decode_tree, encode_tree
 
 
 class MalformedTriangulationError(CatalanError):
@@ -103,48 +103,33 @@ def dual_tree(tri: Triangulation) -> BinaryTree:
     return regions[(0, m - 1)]
 
 
-def _subtree_counts(t: BinaryTree) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    stack: list[tuple[Node | None, bool]] = [(t, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if node is None:
-            continue
-        if expanded:
-            left = counts[id(node.left)] if node.left is not None else 0
-            right = counts[id(node.right)] if node.right is not None else 0
-            counts[id(node)] = 1 + left + right
-        else:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-    return counts
+def _sized(left, right) -> tuple:
+    """A subtree as (left, right, node count), built by _fold."""
+    return (left, right, 1 + (left[2] if left else 0) + (right[2] if right else 0))
 
 
 def rebuild_triangulation(t: BinaryTree, m: int) -> Triangulation:
     """Inverse of dual_tree for a tree of m - 2 nodes.
 
     A node on base (a, b) whose left subtree holds k nodes puts its apex
-    at c = a + k + 1; the base edges to the children are diagonals unless
-    they are polygon sides.
+    at c = a + k + 1; the base edges (a, c) and (c, b) of its children
+    are the diagonals.  One fold first tags every subtree with its size.
     """
-    if node_count(t) != m - 2:
-        raise SizeMismatchError(f"tree has {node_count(t)} nodes, a {m}-gon dual needs {m - 2}")
-    counts = _subtree_counts(t)
+    sized = _fold(t, _sized)
+    size = sized[2] if sized else 0
+    if size != m - 2:
+        raise SizeMismatchError(f"tree has {size} nodes, a {m}-gon dual needs {m - 2}")
     diagonals: list[tuple[int, int]] = []
-    stack: list[tuple[Node, int, int]] = [] if t is None else [(t, 0, m - 1)]
+    stack = [(sized, 0, m - 1)] if sized else []
     while stack:
-        node, a, b = stack.pop()
-        k_left = counts[id(node.left)] if node.left is not None else 0
-        c = a + k_left + 1
-        if c > a + 1:
+        (left, right, _), a, b = stack.pop()
+        c = a + (left[2] if left else 0) + 1
+        if left:
             diagonals.append((a, c))
-        if c < b - 1:
+            stack.append((left, a, c))
+        if right:
             diagonals.append((c, b))
-        if node.left is not None:
-            stack.append((node.left, a, c))
-        if node.right is not None:
-            stack.append((node.right, c, b))
+            stack.append((right, c, b))
     return Triangulation(m, tuple(diagonals))
 
 
@@ -170,7 +155,7 @@ def parse_polygon(text: str) -> Triangulation:
             a, dash, b = part.partition("-")
             diagonal = (parse_natural(a), parse_natural(b))
             if not dash or None in diagonal:
-                raise ParseError(f"bad diagonal {part!r}, expected the form 'a-b'")
+                raise ParseError(f"bad diagonal {quote_prefix(part)}, expected the form 'a-b'")
             diagonals.append(diagonal)
     try:
         return Triangulation(m, tuple(diagonals))

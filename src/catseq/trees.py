@@ -3,15 +3,20 @@
 The tree codec walks the tree in preorder and emits a digit pair per
 edge: 01 for a lone left edge, 10 for a lone right edge, and 00 / 11
 for the left / right edges of a node with two children, the whole body
-wrapped in a leading 0 and a trailing 1.  Decoding replays the pairs
-with a stack of suspended vertices.
+wrapped in a leading 0 and a trailing 1.  Decoding reads the pairs once
+and builds the frozen nodes bottom-up: each 01, 10 or 00 opens a frame
+for the node it describes, and each 11, like the end of the input,
+closes frames until it reaches the 00 still waiting for its left subtree.
 
 Extended binary trees (every internal node has exactly two children)
 double as multiplication expressions: leaves are factors, internal
-nodes multiplications.  They carry two text syntaxes, parenthesized
-("(a*(a*a))") and postfix ("aaa**"), plus two sequence codecs: the
-total one that strips leaves and encodes the remaining tree, and the
-append-a-1 postfix wire format whose decode is partial.
+nodes multiplications.  Node and Internal share one base, so equality,
+hashing, the edge-pair codec, one postorder fold (extend_tree and
+strip_leaves) and one infix grammar serve both; the grammar only swaps
+tokens, "(. (. .))" for trees and "(a*(a*a))" for expressions.
+Expressions also have a postfix syntax ("aaa**") and two sequence
+codecs: the total one, which is the tree codec on the internal nodes,
+and the append-a-1 postfix wire format whose decode is partial.
 
 Every traversal here uses an explicit stack; degenerate chains of 10^4
 nodes and more are fine.
@@ -25,61 +30,43 @@ from .core import CatalanSequence, DomainError, ParseError
 
 _RPN_TO_BITS = str.maketrans("a*", "01")
 _BITS_TO_RPN = str.maketrans("01", "a*")
-
-
-def _shape_key(root) -> str:
-    """Canonical preorder shape string: '1' per node, '0' per empty slot."""
-    out = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node is None:
-            out.append("0")
-        else:
-            out.append("1")
-            stack.append(node.right)
-            stack.append(node.left)
-    return "".join(out)
-
-
-def _tree_eq(a, b, node_type) -> bool:
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        if not (isinstance(x, node_type) and isinstance(y, node_type)):
-            return False
-        stack.append((x.left, y.left))
-        stack.append((x.right, y.right))
-    return True
+_JOIN = object()  # _fold's marker: both children of a node are done
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Node:
-    """A binary-tree node; ``None`` in either slot is the empty subtree.
+class _BinaryNode:
+    """Two child slots, ``None`` for an empty one; the base of Node and Internal.
 
-    The empty binary tree as a whole is plain ``None``.  Equality and
-    hashing are structural and stack-based, safe for deep chains.
+    Equality and hashing compare the concrete type and the edge-pair code,
+    which is one-to-one on shapes, so a Node never equals an Internal.  The
+    repr shows the infix text in the subclass's tokens.
     """
 
-    left: Node | None = None
-    right: Node | None = None
+    left: _BinaryNode | None = None
+    right: _BinaryNode | None = None
 
     def __eq__(self, other):
-        if not isinstance(other, Node):
+        if type(other) is not type(self):
             return NotImplemented
-        return _tree_eq(self, other, Node)
+        return _edge_pairs(self) == _edge_pairs(other)
 
     def __hash__(self):
-        return hash((Node, _shape_key(self)))
+        return hash((type(self), _edge_pairs(self)))
 
     def __repr__(self):
-        return f"Node[{render_tree(self)}]"
+        return f"{type(self).__name__}[{_render_infix(self, type(self))}]"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Internal:
+class Node(_BinaryNode):
+    """A binary-tree node; ``None`` in either slot is the empty subtree.
+
+    The empty binary tree as a whole is plain ``None``.
+    """
+
+    _TOKENS = (".", " ")  # infix leaf and separator: "(. (. .))"
+
+
+class Internal(_BinaryNode):
     """An internal node of an extended binary tree (one multiplication).
 
     ``None`` in either slot is a leaf operand; a bare leaf expression is
@@ -87,19 +74,7 @@ class Internal:
     leaf_count = internal_count + 1 holds by construction.
     """
 
-    left: Internal | None = None
-    right: Internal | None = None
-
-    def __eq__(self, other):
-        if not isinstance(other, Internal):
-            return NotImplemented
-        return _tree_eq(self, other, Internal)
-
-    def __hash__(self):
-        return hash((Internal, _shape_key(self)))
-
-    def __repr__(self):
-        return f"Internal[{render_mult(self)}]"
+    _TOKENS = ("a", "*")  # "(a*(a*a))"
 
 
 BinaryTree = Node | None
@@ -124,45 +99,34 @@ class NotInImageError(DomainError):
     """A valid sequence that no rpn-paper encoding produces."""
 
 
-def node_count(t: BinaryTree) -> int:
-    count = 0
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node is not None:
-            count += 1
-            stack.append(node.left)
-            stack.append(node.right)
-    return count
+def node_count(t: BinaryTree | ExtendedBinaryTree) -> int:
+    """Number of nodes, the semilength of the edge-pair code; for an
+    expression, its Internal nodes, i.e. multiplications (a bare leaf has 0)."""
+    return len(_edge_pairs(t)) // 2
 
 
-def internal_count(e: ExtendedBinaryTree) -> int:
-    """Number of Internal nodes, i.e. multiplications; a bare leaf has 0."""
-    count = 0
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if node is not None:
-            count += 1
-            stack.append(node.left)
-            stack.append(node.right)
-    return count
+internal_count = node_count
 
 
 def leaf_count(e: ExtendedBinaryTree) -> int:
     return internal_count(e) + 1
 
 
-def encode_tree(t: BinaryTree) -> CatalanSequence:
+def encode_tree(t: BinaryTree | ExtendedBinaryTree) -> CatalanSequence:
     """Preorder edge-pair encoding; the empty tree maps to the empty sequence.
 
     The wrapper 0...1 is applied only to nonempty trees, so semilength
     always equals node_count and the single-node tree alone claims "01".
     """
+    return CatalanSequence(_edge_pairs(t))
+
+
+def _edge_pairs(t) -> str:
+    """The bits of encode_tree(t), unchecked."""
     if t is None:
-        return CatalanSequence("")
+        return ""
     out = ["0"]
-    stack: list[Node | str] = [t]
+    stack: list[_BinaryNode | str] = [t]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
@@ -181,115 +145,153 @@ def encode_tree(t: BinaryTree) -> CatalanSequence:
             stack.append("11")
             stack.append(left)
     out.append("1")
-    return CatalanSequence("".join(out))
+    return "".join(out)
 
 
-class _Shell:
-    """Mutable node used while decoding; frozen into Node at the end."""
+def _decode_pairs(s: CatalanSequence, make):
+    """The tree behind ``s`` built from ``make(left, right)`` nodes in one pass.
 
-    __slots__ = ("left", "right")
-
-    def __init__(self):
-        self.left = None
-        self.right = None
-
-
-def _freeze(root: _Shell) -> Node:
-    frozen: dict[int, Node] = {}
-    stack: list[tuple[_Shell | None, bool]] = [(root, False)]
-    while stack:
-        shell, expanded = stack.pop()
-        if shell is None:
-            continue
-        if expanded:
-            frozen[id(shell)] = Node(frozen.get(id(shell.left)), frozen.get(id(shell.right)))
-        else:
-            stack.append((shell, True))
-            stack.append((shell.right, False))
-            stack.append((shell.left, False))
-    return frozen[id(root)]
-
-
-def decode_tree(s: CatalanSequence) -> BinaryTree:
-    """Exact inverse of encode_tree, replaying digit pairs with a vertex stack.
-
-    01 hangs a left child and descends; 10 a right child; 00 suspends the
-    current vertex before descending left; 11 resumes the suspended vertex
-    and descends right.  Valid input never underflows the stack.
+    Each 01, 10 or 00 pushes a frame for the node it describes, whose
+    child comes next.  A 11, or the end of the input, means the current
+    node is childless: frames close bottom-up into finished subtrees
+    until the 00 still waiting for its left subtree, which takes that
+    subtree and waits for its right one.  The root hangs below a virtual
+    00 at the bottom of the stack.  Valid input never underflows it.
     """
     if not s.bits:
         return None
-    interior = s.bits[1:-1]
-    root = _Shell()
-    current = root
-    suspended: list[_Shell] = []
-    for i in range(0, len(interior), 2):
-        pair = interior[i : i + 2]
-        child = _Shell()
-        if pair == "01":
-            current.left = child
-        elif pair == "10":
-            current.right = child
-        elif pair == "00":
-            suspended.append(current)
-            current.left = child
+    frames: list = ["00"]
+    body = s.bits[1:-1] + "11"  # the final 11 closes every frame left open
+    for i in range(0, len(body), 2):
+        pair = body[i : i + 2]
+        if pair != "11":
+            frames.append(pair)
+            continue
+        node = make()
+        while True:
+            frame = frames.pop()
+            if frame.__class__ is make:  # a 00 whose left subtree is done
+                node = make(frame, node)
+            elif frame == "01":
+                node = make(node, None)
+            elif frame == "10":
+                node = make(None, node)
+            else:  # the 00 waiting for its left subtree
+                frames.append(node)
+                break
+    assert len(frames) == 1, "pair stream of a valid sequence left open frames"
+    return frames[0]
+
+
+def decode_tree(s: CatalanSequence) -> BinaryTree:
+    """Exact inverse of encode_tree: one pass over the digit pairs."""
+    return _decode_pairs(s, Node)
+
+
+def _fold(root, make):
+    """Rebuild ``root`` bottom-up: each node becomes ``make(left, right)``
+    of its children's results, and an empty slot stays None."""
+    values: list = []
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        if item is _JOIN:
+            right = values.pop()
+            values[-1] = make(values[-1], right)
+        elif item is None:
+            values.append(None)
         else:
-            assert suspended, "pair stream of a valid sequence underflowed the stack"
-            current = suspended.pop()
-            current.right = child
-        current = child
-    assert not suspended, "pair stream of a valid sequence left suspended vertices"
-    return _freeze(root)
+            stack += (_JOIN, item.right, item.left)
+    return values.pop()
 
 
 def extend_tree(t: BinaryTree) -> ExtendedBinaryTree:
     """Complete every node to two children: Empty becomes a leaf, each Node
     an Internal.  internal_count of the result equals node_count(t)."""
-    if t is None:
-        return None
-    done: dict[int, Internal] = {}
-    stack: list[tuple[Node | None, bool]] = [(t, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if node is None:
-            continue
-        if expanded:
-            done[id(node)] = Internal(done.get(id(node.left)), done.get(id(node.right)))
-        else:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-    return done[id(t)]
+    return _fold(t, Internal)
 
 
 def strip_leaves(e: ExtendedBinaryTree) -> BinaryTree:
     """Inverse of extend_tree: drop all leaves, keep the internal shape."""
-    if e is None:
-        return None
-    done: dict[int, Node] = {}
-    stack: list[tuple[Internal | None, bool]] = [(e, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if node is None:
-            continue
-        if expanded:
-            done[id(node)] = Node(done.get(id(node.left)), done.get(id(node.right)))
-        else:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-    return done[id(e)]
+    return _fold(e, Node)
 
 
 def encode_expression(e: ExtendedBinaryTree) -> CatalanSequence:
-    """Total expression codec: strip leaves, then encode the binary tree.
-    An expression with n multiplications yields semilength n."""
-    return encode_tree(strip_leaves(e))
+    """Total expression codec: the tree codec on the internal nodes, i.e.
+    encode_tree(strip_leaves(e)).  n multiplications yield semilength n."""
+    return encode_tree(e)
 
 
 def decode_expression(s: CatalanSequence) -> ExtendedBinaryTree:
-    """Inverse of encode_expression: decode the tree, then re-grow leaves."""
-    return extend_tree(decode_tree(s))
+    """Inverse of encode_expression: extend_tree(decode_tree(s)) in one pass."""
+    return _decode_pairs(s, Internal)
+
+
+def _parse_infix(text: str, make, end_noun: str, noun: str, separator: str):
+    """Parse  T := leaf | "(" T sep T ")"  in ``make``'s tokens into ``make`` nodes.
+
+    Raises ParseError with the 1-based offending position; the three
+    strings name the text, the whole and the separator in its messages.
+    """
+    leaf, sep = make._TOKENS
+    pos = 0
+    length = len(text)
+    frames: list[list] = []
+    while True:
+        if pos >= length:
+            raise ParseError(f"unexpected end of {end_noun}", pos + 1)
+        ch = text[pos]
+        if ch == "(":
+            frames.append([])
+            pos += 1
+            continue
+        if ch != leaf:
+            raise ParseError(f"expected '(' or {leaf!r}, found {ch!r}", pos + 1)
+        node = None
+        pos += 1
+        while True:  # attach the finished subtree upward
+            if not frames:
+                if pos != length:
+                    raise ParseError(f"trailing characters after {noun}", pos + 1)
+                return node
+            frame = frames[-1]
+            if not frame:
+                frame.append(node)
+                if pos >= length or text[pos] != sep:
+                    raise ParseError(f"expected {separator}", pos + 1)
+                pos += 1
+                break
+            if pos >= length or text[pos] != ")":
+                raise ParseError("expected ')'", pos + 1)
+            pos += 1
+            node = make(frame[0], node)
+            frames.pop()
+
+
+def _render_infix(root, kind) -> str:
+    """Infix text  T := leaf | "(" T sep T ")"  in ``kind``'s tokens."""
+    leaf, sep = kind._TOKENS
+    out = []
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item is None:
+            out.append(leaf)
+        else:
+            stack.extend((")", item.right, sep, item.left, "("))
+    return "".join(out)
+
+
+def parse_tree(text: str) -> BinaryTree:
+    """Parse the tree text form  Tree := "." | "(" Tree " " Tree ")"."""
+    return _parse_infix(text, Node, "tree text", "tree", "' ' between subtrees")
+
+
+def render_tree(t: BinaryTree) -> str:
+    """Canonical tree text: "." for empty, "(left right)" otherwise."""
+    return _render_infix(t, Node)
 
 
 def parse_mult(text: str) -> ExtendedBinaryTree:
@@ -297,53 +299,12 @@ def parse_mult(text: str) -> ExtendedBinaryTree:
 
     Raises ParseError with the 1-based offending position.
     """
-    pos = 0
-    length = len(text)
-    frames: list[list[ExtendedBinaryTree]] = []
-    while True:
-        if pos >= length:
-            raise ParseError("unexpected end of expression", pos + 1)
-        ch = text[pos]
-        if ch == "(":
-            frames.append([])
-            pos += 1
-            continue
-        if ch != "a":
-            raise ParseError(f"expected '(' or 'a', found {ch!r}", pos + 1)
-        node: ExtendedBinaryTree = None
-        pos += 1
-        while True:  # attach the finished subexpression upward
-            if not frames:
-                if pos != length:
-                    raise ParseError("trailing characters after expression", pos + 1)
-                return node
-            frame = frames[-1]
-            if not frame:
-                frame.append(node)
-                if pos >= length or text[pos] != "*":
-                    raise ParseError("expected '*'", pos + 1)
-                pos += 1
-                break
-            if pos >= length or text[pos] != ")":
-                raise ParseError("expected ')'", pos + 1)
-            pos += 1
-            node = Internal(frame[0], node)
-            frames.pop()
+    return _parse_infix(text, Internal, "expression", "expression", "'*'")
 
 
 def render_mult(e: ExtendedBinaryTree) -> str:
     """Canonical parenthesized text; every factor is the letter 'a'."""
-    out = []
-    stack: list[Internal | str | None] = [e]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif item is None:
-            out.append("a")
-        else:
-            stack.extend((")", item.right, "*", item.left, "("))
-    return "".join(out)
+    return _render_infix(e, Internal)
 
 
 def parse_rpn(text: str) -> ExtendedBinaryTree:
@@ -410,54 +371,3 @@ def rpn_paper_decode(s: CatalanSequence) -> ExtendedBinaryTree:
         return parse_rpn(word)
     except ParseError as exc:
         raise NotInImageError(f"sequence {s.bits} is outside the rpn-paper image") from exc
-
-
-def parse_tree(text: str) -> BinaryTree:
-    """Parse the tree text form  Tree := "." | "(" Tree " " Tree ")"."""
-    pos = 0
-    length = len(text)
-    frames: list[list[BinaryTree]] = []
-    while True:
-        if pos >= length:
-            raise ParseError("unexpected end of tree text", pos + 1)
-        ch = text[pos]
-        if ch == "(":
-            frames.append([])
-            pos += 1
-            continue
-        if ch != ".":
-            raise ParseError(f"expected '(' or '.', found {ch!r}", pos + 1)
-        node: BinaryTree = None
-        pos += 1
-        while True:
-            if not frames:
-                if pos != length:
-                    raise ParseError("trailing characters after tree", pos + 1)
-                return node
-            frame = frames[-1]
-            if not frame:
-                frame.append(node)
-                if pos >= length or text[pos] != " ":
-                    raise ParseError("expected ' ' between subtrees", pos + 1)
-                pos += 1
-                break
-            if pos >= length or text[pos] != ")":
-                raise ParseError("expected ')'", pos + 1)
-            pos += 1
-            node = Node(frame[0], node)
-            frames.pop()
-
-
-def render_tree(t: BinaryTree) -> str:
-    """Canonical tree text: "." for empty, "(left right)" otherwise."""
-    out = []
-    stack: list[Node | str | None] = [t]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif item is None:
-            out.append(".")
-        else:
-            stack.extend((")", item.right, " ", item.left, "("))
-    return "".join(out)

@@ -44,16 +44,15 @@ def brute_count(n: int) -> int:
     return total
 
 
-def matched_pairs(bits: str) -> set[tuple[int, int]]:
-    """Parenthesis matching with 0 open and 1 close; 1-based positions."""
-    stack: list[int] = []
+def first01_pairs(bits: str) -> set[tuple[int, int]]:
+    """The paper's chord rule, 1-based: pair the leftmost adjacent 0 then 1
+    among the positions still present, remove both, repeat.  Quadratic."""
+    remaining = list(enumerate(bits, start=1))
     pairs = set()
-    for pos, ch in enumerate(bits, start=1):
-        if ch == "0":
-            stack.append(pos)
-        else:
-            pairs.add((stack.pop(), pos))
-    assert not stack
+    while remaining:
+        k = "".join(bit for _, bit in remaining).index("01")
+        pairs.add((remaining[k][0], remaining[k + 1][0]))
+        del remaining[k : k + 2]
     return pairs
 
 

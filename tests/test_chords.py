@@ -6,7 +6,7 @@ import pytest
 from catseq.chords import ChordDiagram, decode_chords, encode_chords, parse_chords, render_chords
 from catseq.core import CatalanError, ParseError, enumerate_sequences, validate
 
-from oracle import crosses, matched_pairs, perfect_matchings
+from oracle import crosses, first01_pairs, perfect_matchings
 
 
 class TestConstructor:
@@ -79,7 +79,7 @@ class TestCodec:
     @pytest.mark.parametrize("n", range(9))
     def test_first01_rule_agrees_with_parenthesis_matching(self, n):
         for s in enumerate_sequences(n):
-            assert set(decode_chords(s).chords) == matched_pairs(s.bits)
+            assert set(decode_chords(s).chords) == first01_pairs(s.bits)
 
     @pytest.mark.parametrize("n", range(9))
     def test_decoded_diagrams_never_cross(self, n):
@@ -114,5 +114,6 @@ class TestTextForm:
         ],
     )
     def test_parse_rejects(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             parse_chords(text)
+        assert len(str(exc.value)) < 200

@@ -32,6 +32,10 @@ class TestCount:
         code, out, err = run(capsys, "count", "--n", "-1")
         assert code == 1 and out == "" and "error" in err
 
+    def test_negative_by_series(self, capsys):
+        code, out, err = run(capsys, "count", "--method", "series", "--n", "-1")
+        assert (code, out, err) == (1, "", "catseq: error: Catalan numbers are indexed from 0\n")
+
 
 class TestEnumerateValidate:
     def test_enumerate(self, capsys):
@@ -89,11 +93,13 @@ class TestCodecs:
             ("polygon", "4;0-\u00b2"),
             pytest.param("chords", "1-" + "9" * 5000, id="chords-5000-digit-label"),
             pytest.param("polygon", "9" * 5000 + ";", id="polygon-5000-digit-side-count"),
+            pytest.param("polygon", "4;0-" + "9" * 5000, id="polygon-5000-digit-vertex"),
         ],
     )
     def test_malformed_numbers_are_errors_not_tracebacks(self, capsys, family, text):
         code, out, err = run(capsys, "encode", "--family", family, "--input", text)
         assert code == 1 and out == "" and err.startswith("catseq: error:")
+        assert len(err) < 200
 
 
 class TestOrderAndRandom:

@@ -94,6 +94,18 @@ class TestTranscode:
         except CatalanError:
             pass
 
+    @pytest.mark.parametrize("name", TOTAL_FAMILIES)
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(n=st.integers(0, 2000), seed=st.integers(0, 2**32 - 1))
+    def test_codecs_round_trip_on_random_words(self, name, n, seed):
+        s = validate(cycle_lemma_word(n, random.Random(seed)))
+        fam = FAMILIES[name]
+        x = fam.decode(s)
+        encoded = fam.encode(x)
+        assert encoded == s
+        assert validate(encoded.bits) == encoded
+        assert fam.parse(fam.render(x)) == x
+
     @pytest.mark.parametrize("name", ["chords", "polygon"])
     def test_text_round_trip_at_n_10000_within_budget(self, name):
         word = cycle_lemma_word(10_000, random.Random(name))

@@ -162,5 +162,6 @@ class TestTextForm:
         ],
     )
     def test_parse_rejects(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             parse_polygon(text)
+        assert len(str(exc.value)) < 200

@@ -169,6 +169,20 @@ class TestMultText:
             parse_mult(text)
         assert exc.value.position == position
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "unexpected end of expression (position 1)"),
+            ("(a a)", "expected '*' (position 3)"),
+            ("a)", "trailing characters after expression (position 2)"),
+            ("(b*a)", "expected '(' or 'a', found 'b' (position 2)"),
+        ],
+    )
+    def test_syntax_error_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_mult(text)
+        assert str(exc.value) == message
+
 
 class TestRpnText:
     def test_examples(self):
@@ -278,6 +292,38 @@ class TestTreeText:
     def test_rejects_malformed(self, text):
         with pytest.raises(ParseError):
             parse_tree(text)
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ("", 1),
+            ("x", 1),
+            ("(.)", 3),
+            ("(. .", 5),
+            ("(. .))", 6),
+            (". ", 2),
+            ("(.  .)", 4),
+            ("((. .) .", 9),
+        ],
+    )
+    def test_syntax_errors_carry_positions(self, text, position):
+        with pytest.raises(ParseError) as exc:
+            parse_tree(text)
+        assert exc.value.position == position
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "unexpected end of tree text (position 1)"),
+            ("(.)", "expected ' ' between subtrees (position 3)"),
+            ("(. .))", "trailing characters after tree (position 6)"),
+            ("(x .)", "expected '(' or '.', found 'x' (position 2)"),
+        ],
+    )
+    def test_syntax_error_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_tree(text)
+        assert str(exc.value) == message
 
 
 class TestDeepChains:
