@@ -104,14 +104,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    fam = families.resolve(args.family)
-    print(fam.encode(fam.parse(args.input)).bits)
+    print(families.transcode(args.family, "sequence", args.input))
     return 0
 
 
 def _cmd_decode(args) -> int:
-    fam = families.resolve(args.family)
-    print(fam.render(fam.decode(validate(args.bits))))
+    print(families.transcode("sequence", args.family, args.bits))
     return 0
 
 

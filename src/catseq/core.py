@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import add
 
 #: Largest semilength `enumerate_sequences` materializes by default.
 #: C_16 is about 35 million words; anything above that must go through
@@ -187,26 +187,6 @@ def altitude_profile(s: CatalanSequence) -> AltitudeProfile:
     return AltitudeProfile(tuple(heights))
 
 
-def _generate(n: int):
-    # Lexicographic with '0' < '1': emit the '0' branch before the '1' branch.
-    word: list[str] = []
-
-    def grow(zeros: int, ones: int):
-        if zeros == n and ones == n:
-            yield "".join(word)
-            return
-        if zeros < n:
-            word.append("0")
-            yield from grow(zeros + 1, ones)
-            word.pop()
-        if ones < zeros:
-            word.append("1")
-            yield from grow(zeros, ones + 1)
-            word.pop()
-
-    yield from grow(0, 0)
-
-
 def enumerate_sequences(n: int, cap: int = ENUMERATION_CAP) -> list[CatalanSequence]:
     """All C_n Catalan sequences of semilength n, lexicographically ascending.
 
@@ -217,29 +197,35 @@ def enumerate_sequences(n: int, cap: int = ENUMERATION_CAP) -> list[CatalanSeque
         raise CatalanError("semilength must be nonnegative")
     if n > cap:
         raise CapExceededError(f"semilength {n} exceeds the enumeration cap {cap}")
-    return [CatalanSequence(w) for w in _generate(n)]
+    return [unrank(n, k) for k in range(sequence_count(n))]
 
 
-@lru_cache(maxsize=None)
-def _ballot_table(length: int) -> tuple[tuple[int, ...], ...]:
-    """table[r][b] = number of valid completions with r symbols remaining
-    and a current zeros-minus-ones balance of b.  Exact integers throughout."""
-    table = [[0] * (length + 2) for _ in range(length + 1)]
-    table[0][0] = 1
-    for r in range(1, length + 1):
-        for b in range(r + 1):
-            ways = table[r - 1][b + 1]  # place '0': balance rises
-            if b > 0:
-                ways += table[r - 1][b - 1]  # place '1': balance falls
-            table[r][b] = ways
-    return tuple(tuple(row) for row in table)
+#: _ballot[r][b] = number of valid completions with r symbols remaining and a
+#: current zeros-minus-ones balance of b, for b = 0..r+2 (zero above r).  Row r
+#: does not depend on the word length, so every length reads one table.  It
+#: only grows, onto a copy that then replaces it, so a reader never sees a
+#: half-built row and concurrent callers need no lock.
+_ballot: list[tuple[int, ...]] = [(1, 0, 0)]
+
+
+def _ballot_rows(length: int) -> list[tuple[int, ...]]:
+    """The shared table with at least rows 0..length."""
+    global _ballot
+    rows = _ballot
+    if len(rows) <= length:
+        rows = rows.copy()
+        for _ in range(len(rows), length + 1):
+            prev = rows[-1]  # place '0': balance rises; place '1': it falls
+            rows.append((prev[1], *map(add, prev, prev[2:]), 0, 0))
+        _ballot = rows
+    return rows
 
 
 def sequence_count(n: int) -> int:
     """C_n read off the ballot-number table (no list materialized)."""
     if n < 0:
         raise CatalanError("semilength must be nonnegative")
-    return _ballot_table(2 * n)[2 * n][0]
+    return _ballot_rows(2 * n)[2 * n][0]
 
 
 def rank(s: CatalanSequence) -> int:
@@ -248,7 +234,7 @@ def rank(s: CatalanSequence) -> int:
     Computed from the ballot-number table: every '1' is charged with the
     count of valid words that branch off with a '0' at that position.
     """
-    table = _ballot_table(len(s.bits))
+    table = _ballot_rows(len(s.bits))
     remaining = len(s.bits)
     balance = 0
     position = 0
@@ -269,14 +255,14 @@ def unrank(n: int, k: int) -> CatalanSequence:
     """
     if n < 0:
         raise CatalanError("semilength must be nonnegative")
-    table = _ballot_table(2 * n)
+    table = _ballot_rows(2 * n)
     total = table[2 * n][0]
     if not 0 <= k < total:
         raise IndexOutOfRangeError(f"index {k} outside [0, {total}) for semilength {n}")
     bits = []
     balance = 0
-    for remaining in range(2 * n, 0, -1):
-        with_zero = table[remaining - 1][balance + 1]
+    for row in reversed(table[: 2 * n]):  # row r: r symbols follow this one
+        with_zero = row[balance + 1]
         if k < with_zero:
             bits.append("0")
             balance += 1

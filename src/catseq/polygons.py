@@ -24,6 +24,13 @@ class SizeMismatchError(CatalanError):
     """The tree's node count does not fit the requested polygon."""
 
 
+def _cut(k: int) -> str:
+    """``str(k)``, cut to 20 characters plus '...' when longer, so that a
+    message naming a parsed number stays short."""
+    text = str(k)
+    return text if len(text) <= 20 else f"{text[:20]}..."
+
+
 @dataclass(frozen=True)
 class Triangulation:
     """A convex m-gon cut into m - 2 triangles by m - 3 non-crossing diagonals.
@@ -49,13 +56,14 @@ class Triangulation:
         expected = max(0, self.m - 3)
         if len(normalized) != expected:
             raise CatalanError(
-                f"a {self.m}-gon triangulation needs {expected} diagonals, got {len(normalized)}"
+                f"a {_cut(self.m)}-gon triangulation needs {_cut(expected)} diagonals,"
+                f" got {len(normalized)}"
             )
         if len(set(normalized)) != len(normalized):
             raise CatalanError("duplicate diagonal")
         for a, b in normalized:
             if not (0 <= a < b <= self.m - 1):
-                raise CatalanError(f"diagonal {a}-{b} is outside the vertex range")
+                raise CatalanError(f"diagonal {_cut(a)}-{_cut(b)} is outside the vertex range")
             if b - a < 2 or (a, b) == (0, self.m - 1):
                 raise CatalanError(f"{a}-{b} is a polygon side, not a diagonal")
         enclosing: list[tuple[int, int]] = []

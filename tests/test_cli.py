@@ -94,6 +94,8 @@ class TestCodecs:
             pytest.param("chords", "1-" + "9" * 5000, id="chords-5000-digit-label"),
             pytest.param("polygon", "9" * 5000 + ";", id="polygon-5000-digit-side-count"),
             pytest.param("polygon", "4;0-" + "9" * 5000, id="polygon-5000-digit-vertex"),
+            pytest.param("polygon", "9" * 4000 + ";", id="polygon-4000-digit-side-count"),
+            pytest.param("polygon", "5;0-2,0-" + "9" * 4000, id="polygon-4000-digit-vertex"),
         ],
     )
     def test_malformed_numbers_are_errors_not_tracebacks(self, capsys, family, text):

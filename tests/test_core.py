@@ -1,3 +1,8 @@
+import random
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from catseq import core
@@ -20,6 +25,32 @@ from catseq.core import (
 from oracle import brute_sequences, is_catalan_word
 
 PAPER_N3 = ["000111", "001011", "001101", "010011", "010101"]
+
+#: random_uniform(n, seed).bits read as a binary number, in hex.  The
+#: seed-to-word map is part of the interface: a change to the table or to
+#: the draw that moves any of these moves every caller's samples.
+PINNED_SAMPLES = {
+    (50, 1): "33248503bbdb12fed8b3c9b3",
+    (50, 2): "4d860e3a00d17db77a968f9f",
+    (200, 1): (
+        "427925cb715425b17a223a76079c1f87ae443dc479ed08ec5df32a2156aa0d55"
+        "42c23ae720e9ab66bd69aedc7004a5decbfd"
+    ),
+    (200, 2): (
+        "4433c91c1a00a96ee91732c3bf70b0047bac8e071ef56f2f4a2da421c1e6efa9"
+        "7e2a625cf0e258faf3690bd28a20c7b6bbb7"
+    ),
+    (266, 1): (
+        "750841861109681959523d0e1d1ada7adf49d6dd48836ed89052000d9d67f79a"
+        "0231646f2e0d665edcc6e86073d97e9c2caeaa3afeffc5bbe688c9f28e5afa72"
+        "6b67"
+    ),
+    (266, 2): (
+        "311005ef2816d41820f502add6b04a3b71293ee1eabf8452a4a24dbf2fcc25d3"
+        "0cbf068a07f3325909f8b8a54fff312b65633bd19c7b6c70c2502f7cd1f89be9"
+        "4edd7"
+    ),
+}
 
 
 class TestValidate:
@@ -172,6 +203,43 @@ class TestRandomUniform:
     def test_all_outcomes_reachable(self):
         seen = {random_uniform(3, seed).bits for seed in range(200)}
         assert seen == set(PAPER_N3)
+
+    @pytest.mark.parametrize("n,seed", sorted(PINNED_SAMPLES))
+    def test_pinned_seed_map(self, n, seed):
+        expected = format(int(PINNED_SAMPLES[n, seed], 16), f"0{2 * n}b")
+        assert random_uniform(n, seed).bits == expected
+
+    def test_lengths_share_one_table(self):
+        # once the longest length is warm, shorter ones build no table of their own
+        random_uniform(266, 1)
+        tracemalloc.start()
+        try:
+            for n in range(202, 259, 8):
+                random_uniform(n, 5)
+                unrank(n, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_threads_growing_the_table_agree(self, monkeypatch):
+        cases = [(n, seed) for n in range(100, 201, 4) for seed in range(2)]
+        expected = [random_uniform(n, seed).bits for n, seed in cases]
+        orders = [random.Random(t).sample(range(len(cases)), len(cases)) for t in range(6)]
+
+        def draw(order):
+            return {i: random_uniform(*cases[i]).bits for i in order}
+
+        monkeypatch.setattr(core, "_ballot", [(1, 0, 0)])  # every thread grows it anew
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+                drawn = list(pool.map(draw, orders, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for result in drawn:
+            assert [result[i] for i in range(len(cases))] == expected
 
 
 def test_sequence_count_matches_enumeration():

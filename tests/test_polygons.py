@@ -159,6 +159,8 @@ class TestTextForm:
             "4;0-\u00b2",
             pytest.param("9" * 5000 + ";", id="5000-digit-side-count"),
             pytest.param("4;0-" + "9" * 5000, id="5000-digit-vertex"),
+            pytest.param("9" * 4000 + ";", id="4000-digit-side-count"),
+            pytest.param("5;0-2,0-" + "9" * 4000, id="4000-digit-vertex"),
         ],
     )
     def test_parse_rejects(self, text):
