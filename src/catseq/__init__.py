@@ -6,146 +6,55 @@ with codecs to and from binary trees, multiplication expressions in two
 syntaxes, grid paths, ±1 ballot sequences, non-crossing chord diagrams,
 and polygon triangulations, plus Catalan numbers by four routes and a
 CLI (``catseq`` or ``python -m catseq``).
+
+Every public name is listed once, in ``_PUBLIC``, under the submodule
+that defines it.  Names load on first use: ``catseq.transcode`` imports
+``catseq.families`` (and the codecs it joins) when it is first read, so
+``import catseq`` alone loads no submodule.
 """
 
-from .chords import ChordDiagram, decode_chords, encode_chords
-from .core import (
-    AltitudeProfile,
-    CapExceededError,
-    CatalanError,
-    CatalanSequence,
-    CountMismatchError,
-    DomainError,
-    IndexOutOfRangeError,
-    InvalidSymbolError,
-    OddLengthError,
-    ParseError,
-    PrefixViolationError,
-    altitude_profile,
-    enumerate_sequences,
-    random_uniform,
-    rank,
-    sequence_count,
-    unrank,
-    validate,
-)
-from .counting import (
-    SeriesPrefix,
-    binomial,
-    catalan_closed,
-    catalan_convolution,
-    catalan_linear,
-    catalan_series,
-)
-from .families import FAMILIES, Family, family_ids, resolve, transcode
-from .lattice import GridPath, PlusMinusSequence, decode_path, decode_pm, encode_path, encode_pm
-from .polygons import (
-    MalformedTriangulationError,
-    SizeMismatchError,
-    Triangulation,
-    decode_polygon,
-    dual_tree,
-    encode_polygon,
-    rebuild_triangulation,
-)
-from .render import render_dot, render_mountain
-from .trees import (
-    BinaryTree,
-    ExcessOperandsError,
-    ExtendedBinaryTree,
-    Internal,
-    Node,
-    NotInImageError,
-    StackUnderflowError,
-    decode_expression,
-    decode_tree,
-    encode_expression,
-    encode_tree,
-    extend_tree,
-    internal_count,
-    leaf_count,
-    node_count,
-    parse_mult,
-    parse_rpn,
-    parse_tree,
-    render_mult,
-    render_rpn,
-    render_tree,
-    rpn_paper_decode,
-    rpn_paper_encode,
-    strip_leaves,
-)
+from importlib import import_module
 
-__all__ = [
-    "AltitudeProfile",
-    "BinaryTree",
-    "CapExceededError",
-    "CatalanError",
-    "CatalanSequence",
-    "ChordDiagram",
-    "CountMismatchError",
-    "DomainError",
-    "ExcessOperandsError",
-    "ExtendedBinaryTree",
-    "FAMILIES",
-    "Family",
-    "GridPath",
-    "IndexOutOfRangeError",
-    "Internal",
-    "InvalidSymbolError",
-    "MalformedTriangulationError",
-    "Node",
-    "NotInImageError",
-    "OddLengthError",
-    "ParseError",
-    "PlusMinusSequence",
-    "PrefixViolationError",
-    "SeriesPrefix",
-    "SizeMismatchError",
-    "StackUnderflowError",
-    "Triangulation",
-    "altitude_profile",
-    "binomial",
-    "catalan_closed",
-    "catalan_convolution",
-    "catalan_linear",
-    "catalan_series",
-    "decode_chords",
-    "decode_expression",
-    "decode_path",
-    "decode_pm",
-    "decode_polygon",
-    "decode_tree",
-    "dual_tree",
-    "encode_chords",
-    "encode_expression",
-    "encode_path",
-    "encode_pm",
-    "encode_polygon",
-    "encode_tree",
-    "enumerate_sequences",
-    "extend_tree",
-    "family_ids",
-    "internal_count",
-    "leaf_count",
-    "node_count",
-    "parse_mult",
-    "parse_rpn",
-    "parse_tree",
-    "random_uniform",
-    "rank",
-    "rebuild_triangulation",
-    "render_dot",
-    "render_mountain",
-    "render_mult",
-    "render_rpn",
-    "render_tree",
-    "resolve",
-    "rpn_paper_decode",
-    "rpn_paper_encode",
-    "sequence_count",
-    "strip_leaves",
-    "transcode",
-    "unrank",
-    "validate",
-]
+_PUBLIC = {
+    "chords": ("ChordDiagram", "decode_chords", "encode_chords"),
+    "core": (
+        "AltitudeProfile", "CapExceededError", "CatalanError", "CatalanSequence",
+        "CountMismatchError", "DomainError", "IndexOutOfRangeError", "InvalidSymbolError",
+        "OddLengthError", "ParseError", "PrefixViolationError", "altitude_profile",
+        "enumerate_sequences", "random_uniform", "rank", "sequence_count", "unrank", "validate",
+    ),
+    "counting": (
+        "SeriesPrefix", "binomial", "catalan_closed", "catalan_convolution", "catalan_linear",
+        "catalan_series",
+    ),
+    "families": ("FAMILIES", "Family", "family_ids", "resolve", "transcode"),
+    "lattice": (
+        "GridPath", "PlusMinusSequence", "decode_path", "decode_pm", "encode_path", "encode_pm",
+    ),
+    "polygons": (
+        "MalformedTriangulationError", "SizeMismatchError", "Triangulation", "decode_polygon",
+        "dual_tree", "encode_polygon", "rebuild_triangulation",
+    ),
+    "render": ("render_dot", "render_mountain"),
+    "trees": (
+        "BinaryTree", "ExcessOperandsError", "ExtendedBinaryTree", "Internal", "Node",
+        "NotInImageError", "StackUnderflowError", "decode_expression", "decode_tree",
+        "encode_expression", "encode_tree", "extend_tree", "internal_count", "leaf_count",
+        "node_count", "parse_mult", "parse_rpn", "parse_tree", "render_mult", "render_rpn",
+        "render_tree", "rpn_paper_decode", "rpn_paper_encode", "strip_leaves",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    """Import the submodule that defines ``name`` and keep the value here (PEP 562)."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

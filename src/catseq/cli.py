@@ -10,16 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import counting, core, families, render
+from . import core
 from .core import CatalanError, DomainError, validate
-from .trees import decode_tree
 
-_METHODS = {
-    "closed": counting.catalan_closed,
-    "convolution": counting.catalan_convolution,
-    "linear": counting.catalan_linear,
-    "series": lambda n: counting.catalan_series(n + 1).coefficients[n],
-}
+# each handler imports the modules it runs, so a command loads only those
+_METHODS = ("closed", "convolution", "linear", "series")  # counting.catalan_<method>
 
 
 class _Parser(argparse.ArgumentParser):
@@ -33,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="catseq", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("count", parents=[], help="print the n-th Catalan number")
+    p = commands.add_parser("count", help="print the n-th Catalan number")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=_METHODS, default="closed")
     p.set_defaults(handler=_cmd_count)
@@ -85,9 +80,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args) -> int:
+    from . import counting
     if args.n < 0:  # catalan_series would object to its prefix length instead
         raise CatalanError("Catalan numbers are indexed from 0")
-    print(_METHODS[args.method](args.n))
+    route = getattr(counting, f"catalan_{args.method}")
+    print(route(args.n + 1).coefficients[args.n] if args.method == "series" else route(args.n))
     return 0
 
 
@@ -104,17 +101,20 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    print(families.transcode(args.family, "sequence", args.input))
+    from .families import transcode
+    print(transcode(args.family, "sequence", args.input))
     return 0
 
 
 def _cmd_decode(args) -> int:
-    print(families.transcode("sequence", args.family, args.bits))
+    from .families import transcode
+    print(transcode("sequence", args.family, args.bits))
     return 0
 
 
 def _cmd_transcode(args) -> int:
-    print(families.transcode(args.source, args.target, args.input))
+    from .families import transcode
+    print(transcode(args.source, args.target, args.input))
     return 0
 
 
@@ -136,10 +136,13 @@ def _cmd_random(args) -> int:
 def _cmd_render(args) -> int:
     s = validate(args.bits)
     if args.format == "mountain":
-        for line in render.render_mountain(s):
+        from .render import render_mountain
+        for line in render_mountain(s):
             print(line)
     else:
-        print(render.render_dot(decode_tree(s)))
+        from .render import render_dot
+        from .trees import decode_tree
+        print(render_dot(decode_tree(s)))
     return 0
 
 

@@ -26,8 +26,11 @@ class SizeMismatchError(CatalanError):
 
 def _cut(k: int) -> str:
     """``str(k)``, cut to 20 characters plus '...' when longer, so that a
-    message naming a parsed number stays short."""
-    text = str(k)
+    message naming a parsed number stays short.  The low digits go first,
+    by division, so a number past the int-string limit never meets ``str``:
+    0.30102999 < log10(2), so 29 or more digits stay, far below the limit."""
+    drop = max(0, abs(k).bit_length() * 30102999 // 10**8 - 30)
+    text = ("-" if k < 0 else "") + str(abs(k) // 10**drop)
     return text if len(text) <= 20 else f"{text[:20]}..."
 
 

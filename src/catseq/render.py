@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .core import CatalanSequence, altitude_profile
-from .trees import BinaryTree
+
+if TYPE_CHECKING:  # an annotation only: mountains never load the tree module
+    from .trees import BinaryTree
 
 
 def render_mountain(s: CatalanSequence) -> list[str]:

@@ -1,10 +1,17 @@
+import io
+import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catseq.cli import main
+from catseq.core import DomainError, enumerate_sequences, validate
 from catseq.counting import catalan_closed
+from catseq.families import ALIASES, FAMILIES, resolve
 
 
 def run(capsys, *argv):
@@ -151,3 +158,122 @@ def test_subprocess_runs_are_byte_identical():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stderr == second.stderr == b""
+
+
+_NAMES = [*FAMILIES, *ALIASES, "frieze"]
+_INTS = st.integers(-3, 12).map(str)
+_WORDS = [s.bits for n in range(5) for s in enumerate_sequences(n)]
+_BITS = st.one_of(st.text(alphabet="01", max_size=10), st.sampled_from(_WORDS)).map(lambda bits: [bits])
+
+
+def _texts(name):
+    """Short texts over the families' symbols, or a small object in family ``name``."""
+    samples = [""]
+    if name in FAMILIES or name in ALIASES:
+        family = resolve(name)
+        for word in _WORDS:
+            try:
+                samples.append(family.render(family.decode(validate(word))))
+            except DomainError:
+                pass
+    return st.one_of(st.text(alphabet="01()*.aHV+-;,0123456789", max_size=12), st.sampled_from(samples))
+
+
+def _flag(flag, values):
+    return values.map(lambda value: [flag, value])
+
+
+# each command's argument list, drawn whole
+_ARGS = {
+    "count": st.tuples(
+        _flag("--n", _INTS), _flag("--method", st.sampled_from(["closed", "convolution", "linear", "series"]))
+    ),
+    "enumerate": st.tuples(_flag("--n", _INTS)),
+    "validate": st.tuples(_BITS),
+    "encode": st.sampled_from(_NAMES).flatmap(
+        lambda f: st.tuples(st.just(["--family", f]), _flag("--input", _texts(f)))
+    ),
+    "decode": st.tuples(_flag("--family", st.sampled_from(_NAMES)), _BITS),
+    "transcode": st.sampled_from(_NAMES).flatmap(
+        lambda f: st.tuples(
+            st.just(["--from", f]), _flag("--to", st.sampled_from(_NAMES)), _flag("--input", _texts(f))
+        ),
+    ),
+    "rank": st.tuples(_BITS),
+    "unrank": st.tuples(_flag("--n", _INTS), _flag("--index", _INTS)),
+    "random": st.tuples(_flag("--n", _INTS), _flag("--seed", _INTS)),
+    "render": st.tuples(_flag("--format", st.sampled_from(["mountain", "dot"])), _BITS),
+}
+_FLAGS = ["--n", "--method", "--family", "--input", "--from", "--to", "--index", "--seed", "--format", "--help"]
+_TOKENS = st.one_of(st.sampled_from([*_ARGS, *_FLAGS, *_NAMES]), _INTS, _texts(None))
+
+
+@st.composite
+def _argv(draw):
+    """A whole command with drawn values, then a few tokens dropped or put
+    in anywhere, so that bad usage is drawn too."""
+    command = draw(st.sampled_from(sorted(_ARGS)))
+    argv = [command, *(token for part in draw(_ARGS[command]) for token in part)]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        at = draw(st.integers(0, len(argv) - 1))
+        if draw(st.booleans()):
+            del argv[at]
+        else:
+            argv.insert(at, draw(_TOKENS))
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(argv=_argv())
+def test_any_argv_exits_0_1_or_2_without_raising(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+
+
+# Each command imports only the modules it runs.  The family modules are
+# what the codec commands need and nothing else does.
+_CODECS = {"catseq.families", "catseq.trees", "catseq.polygons", "catseq.chords", "catseq.lattice"}
+_SCOPE = """
+import json, sys
+from catseq.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("catseq"))]))
+"""
+
+
+def _loaded(*argv):
+    proc = subprocess.run([sys.executable, "-c", _SCOPE, *argv], capture_output=True, text=True)
+    assert proc.stderr == ""
+    *out, last = proc.stdout.splitlines()
+    code, modules = json.loads(last)
+    return code, out, set(modules)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "3"),
+        ("random", "--n", "6", "--seed", "11"),
+        ("rank", "010101"),
+        ("unrank", "--n", "3", "--index", "2"),
+        ("validate", "000111"),
+        ("enumerate", "--n", "2"),
+    ],
+)
+def test_core_commands_leave_the_family_modules_unloaded(argv):
+    code, out, modules = _loaded(*argv)
+    assert code == 0 and out
+    assert not modules & _CODECS, modules & _CODECS
+
+
+def test_mountain_leaves_the_tree_module_unloaded():
+    code, out, modules = _loaded("render", "--format", "mountain", "0011")
+    assert (code, out) == (0, [" /\\", "/  \\"])
+    assert "catseq.render" in modules and "catseq.trees" not in modules
+
+
+def test_transcode_loads_the_codecs_it_joins():
+    code, out, modules = _loaded("transcode", "--from", "mult", "--to", "chords", "--input", "(a*((a*a)*a))")
+    assert (code, out) == (0, ["1-2,3-6,4-5"])
+    assert _CODECS <= modules

@@ -1,0 +1,72 @@
+"""The package surface: 71 names, each loaded from its module on first use."""
+
+import subprocess
+import sys
+from importlib import import_module
+
+import pytest
+
+import catseq
+
+# The public names, by the module that defines each.
+SURFACE = {
+    "chords": "ChordDiagram decode_chords encode_chords",
+    "core": "AltitudeProfile CapExceededError CatalanError CatalanSequence CountMismatchError"
+    " DomainError IndexOutOfRangeError InvalidSymbolError OddLengthError ParseError"
+    " PrefixViolationError altitude_profile enumerate_sequences random_uniform rank"
+    " sequence_count unrank validate",
+    "counting": "SeriesPrefix binomial catalan_closed catalan_convolution catalan_linear catalan_series",
+    "families": "FAMILIES Family family_ids resolve transcode",
+    "lattice": "GridPath PlusMinusSequence decode_path decode_pm encode_path encode_pm",
+    "polygons": "MalformedTriangulationError SizeMismatchError Triangulation decode_polygon dual_tree"
+    " encode_polygon rebuild_triangulation",
+    "render": "render_dot render_mountain",
+    "trees": "BinaryTree ExcessOperandsError ExtendedBinaryTree Internal Node NotInImageError"
+    " StackUnderflowError decode_expression decode_tree encode_expression encode_tree extend_tree"
+    " internal_count leaf_count node_count parse_mult parse_rpn parse_tree render_mult render_rpn"
+    " render_tree rpn_paper_decode rpn_paper_encode strip_leaves",
+}
+MODULE_OF = {name: module for module, names in SURFACE.items() for name in names.split()}
+
+
+def test_all_is_the_pinned_surface():
+    assert len(MODULE_OF) == 71
+    assert catseq.__all__ == sorted(MODULE_OF)
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_OF))
+def test_each_name_is_the_object_its_module_defines(name):
+    defined = getattr(import_module(f"catseq.{MODULE_OF[name]}"), name)
+    assert getattr(catseq, name) is defined
+    assert vars(catseq)[name] is defined  # kept after the first read
+
+
+def test_star_import_and_dir_list_every_name():
+    namespace = {}
+    exec("from catseq import *", namespace)
+    assert set(MODULE_OF) <= set(namespace)
+    assert set(MODULE_OF) <= set(dir(catseq))
+
+
+def test_unknown_attribute_is_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_codec"):
+        catseq.no_such_codec  # noqa: B018
+    assert not hasattr(catseq, "no_such_codec")
+
+
+_FRESH = """
+import sys
+import catseq
+before = sorted(m for m in sys.modules if m.startswith("catseq"))
+from catseq import core
+print(before, core is sys.modules["catseq.core"], catseq.transcode("pm", "path", "+-"))
+print(sorted(m for m in sys.modules if m.startswith("catseq")))
+"""
+
+
+def test_names_load_on_first_use_and_submodules_still_import():
+    proc = subprocess.run([sys.executable, "-c", _FRESH], capture_output=True, text=True)
+    assert proc.stderr == ""
+    first, loaded = proc.stdout.splitlines()
+    assert first == "['catseq'] True HV"
+    assert "catseq.families" in loaded and "catseq.counting" not in loaded

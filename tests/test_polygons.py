@@ -48,6 +48,31 @@ class TestConstructor:
         with pytest.raises(CatalanError):
             Triangulation(1, ())
 
+    @pytest.mark.parametrize(
+        "m,diagonals",
+        [
+            pytest.param(10**5000, (), id="5001-digit-side-count"),
+            pytest.param(5, ((0, 10**5000), (0, 2)), id="5001-digit-vertex"),
+        ],
+    )
+    def test_numbers_past_the_int_string_limit_are_cut(self, m, diagonals):
+        with pytest.raises(CatalanError) as info:
+            Triangulation(m, diagonals)
+        assert len(str(info.value)) < 200 and "10000000000000000000..." in str(info.value)
+
+    @pytest.mark.parametrize("digits", [1, 20, 21, 4300])
+    def test_messages_below_the_limit_keep_their_form(self, digits):
+        def short(k):
+            return str(k) if len(str(k)) <= 20 else str(k)[:20] + "..."
+
+        m = 10**digits - 7
+        with pytest.raises(CatalanError) as info:
+            Triangulation(m, ((0, 2),) * 2)
+        assert str(info.value) == f"a {short(m)}-gon triangulation needs {short(m - 3)} diagonals, got 2"
+        with pytest.raises(CatalanError) as info:
+            Triangulation(5, ((0, 2), (-m, 1)))
+        assert str(info.value) == f"diagonal {short(-m)}-1 is outside the vertex range"
+
     @pytest.mark.parametrize("m", range(3, 9))
     def test_accepts_exactly_the_non_crossing_diagonal_sets(self, m):
         diagonals = [(a, b) for a, b in combinations(range(m), 2) if 2 <= b - a < m - 1]
