@@ -8,6 +8,7 @@ force, so they stay independent of the code paths under test.
 from __future__ import annotations
 
 from itertools import product
+from typing import NamedTuple
 
 
 def is_catalan_word(word: str) -> bool:
@@ -118,3 +119,50 @@ def ref_encode_tree(t) -> str:
         return ""
 
     return "0" + body(t) + "1"
+
+
+def triangulations(m: int):
+    """Yield the diagonal list of every triangulation of the m-gon.
+
+    The triangle on the base (a, b) has some apex a < c < b; the regions
+    (a, c) and (c, b) are then triangulated independently, and each base
+    that is not a polygon side is a diagonal.  Recursive; small m only.
+    """
+
+    def region(a: int, b: int):
+        if b - a < 2:
+            yield []
+            return
+        for c in range(a + 1, b):
+            for left in region(a, c):
+                for right in region(c, b):
+                    yield left + right + [d for d in ((a, c), (c, b)) if d[1] - d[0] >= 2]
+
+    yield from region(0, m - 1)
+
+
+class Triangle(NamedTuple):
+    """A dual-tree node: the triangles across the (a, c) and (c, b) edges."""
+
+    left: Triangle | None
+    right: Triangle | None
+
+
+def ref_dual_tree(m: int, diagonals) -> Triangle | None:
+    """Dual binary tree of a triangulation, straight from its definition.
+
+    The triangle on the root side (0, m-1) is the root.  The triangle on a
+    base (a, b) is the one whose apex c lies between them with both (a, c)
+    and (c, b) edges; its children are the triangles across (a, c) and
+    (c, b), and a polygon side has none.  Recursive, so the depth is the
+    tree's height.
+    """
+    edges = {(a, a + 1) for a in range(m - 1)} | {tuple(sorted(d)) for d in diagonals}
+
+    def region(a: int, b: int) -> Triangle | None:
+        if b - a < 2:
+            return None
+        (c,) = [c for c in range(a + 1, b) if (a, c) in edges and (c, b) in edges]
+        return Triangle(region(a, c), region(c, b))
+
+    return region(0, m - 1)

@@ -1,7 +1,10 @@
+import random
 import re
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catseq.core import CatalanError, ParseError, enumerate_sequences, validate
 from catseq.polygons import (
@@ -17,7 +20,7 @@ from catseq.polygons import (
 )
 from catseq.trees import Node, node_count
 
-from oracle import crosses
+from oracle import crosses, cycle_lemma_word, ref_dual_tree, ref_encode_tree, triangulations
 
 
 class TestConstructor:
@@ -158,6 +161,26 @@ class TestPolygonCodec:
             for i, (a, b) in enumerate(diags):
                 for c, d in diags[i + 1 :]:
                     assert not (a < c < b < d) and not (c < a < d < b)
+
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_the_dual_tree_on_every_triangulation(self, n):
+        words = set()
+        for diagonals in triangulations(n + 2):
+            word = ref_encode_tree(ref_dual_tree(n + 2, diagonals))
+            tri = Triangulation(n + 2, tuple(diagonals))
+            assert encode_polygon(tri).bits == word
+            assert decode_polygon(validate(word)) == tri
+            words.add(word)
+        assert len(words) == len(enumerate_sequences(n))
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(n=st.integers(0, 2000), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_dual_tree_on_random_words(self, n, seed):
+        word = cycle_lemma_word(n, random.Random(seed))
+        tri = decode_polygon(validate(word))
+        assert ref_encode_tree(ref_dual_tree(tri.m, tri.diagonals)) == word
+        assert encode_polygon(tri).bits == word
 
 
 class TestTextForm:

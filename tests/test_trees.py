@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catseq.core import CatalanError, ParseError, validate
 from catseq.trees import (
@@ -27,7 +31,7 @@ from catseq.trees import (
 )
 from catseq.core import enumerate_sequences
 
-from oracle import ref_encode_tree
+from oracle import cycle_lemma_word, ref_encode_tree
 
 FIG7_BITS = "00010111"
 FIG7_TREE = Node(Node(None, Node()), Node())  # root: left child with a right child, right child
@@ -107,6 +111,14 @@ class TestExtendStrip:
             assert internal_count(e) == node_count(t)
             assert strip_leaves(e) == t
             assert extend_tree(strip_leaves(e)) == e
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(n=st.integers(0, 2000), seed=st.integers(0, 2**32 - 1))
+    def test_mutually_inverse_on_random_words(self, n, seed):
+        t = decode_tree(validate(cycle_lemma_word(n, random.Random(seed))))
+        e = extend_tree(t)
+        assert strip_leaves(e) == t
+        assert internal_count(e) == node_count(t)
 
 
 class TestExpressionCodec:
