@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CatalanError, CatalanSequence, ParseError, parse_natural, quote_prefix
+from .core import CatalanError, CatalanSequence, ParseError, cut_number, parse_natural, quote_prefix
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class ChordDiagram:
         normalized = tuple(sorted((min(i, j), max(i, j)) for i, j in self.chords))
         object.__setattr__(self, "chords", normalized)
         if len(normalized) != self.n:
-            raise CatalanError(f"expected {self.n} chords, got {len(normalized)}")
+            raise CatalanError(f"expected {cut_number(self.n)} chords, got {len(normalized)}")
         points = [p for chord in normalized for p in chord]
         if sorted(points) != list(range(1, 2 * self.n + 1)):
             raise CatalanError("chords must pair each of the points 1..2n exactly once")

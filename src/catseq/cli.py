@@ -42,14 +42,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_validate)
 
     p = commands.add_parser("encode", help="encode a family object into a sequence")
-    p.add_argument("--family", required=True)
+    p.add_argument("--family", dest="source", required=True, metavar="FAMILY")
     p.add_argument("--input", required=True)
-    p.set_defaults(handler=_cmd_encode)
+    p.set_defaults(handler=_cmd_transcode, target="sequence")
 
     p = commands.add_parser("decode", help="decode a sequence into a family object")
-    p.add_argument("--family", required=True)
-    p.add_argument("bits")
-    p.set_defaults(handler=_cmd_decode)
+    p.add_argument("--family", dest="target", required=True, metavar="FAMILY")
+    p.add_argument("input", metavar="bits")
+    p.set_defaults(handler=_cmd_transcode, source="sequence")
 
     p = commands.add_parser("transcode", help="convert one family's text into another's")
     p.add_argument("--from", dest="source", required=True, metavar="FAMILY")
@@ -97,18 +97,6 @@ def _cmd_enumerate(args) -> int:
 def _cmd_validate(args) -> int:
     s = validate(args.bits)
     print(f"valid semilength={s.semilength}")
-    return 0
-
-
-def _cmd_encode(args) -> int:
-    from .families import transcode
-    print(transcode(args.family, "sequence", args.input))
-    return 0
-
-
-def _cmd_decode(args) -> int:
-    from .families import transcode
-    print(transcode("sequence", args.family, args.bits))
     return 0
 
 

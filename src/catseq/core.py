@@ -93,6 +93,19 @@ def quote_prefix(text: str) -> str:
     return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
 
 
+def cut_number(k: int) -> str:
+    """``str(k)``, cut to 20 characters plus '...' when longer, so that an
+    error message naming a number stays short.  The low digits go first,
+    by division, so a number past the int-string limit never meets ``str``:
+    0.30102999 < log10(2), so 29 or more digits stay, far below the limit.
+    Any value but an int is shown as its ``repr``."""
+    if type(k) is not int:
+        return repr(k)
+    drop = max(0, abs(k).bit_length() * 30102999 // 10**8 - 30)
+    text = ("-" if k < 0 else "") + str(abs(k) // 10**drop)
+    return text if len(text) <= 20 else f"{text[:20]}..."
+
+
 @dataclass(frozen=True)
 class CatalanSequence:
     """A validated Catalan sequence.

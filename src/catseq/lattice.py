@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CatalanError, CatalanSequence, ParseError
+from .core import CatalanError, CatalanSequence, ParseError, cut_number
 
 _PATH_TO_BITS = str.maketrans("HV", "01")
 _BITS_TO_PATH = str.maketrans("01", "HV")
@@ -56,7 +56,7 @@ class PlusMinusSequence:
         total = 0
         for i, x in enumerate(self.values):
             if x not in (1, -1):
-                raise CatalanError(f"invalid value {x!r} at position {i + 1}")
+                raise CatalanError(f"invalid value {cut_number(x)} at position {i + 1}")
             total += x
             if total < 0:
                 raise CatalanError(f"partial sum drops below 0 at position {i + 1}")

@@ -5,6 +5,13 @@ a marked root side (0, m-1).  Each triangle becomes a tree node; the
 node on the root side is the root, and a node's left / right children
 are the triangles across its (a, c) / (c, b) edges, apex c on base
 (a, b).  The degenerate two-sided polygon stands in for n = 0.
+
+The codec is the tree codec of the dual tree, worked straight on the
+word, and dual_tree and rebuild_triangulation go through it.  Encoding
+finds each apex by the apex rule: c is the largest neighbour of a below
+b.  Decoding places each subtree by the in-order base rule: the subtree
+whose nodes hold the in-order positions lo..hi sits on the base
+(lo, hi + 2).
 """
 
 from __future__ import annotations
@@ -12,8 +19,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import CatalanError, CatalanSequence, ParseError, parse_natural, quote_prefix
-from .trees import BinaryTree, Node, _fold, decode_tree, encode_tree
+from .core import CatalanError, CatalanSequence, ParseError, cut_number, parse_natural, quote_prefix
+from .trees import BinaryTree, decode_tree, encode_tree
 
 
 class MalformedTriangulationError(CatalanError):
@@ -22,16 +29,6 @@ class MalformedTriangulationError(CatalanError):
 
 class SizeMismatchError(CatalanError):
     """The tree's node count does not fit the requested polygon."""
-
-
-def _cut(k: int) -> str:
-    """``str(k)``, cut to 20 characters plus '...' when longer, so that a
-    message naming a parsed number stays short.  The low digits go first,
-    by division, so a number past the int-string limit never meets ``str``:
-    0.30102999 < log10(2), so 29 or more digits stay, far below the limit."""
-    drop = max(0, abs(k).bit_length() * 30102999 // 10**8 - 30)
-    text = ("-" if k < 0 else "") + str(abs(k) // 10**drop)
-    return text if len(text) <= 20 else f"{text[:20]}..."
 
 
 @dataclass(frozen=True)
@@ -59,14 +56,14 @@ class Triangulation:
         expected = max(0, self.m - 3)
         if len(normalized) != expected:
             raise CatalanError(
-                f"a {_cut(self.m)}-gon triangulation needs {_cut(expected)} diagonals,"
+                f"a {cut_number(self.m)}-gon triangulation needs {cut_number(expected)} diagonals,"
                 f" got {len(normalized)}"
             )
         if len(set(normalized)) != len(normalized):
             raise CatalanError("duplicate diagonal")
         for a, b in normalized:
             if not (0 <= a < b <= self.m - 1):
-                raise CatalanError(f"diagonal {_cut(a)}-{_cut(b)} is outside the vertex range")
+                raise CatalanError(f"diagonal {cut_number(a)}-{cut_number(b)} is outside the vertex range")
             if b - a < 2 or (a, b) == (0, self.m - 1):
                 raise CatalanError(f"{a}-{b} is a polygon side, not a diagonal")
         enclosing: list[tuple[int, int]] = []
@@ -79,79 +76,82 @@ class Triangulation:
             enclosing.append((a, b))
 
 
-def dual_tree(tri: Triangulation) -> BinaryTree:
-    """Dual binary tree rooted at the triangle on the marked side (0, m-1).
+def encode_polygon(tri: Triangulation) -> CatalanSequence:
+    """The edge-pair code of the dual tree, read straight off the regions.
 
-    region(a, b) is empty when (a, b) is a polygon side; otherwise the
-    unique apex c with edges (a, c) and (c, b) splits it into a left
-    region (a, c) and a right region (c, b).  In a triangulation no edge
-    from a ends strictly between c and b, since it would cross (c, b), so
-    c is the largest neighbour of a below b: a binary search in a's sorted
-    list of higher neighbours, then one lookup that (c, b) is an edge.
+    Region (a, b) holds a triangle unless (a, b) is a polygon side.  Its
+    apex c is the largest neighbour of a below b, since an edge from a that
+    ends between c and b would cross (c, b); (a, c) and (c, b) are its left
+    and right regions.  A triangulated m-gon yields semilength m - 2.
     """
     m = tri.m
-    if m == 2:
-        return None
     higher = [[a + 1] for a in range(m - 1)]  # sorted, as tri.diagonals is
     for a, b in tri.diagonals:
         higher[a].append(b)
     diagonals = set(tri.diagonals)
-    regions: dict[tuple[int, int], BinaryTree] = {}  # sides are empty: never stored
-    stack: list[tuple[int, int, int]] = [(0, m - 1, 0)]  # apex 0: not yet split
+    out: list[str] = []
+    stack = ["1", (0, m - 1), "0"] if m > 2 else []  # pairs to emit and regions to walk
     while stack:
-        a, b, c = stack.pop()
-        if c:
-            regions[(a, b)] = Node(regions.pop((a, c), None), regions.pop((c, b), None))
+        region = stack.pop()
+        if isinstance(region, str):
+            out.append(region)
             continue
+        a, b = region
         c = higher[a][bisect_left(higher[a], b) - 1]
         if not (a < c < b and (c + 1 == b or (c, b) in diagonals)):
             raise MalformedTriangulationError(f"base {a}-{b} has no apex")
-        stack.append((a, b, c))
-        if c + 1 < b:
-            stack.append((c, b, 0))
-        if a + 1 < c:
-            stack.append((a, c, 0))
-    return regions[(0, m - 1)]
-
-
-def _sized(left, right) -> tuple:
-    """A subtree as (left, right, node count), built by _fold."""
-    return (left, right, 1 + (left[2] if left else 0) + (right[2] if right else 0))
-
-
-def rebuild_triangulation(t: BinaryTree, m: int) -> Triangulation:
-    """Inverse of dual_tree for a tree of m - 2 nodes.
-
-    A node on base (a, b) whose left subtree holds k nodes puts its apex
-    at c = a + k + 1; the base edges (a, c) and (c, b) of its children
-    are the diagonals.  One fold first tags every subtree with its size.
-    """
-    sized = _fold(t, _sized)
-    size = sized[2] if sized else 0
-    if size != m - 2:
-        raise SizeMismatchError(f"tree has {size} nodes, a {m}-gon dual needs {m - 2}")
-    diagonals: list[tuple[int, int]] = []
-    stack = [(sized, 0, m - 1)] if sized else []
-    while stack:
-        (left, right, _), a, b = stack.pop()
-        c = a + (left[2] if left else 0) + 1
-        if left:
-            diagonals.append((a, c))
-            stack.append((left, a, c))
-        if right:
-            diagonals.append((c, b))
-            stack.append((right, c, b))
-    return Triangulation(m, tuple(diagonals))
-
-
-def encode_polygon(tri: Triangulation) -> CatalanSequence:
-    """Encode the dual tree; a triangulated m-gon yields semilength m - 2."""
-    return encode_tree(dual_tree(tri))
+        if a + 1 < c and c + 1 < b:
+            stack += ((c, b), "11", (a, c), "00")
+        elif a + 1 < c:
+            stack += ((a, c), "01")
+        elif c + 1 < b:
+            stack += ((c, b), "10")
+    return CatalanSequence("".join(out))
 
 
 def decode_polygon(s: CatalanSequence) -> Triangulation:
-    """Rebuild the (semilength + 2)-gon triangulation behind the sequence."""
-    return rebuild_triangulation(decode_tree(s), s.semilength + 2)
+    """The (semilength + 2)-gon triangulation behind the sequence.
+
+    The subtree whose nodes hold the in-order positions lo..hi sits on the
+    base (lo, hi + 2), so every subtree but the root's gives a diagonal
+    when it closes.  One pass over the digit pairs, with frames as in
+    decode_tree, numbers a 10 node when it opens and any other node when
+    its left subtree closes, or at once if it is childless.
+    """
+    diagonals: list[tuple[int, int]] = []
+    frames: list[tuple[str, int]] = []  # (pair, lo); a 00 past its left subtree is 11
+    k = 0  # nodes numbered so far
+    body = s.bits[1:-1] + "11" if s.bits else ""
+    for i in range(0, len(body), 2):
+        pair = body[i : i + 2]
+        if pair != "11":
+            frames.append((pair, k))
+            k += pair == "10"  # no left subtree: numbered as it opens
+            continue
+        lo, k = k, k + 1  # a childless node closes at once
+        diagonals.append((lo, k + 1))
+        while frames:
+            pair, lo = frames.pop()
+            if pair == "00":
+                k += 1
+                frames.append(("11", lo))
+                break
+            k += pair == "01"  # a 01 is numbered as its left subtree closes
+            diagonals.append((lo, k + 1))
+    return Triangulation(s.semilength + 2, tuple(diagonals[:-1]))  # the last is the root side
+
+
+def dual_tree(tri: Triangulation) -> BinaryTree:
+    """Dual binary tree rooted at the triangle on the marked side (0, m-1)."""
+    return decode_tree(encode_polygon(tri))
+
+
+def rebuild_triangulation(t: BinaryTree, m: int) -> Triangulation:
+    """Inverse of dual_tree for a tree of m - 2 nodes."""
+    s = encode_tree(t)
+    if s.semilength != m - 2:
+        raise SizeMismatchError(f"tree has {s.semilength} nodes, a {m}-gon dual needs {m - 2}")
+    return decode_polygon(s)
 
 
 def parse_polygon(text: str) -> Triangulation:

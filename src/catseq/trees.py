@@ -11,9 +11,11 @@ closes frames until it reaches the 00 still waiting for its left subtree.
 Extended binary trees (every internal node has exactly two children)
 double as multiplication expressions: leaves are factors, internal
 nodes multiplications.  Node and Internal share one base, so equality,
-hashing, the edge-pair codec, one postorder fold (extend_tree and
-strip_leaves) and one infix grammar serve both; the grammar only swaps
-tokens, "(. (. .))" for trees and "(a*(a*a))" for expressions.
+hashing, the edge-pair codec and one infix grammar serve both; the
+grammar only swaps tokens, "(. (. .))" for trees and "(a*(a*a))" for
+expressions.  One walker emits the code of either kind and one builder
+decodes a code into either kind, so extend_tree and strip_leaves are
+the code of one kind decoded as the other.
 Expressions also have a postfix syntax ("aaa**") and two sequence
 codecs: the total one, which is the tree codec on the internal nodes,
 and the append-a-1 postfix wire format whose decode is partial.
@@ -30,7 +32,6 @@ from .core import CatalanSequence, DomainError, ParseError
 
 _RPN_TO_BITS = str.maketrans("a*", "01")
 _BITS_TO_RPN = str.maketrans("01", "a*")
-_JOIN = object()  # _fold's marker: both children of a node are done
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -188,32 +189,15 @@ def decode_tree(s: CatalanSequence) -> BinaryTree:
     return _decode_pairs(s, Node)
 
 
-def _fold(root, make):
-    """Rebuild ``root`` bottom-up: each node becomes ``make(left, right)``
-    of its children's results, and an empty slot stays None."""
-    values: list = []
-    stack = [root]
-    while stack:
-        item = stack.pop()
-        if item is _JOIN:
-            right = values.pop()
-            values[-1] = make(values[-1], right)
-        elif item is None:
-            values.append(None)
-        else:
-            stack += (_JOIN, item.right, item.left)
-    return values.pop()
-
-
 def extend_tree(t: BinaryTree) -> ExtendedBinaryTree:
     """Complete every node to two children: Empty becomes a leaf, each Node
     an Internal.  internal_count of the result equals node_count(t)."""
-    return _fold(t, Internal)
+    return decode_expression(encode_tree(t))
 
 
 def strip_leaves(e: ExtendedBinaryTree) -> BinaryTree:
     """Inverse of extend_tree: drop all leaves, keep the internal shape."""
-    return _fold(e, Node)
+    return decode_tree(encode_expression(e))
 
 
 def encode_expression(e: ExtendedBinaryTree) -> CatalanSequence:
@@ -223,7 +207,7 @@ def encode_expression(e: ExtendedBinaryTree) -> CatalanSequence:
 
 
 def decode_expression(s: CatalanSequence) -> ExtendedBinaryTree:
-    """Inverse of encode_expression: extend_tree(decode_tree(s)) in one pass."""
+    """Inverse of encode_expression: decode_tree with Internal nodes."""
     return _decode_pairs(s, Internal)
 
 

@@ -26,6 +26,21 @@ class TestConstructor:
         with pytest.raises(CatalanError):
             ChordDiagram(2, ((1, 2),))
 
+    @pytest.mark.parametrize(
+        "n,message",
+        [
+            (3, "expected 3 chords, got 0"),
+            (2.5, "expected 2.5 chords, got 0"),
+            (10**20 - 1, "expected 99999999999999999999 chords, got 0"),
+            (10**20, "expected 10000000000000000000... chords, got 0"),
+            pytest.param(10**5000, "expected 10000000000000000000... chords, got 0", id="5001-digits"),
+        ],
+    )
+    def test_chord_count_message_cuts_long_numbers(self, n, message):
+        with pytest.raises(CatalanError) as info:
+            ChordDiagram(n, ())
+        assert str(info.value) == message and len(message) < 200
+
     @pytest.mark.parametrize("n", range(6))
     def test_accepts_exactly_the_non_crossing_matchings(self, n):
         accepted = 0

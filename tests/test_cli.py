@@ -150,6 +150,19 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
+    @pytest.mark.parametrize(
+        "command,usage",
+        [
+            ("encode", "usage: catseq encode [-h] --family FAMILY --input INPUT"),
+            ("decode", "usage: catseq decode [-h] --family FAMILY bits"),
+        ],
+    )
+    def test_codec_usage_lines(self, capsys, command, usage):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and out.splitlines()[0] == usage
+        code, _, err = run(capsys, command)
+        assert code == 1 and err.splitlines()[0] == usage
+
 
 def test_subprocess_runs_are_byte_identical():
     cmd = [sys.executable, "-m", "catseq", "render", "--format", "dot", "00010111"]

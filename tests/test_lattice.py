@@ -118,6 +118,22 @@ class TestPlusMinus:
         with pytest.raises(CatalanError):
             PlusMinusSequence((1,))
 
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ((1, 0), "invalid value 0 at position 2"),
+            ((1, "a"), "invalid value 'a' at position 2"),
+            ((1, False), "invalid value False at position 2"),
+            ((1, -(10**19) + 1), "invalid value -9999999999999999999 at position 2"),
+            ((1, -(10**20) + 1), "invalid value -9999999999999999999... at position 2"),
+            pytest.param((1, 10**5000), "invalid value 10000000000000000000... at position 2", id="5001-digits"),
+        ],
+    )
+    def test_invalid_value_message_cuts_long_numbers(self, values, message):
+        with pytest.raises(CatalanError) as info:
+            PlusMinusSequence(values)
+        assert str(info.value) == message and len(message) < 200
+
 
 class TestTextForms:
     def test_path_text(self):
