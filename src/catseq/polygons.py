@@ -92,11 +92,11 @@ def encode_polygon(tri: Triangulation) -> CatalanSequence:
     out: list[str] = []
     stack = ["1", (0, m - 1), "0"] if m > 2 else []  # pairs to emit and regions to walk
     while stack:
-        region = stack.pop()
-        if isinstance(region, str):
-            out.append(region)
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
             continue
-        a, b = region
+        a, b = item
         c = higher[a][bisect_left(higher[a], b) - 1]
         if not (a < c < b and (c + 1 == b or (c, b) in diagonals)):
             raise MalformedTriangulationError(f"base {a}-{b} has no apex")

@@ -13,9 +13,9 @@ double as multiplication expressions: leaves are factors, internal
 nodes multiplications.  Node and Internal share one base, so equality,
 hashing, the edge-pair codec and one infix grammar serve both; the
 grammar only swaps tokens, "(. (. .))" for trees and "(a*(a*a))" for
-expressions.  One walker emits the code of either kind and one builder
-decodes a code into either kind, so extend_tree and strip_leaves are
-the code of one kind decoded as the other.
+expressions.  One walker (_edge_pairs) gives the code of either kind
+and one builder (_decode_pairs) decodes a code into either kind, so
+extend_tree and strip_leaves are the code of one kind decoded as the other.
 Expressions also have a postfix syntax ("aaa**") and two sequence
 codecs: the total one, which is the tree codec on the internal nodes,
 and the append-a-1 postfix wire format whose decode is partial.
