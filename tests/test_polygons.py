@@ -162,7 +162,6 @@ class TestPolygonCodec:
                 for c, d in diags[i + 1 :]:
                     assert not (a < c < b < d) and not (c < a < d < b)
 
-
     @pytest.mark.parametrize("n", range(9))
     def test_matches_the_dual_tree_on_every_triangulation(self, n):
         words = set()
