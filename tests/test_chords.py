@@ -132,3 +132,22 @@ class TestTextForm:
         with pytest.raises(ParseError) as exc:
             parse_chords(text)
         assert len(str(exc.value)) < 200
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1:2", "bad chord '1:2', expected the form 'i-j'"),
+            ("1-2,3-x", "bad chord '3-x', expected the form 'i-j'"),
+            ("1-\u00b2", "bad chord '1-\u00b2', expected the form 'i-j'"),
+            ("1-2,", "bad chord '', expected the form 'i-j'"),
+            pytest.param(
+                "1-" + "9" * 5000,
+                "bad chord '1-999999999999999999'..., expected the form 'i-j'",
+                id="5000-digit-label",
+            ),
+        ],
+    )
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_chords(text)
+        assert str(exc.value) == message

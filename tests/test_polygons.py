@@ -214,3 +214,22 @@ class TestTextForm:
         with pytest.raises(ParseError) as exc:
             parse_polygon(text)
         assert len(str(exc.value)) < 200
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("5;0-2,0:3", "bad diagonal '0:3', expected the form 'a-b'"),
+            ("5;0-2,0-x", "bad diagonal '0-x', expected the form 'a-b'"),
+            ("4;0-\u00b2", "bad diagonal '0-\u00b2', expected the form 'a-b'"),
+            ("5;0-2,", "bad diagonal '', expected the form 'a-b'"),
+            pytest.param(
+                "4;0-" + "9" * 5000,
+                "bad diagonal '0-999999999999999999'..., expected the form 'a-b'",
+                id="5000-digit-vertex",
+            ),
+        ],
+    )
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_polygon(text)
+        assert str(exc.value) == message
