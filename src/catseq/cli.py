@@ -79,49 +79,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> None:
     from . import counting
-    if args.n < 0:  # catalan_series would object to its prefix length instead
-        raise CatalanError("Catalan numbers are indexed from 0")
+    counting._check_index(args.n)  # catalan_series would object to its prefix length instead
     route = getattr(counting, f"catalan_{args.method}")
     print(route(args.n + 1).coefficients[args.n] if args.method == "series" else route(args.n))
-    return 0
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> None:
     for s in core.enumerate_sequences(args.n):
         print(s.bits)
-    return 0
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> None:
     s = validate(args.bits)
     print(f"valid semilength={s.semilength}")
-    return 0
 
 
-def _cmd_transcode(args) -> int:
+def _cmd_transcode(args) -> None:
     from .families import transcode
     print(transcode(args.source, args.target, args.input))
-    return 0
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args) -> None:
     print(core.rank(validate(args.bits)))
-    return 0
 
 
-def _cmd_unrank(args) -> int:
+def _cmd_unrank(args) -> None:
     print(core.unrank(args.n, args.index).bits)
-    return 0
 
 
-def _cmd_random(args) -> int:
+def _cmd_random(args) -> None:
     print(core.random_uniform(args.n, args.seed).bits)
-    return 0
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> None:
     s = validate(args.bits)
     if args.format == "mountain":
         from .render import render_mountain
@@ -131,7 +123,6 @@ def _cmd_render(args) -> int:
         from .render import render_dot
         from .trees import decode_tree
         print(render_dot(decode_tree(s)))
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -141,13 +132,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        args.handler(args)
     except DomainError as exc:
         print(f"catseq: domain error: {exc}", file=sys.stderr)
         return 2
     except CatalanError as exc:
         print(f"catseq: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":
