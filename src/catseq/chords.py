@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CatalanError, CatalanSequence, ParseError, cut_number, parse_natural, quote_prefix
+from .core import CatalanError, CatalanSequence, ParseError, cut_number, parse_pairs
 
 
 @dataclass(frozen=True)
@@ -81,15 +81,9 @@ def parse_chords(text: str) -> ChordDiagram:
     """Parse comma-separated "i-j" pairs, e.g. "1-8,2-7,3-4,5-6"."""
     if not text:
         return ChordDiagram(0, ())
-    pairs = []
-    for part in text.split(","):
-        i, sep, j = part.partition("-")
-        pair = (parse_natural(i), parse_natural(j))
-        if not sep or None in pair:
-            raise ParseError(f"bad chord {quote_prefix(part)}, expected the form 'i-j'")
-        pairs.append(pair)
+    pairs = parse_pairs(text, "chord", "i-j")
     try:
-        return ChordDiagram(len(pairs), tuple(pairs))
+        return ChordDiagram(len(pairs), pairs)
     except CatalanError as exc:
         raise ParseError(f"bad chord diagram: {exc}") from exc
 

@@ -93,6 +93,18 @@ def quote_prefix(text: str) -> str:
     return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
 
 
+def parse_pairs(text: str, noun: str, form: str) -> tuple[tuple[int, int], ...]:
+    """The pairs of a comma-separated "a-b" list; ParseError names a bad part as a ``noun``."""
+    pairs = []
+    for part in text.split(","):
+        a, dash, b = part.partition("-")
+        pair = (parse_natural(a), parse_natural(b))
+        if not dash or None in pair:
+            raise ParseError(f"bad {noun} {quote_prefix(part)}, expected the form {form!r}")
+        pairs.append(pair)
+    return tuple(pairs)
+
+
 def cut_number(k: int) -> str:
     """``str(k)``, cut to 20 characters plus '...' when longer, so that an
     error message naming a number stays short.  The low digits go first,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import CatalanError, CatalanSequence, ParseError, cut_number, parse_natural, quote_prefix
+from .core import CatalanError, CatalanSequence, ParseError, cut_number, parse_natural, parse_pairs
 from .trees import BinaryTree, decode_tree, encode_tree
 
 
@@ -160,16 +160,9 @@ def parse_polygon(text: str) -> Triangulation:
     m = parse_natural(head)
     if not sep or m is None:
         raise ParseError("expected 'm;diagonals' with a numeric side count")
-    diagonals = []
-    if tail:
-        for part in tail.split(","):
-            a, dash, b = part.partition("-")
-            diagonal = (parse_natural(a), parse_natural(b))
-            if not dash or None in diagonal:
-                raise ParseError(f"bad diagonal {quote_prefix(part)}, expected the form 'a-b'")
-            diagonals.append(diagonal)
+    diagonals = parse_pairs(tail, "diagonal", "a-b") if tail else ()
     try:
-        return Triangulation(m, tuple(diagonals))
+        return Triangulation(m, diagonals)
     except CatalanError as exc:
         raise ParseError(f"bad triangulation: {exc}") from exc
 
