@@ -32,17 +32,22 @@ class ChordDiagram:
     chords: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        normalized = tuple(sorted((min(i, j), max(i, j)) for i, j in self.chords))
-        object.__setattr__(self, "chords", normalized)
-        if len(normalized) != self.n:
-            raise CatalanError(f"expected {cut_number(self.n)} chords, got {len(normalized)}")
-        points = [p for chord in normalized for p in chord]
-        if sorted(points) != list(range(1, 2 * self.n + 1)):
-            raise CatalanError("chords must pair each of the points 1..2n exactly once")
-        partner = [0] * (2 * self.n + 1)
-        for a, b in normalized:
-            partner[a] = b
-            partner[b] = a
+        try:
+            normalized = tuple(sorted((min(i, j), max(i, j)) for i, j in self.chords))
+            object.__setattr__(self, "chords", normalized)
+            if len(normalized) != self.n:
+                raise CatalanError(f"expected {cut_number(self.n)} chords, got {len(normalized)}")
+            points = [p for chord in normalized for p in chord]
+            if sorted(points) != list(range(1, 2 * self.n + 1)):
+                raise CatalanError("chords must pair each of the points 1..2n exactly once")
+            partner = [0] * (2 * self.n + 1)
+            for a, b in normalized:
+                partner[a] = b
+                partner[b] = a
+        except CatalanError:
+            raise
+        except (TypeError, ValueError):
+            raise CatalanError("expected an int n and chords that are pairs of int labels") from None
         open_chords: list[int] = []
         for p in range(1, 2 * self.n + 1):
             q = partner[p]

@@ -49,9 +49,14 @@ class Triangulation:
     diagonals: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.m < 2:
-            raise CatalanError("a polygon needs at least 2 sides")
-        normalized = tuple(sorted((min(a, b), max(a, b)) for a, b in self.diagonals))
+        try:
+            if self.m < 2:
+                raise CatalanError("a polygon needs at least 2 sides")
+            normalized = tuple(sorted((min(a, b), max(a, b)) for a, b in self.diagonals))
+        except CatalanError:
+            raise
+        except (TypeError, ValueError):
+            raise CatalanError("expected a numeric m and diagonals that are pairs of numbers") from None
         object.__setattr__(self, "diagonals", normalized)
         expected = max(0, self.m - 3)
         if len(normalized) != expected:

@@ -41,6 +41,12 @@ class TestConstructor:
             ChordDiagram(n, ())
         assert str(info.value) == message and len(message) < 200
 
+    @pytest.mark.parametrize("chords", [((1, 2, 3),), ((1, "a"),), ((1.0, 2.0),)])
+    def test_rejects_chords_that_are_not_pairs_of_ints(self, chords):
+        with pytest.raises(CatalanError) as info:
+            ChordDiagram(1, chords)
+        assert len(str(info.value)) < 200
+
     @pytest.mark.parametrize("n", range(6))
     def test_accepts_exactly_the_non_crossing_matchings(self, n):
         accepted = 0

@@ -76,6 +76,15 @@ class TestConstructor:
             Triangulation(5, ((0, 2), (-m, 1)))
         assert str(info.value) == f"diagonal {short(-m)}-1 is outside the vertex range"
 
+    @pytest.mark.parametrize(
+        "m,diagonals",
+        [("5", ()), (5, ((0, "a"), (0, 2))), (4, ((0, 2, 9),))],
+    )
+    def test_rejects_a_side_count_or_diagonals_that_are_not_numbers(self, m, diagonals):
+        with pytest.raises(CatalanError) as info:
+            Triangulation(m, diagonals)
+        assert len(str(info.value)) < 200
+
     @pytest.mark.parametrize("m", range(3, 9))
     def test_accepts_exactly_the_non_crossing_diagonal_sets(self, m):
         diagonals = [(a, b) for a, b in combinations(range(m), 2) if 2 <= b - a < m - 1]
