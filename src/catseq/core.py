@@ -182,8 +182,12 @@ class AltitudeProfile:
 
     def __post_init__(self):
         hs = self.heights
-        assert hs[0] == 0 and hs[-1] == 0 and min(hs) >= 0
-        assert all(abs(b - a) == 1 for a, b in zip(hs, hs[1:]))
+        try:
+            ok = hs[0] == 0 == hs[-1] and min(hs) >= 0 and all(abs(b - a) == 1 for a, b in zip(hs, hs[1:]))
+        except (TypeError, IndexError):
+            ok = False
+        if not ok:
+            raise CatalanError("heights must start and end at 0, move by 1 per step and never drop below 0")
 
     @property
     def peak(self) -> int:

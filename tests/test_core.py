@@ -1,5 +1,8 @@
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -116,6 +119,30 @@ class TestAltitudeProfile:
             assert len(hs) == 2 * n + 1
             assert hs[0] == 0 and hs[-1] == 0
             assert min(hs) >= 0
+
+    NOT_PROFILES = [(0, 2, 0), (0, -1, 0), (0, 1), (1, 0), ()]
+
+    @pytest.mark.parametrize("heights", NOT_PROFILES)
+    def test_rejects_non_profiles(self, heights):
+        with pytest.raises(core.CatalanError) as info:
+            core.AltitudeProfile(heights)
+        assert len(str(info.value)) < 200
+
+    def test_rejects_non_profiles_under_optimization(self):
+        script = (
+            "from catseq.core import AltitudeProfile, CatalanError\n"
+            f"for heights in {self.NOT_PROFILES!r}:\n"
+            "    try:\n"
+            "        AltitudeProfile(heights)\n"
+            "    except CatalanError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'accepted {heights}')\n"
+        )
+        src = str(Path(core.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestEnumerate:
