@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CatalanError, CatalanSequence, ParseError, cut_number, parse_pairs
+from .core import CatalanError, CatalanSequence, ParseError, _trusted, cut_number, parse_pairs
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,8 @@ class ChordDiagram:
             points = [p for chord in normalized for p in chord]
             if sorted(points) != list(range(1, 2 * self.n + 1)):
                 raise CatalanError("chords must pair each of the points 1..2n exactly once")
+            if type(self.n) is not int or not {*map(type, points)} <= {int}:
+                raise TypeError  # a bool or float label equals an int but renders apart
             partner = [0] * (2 * self.n + 1)
             for a, b in normalized:
                 partner[a] = b
@@ -57,8 +59,6 @@ class ChordDiagram:
             top = open_chords.pop()
             if top != q:
                 raise CatalanError(f"chords {q}-{p} and {top}-{partner[top]} cross")
-        for a, b in normalized:  # implied by non-crossing + perfect, so an assert
-            assert (b - a) % 2 == 1, "chord spans an even gap"
 
 
 def encode_chords(d: ChordDiagram) -> CatalanSequence:
@@ -67,19 +67,25 @@ def encode_chords(d: ChordDiagram) -> CatalanSequence:
     for i, j in d.chords:
         bits[i - 1] = "0"
         bits[j - 1] = "1"
-    return CatalanSequence("".join(bits))
+    return _trusted(CatalanSequence, "".join(bits))
 
 
 def decode_chords(s: CatalanSequence) -> ChordDiagram:
-    """Inverse of encode_chords: each 1 closes a chord at the latest open 0."""
-    open_points: list[int] = []
-    pairs: list[tuple[int, int]] = []
+    """Inverse of encode_chords: each 1 closes a chord at the latest open 0.
+
+    Each chord takes its slot when it opens, so the chords come out sorted
+    by smaller endpoint, as the constructor would store them.
+    """
+    chords: list = []
+    open_slots: list[int] = []
     for p, bit in enumerate(s.bits, start=1):
         if bit == "0":
-            open_points.append(p)
+            open_slots.append(len(chords))
+            chords.append(p)
         else:
-            pairs.append((open_points.pop(), p))
-    return ChordDiagram(s.semilength, tuple(pairs))
+            slot = open_slots.pop()
+            chords[slot] = (chords[slot], p)
+    return _trusted(ChordDiagram, s.semilength, tuple(chords))
 
 
 def parse_chords(text: str) -> ChordDiagram:

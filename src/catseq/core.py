@@ -118,6 +118,17 @@ def cut_number(k: int) -> str:
     return text if len(text) <= 20 else f"{text[:20]}..."
 
 
+def _trusted(cls, *fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields`` set in
+    declaration order and no check run.  Only a codec whose own construction
+    proves the value valid may build through here; the public constructors,
+    ``validate`` and every ``parse_*`` keep every check."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class CatalanSequence:
     """A validated Catalan sequence.
@@ -125,7 +136,10 @@ class CatalanSequence:
     Construction enforces both defining conditions, so any instance in
     flight is valid: equal totals of zeros and ones, and no prefix with
     more ones than zeros.  The empty word is the unique valid sequence
-    of semilength 0.
+    of semilength 0.  The same holds for every validated type of the
+    package: its public constructor checks, and a codec that builds a
+    value it has proved valid, such as ``unrank`` or ``decode_chords``,
+    builds it through the one private ``_trusted`` helper instead.
 
     >>> CatalanSequence("001011").semilength
     3
@@ -299,7 +313,7 @@ def unrank(n: int, k: int) -> CatalanSequence:
             k -= with_zero
             bits.append("1")
             balance -= 1
-    return CatalanSequence("".join(bits))
+    return _trusted(CatalanSequence, "".join(bits))
 
 
 def random_uniform(n: int, seed: int) -> CatalanSequence:

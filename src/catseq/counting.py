@@ -23,7 +23,8 @@ class SeriesPrefix:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        assert self.coefficients and self.coefficients[0] == 1
+        if not (self.coefficients and self.coefficients[0] == 1):
+            raise CatalanError("a series prefix must start with the constant term 1")
 
 
 def binomial(a: int, b: int) -> int:

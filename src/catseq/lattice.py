@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CatalanError, CatalanSequence, ParseError, cut_number
+from .core import CatalanError, CatalanSequence, ParseError, _trusted, cut_number
 
 _PATH_TO_BITS = str.maketrans("HV", "01")
 _BITS_TO_PATH = str.maketrans("01", "HV")
@@ -66,23 +66,23 @@ class PlusMinusSequence:
 
 def encode_path(p: GridPath) -> CatalanSequence:
     """H -> 0, V -> 1; valid because the path stays under the diagonal."""
-    return CatalanSequence(p.steps.translate(_PATH_TO_BITS))
+    return _trusted(CatalanSequence, p.steps.translate(_PATH_TO_BITS))
 
 
 def decode_path(s: CatalanSequence) -> GridPath:
     """0 -> H, 1 -> V; inverse of encode_path."""
-    return GridPath(s.bits.translate(_BITS_TO_PATH))
+    return _trusted(GridPath, s.bits.translate(_BITS_TO_PATH))
 
 
 def encode_pm(x: PlusMinusSequence) -> CatalanSequence:
     """+1 -> 0 and -1 -> 1 (note the inversion); the partial-sum conditions
     are exactly prefix dominance, so the result is always valid."""
-    return CatalanSequence("".join("0" if v == 1 else "1" for v in x.values))
+    return _trusted(CatalanSequence, "".join("0" if v == 1 else "1" for v in x.values))
 
 
 def decode_pm(s: CatalanSequence) -> PlusMinusSequence:
     """0 -> +1, 1 -> -1; inverse of encode_pm."""
-    return PlusMinusSequence(tuple(1 if ch == "0" else -1 for ch in s.bits))
+    return _trusted(PlusMinusSequence, tuple(1 if ch == "0" else -1 for ch in s.bits))
 
 
 def parse_path(text: str) -> GridPath:

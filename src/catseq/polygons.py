@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import CatalanError, CatalanSequence, ParseError, cut_number, parse_natural, parse_pairs
+from .core import CatalanError, CatalanSequence, ParseError, _trusted, cut_number, parse_natural, parse_pairs
 from .trees import BinaryTree, decode_tree, encode_tree
 
 
@@ -53,10 +53,12 @@ class Triangulation:
             if self.m < 2:
                 raise CatalanError("a polygon needs at least 2 sides")
             normalized = tuple(sorted((min(a, b), max(a, b)) for a, b in self.diagonals))
+            if type(self.m) is not int or not {type(v) for d in normalized for v in d} <= {int}:
+                raise TypeError  # a bool or float vertex compares as an int but renders apart
         except CatalanError:
             raise
         except (TypeError, ValueError):
-            raise CatalanError("expected a numeric m and diagonals that are pairs of numbers") from None
+            raise CatalanError("expected an int m and diagonals that are pairs of int vertices") from None
         object.__setattr__(self, "diagonals", normalized)
         expected = max(0, self.m - 3)
         if len(normalized) != expected:
@@ -111,7 +113,7 @@ def encode_polygon(tri: Triangulation) -> CatalanSequence:
             stack += ((a, c), "01")
         elif c + 1 < b:
             stack += ((c, b), "10")
-    return CatalanSequence("".join(out))
+    return _trusted(CatalanSequence, "".join(out))
 
 
 def decode_polygon(s: CatalanSequence) -> Triangulation:
@@ -143,7 +145,7 @@ def decode_polygon(s: CatalanSequence) -> Triangulation:
                 break
             k += pair == "01"  # a 01 is numbered as its left subtree closes
             diagonals.append((lo, k + 1))
-    return Triangulation(s.semilength + 2, tuple(diagonals[:-1]))  # the last is the root side
+    return _trusted(Triangulation, s.semilength + 2, tuple(sorted(diagonals[:-1])))  # the last is the root side
 
 
 def dual_tree(tri: Triangulation) -> BinaryTree:

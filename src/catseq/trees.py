@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CatalanSequence, DomainError, ParseError
+from .core import CatalanSequence, DomainError, ParseError, _trusted
 
 _RPN_TO_BITS = str.maketrans("a*", "01")
 _BITS_TO_RPN = str.maketrans("01", "a*")
@@ -119,19 +119,24 @@ def encode_tree(t: BinaryTree | ExtendedBinaryTree) -> CatalanSequence:
     The wrapper 0...1 is applied only to nonempty trees, so semilength
     always equals node_count and the single-node tree alone claims "01".
     """
-    return CatalanSequence(_edge_pairs(t))
+    return _trusted(CatalanSequence, _edge_pairs(t))
 
 
 def _edge_pairs(t) -> str:
-    """The bits of encode_tree(t), unchecked."""
+    """The bits of encode_tree(t), unchecked.
+
+    The stack holds the nodes still to walk and None for a 11 still to
+    write, so every digit comes from the walk itself and the word is valid
+    whatever the nodes hold; a child that is not a node raises.
+    """
     if t is None:
         return ""
     out = ["0"]
-    stack: list[_BinaryNode | str] = [t]
+    stack: list[_BinaryNode | None] = [t]
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
+        if item is None:
+            out.append("11")
             continue
         left, right = item.left, item.right
         if left is not None and right is None:
@@ -143,7 +148,7 @@ def _edge_pairs(t) -> str:
         elif left is not None and right is not None:
             out.append("00")
             stack.append(right)
-            stack.append("11")
+            stack.append(None)
             stack.append(left)
     out.append("1")
     return "".join(out)
@@ -316,18 +321,22 @@ def parse_rpn(text: str) -> ExtendedBinaryTree:
     return stack[0]
 
 
+#: render_rpn's stack mark for a '*' still to write; no child can be it
+_OPERATOR = object()
+
+
 def render_rpn(e: ExtendedBinaryTree) -> str:
     """Postorder text: left body, right body, '*' per multiplication."""
     out = []
-    stack: list[Internal | str | None] = [e]
+    stack: list[Internal | object | None] = [e]
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif item is None:
+        if item is None:
             out.append("a")
+        elif item is _OPERATOR:
+            out.append("*")
         else:
-            stack.extend(("*", item.right, item.left))
+            stack.extend((_OPERATOR, item.right, item.left))
     return "".join(out)
 
 
@@ -337,8 +346,7 @@ def rpn_paper_encode(e: ExtendedBinaryTree) -> CatalanSequence:
     An expression with k factors encodes to semilength k, always a valid
     sequence (operands strictly dominate operators in every proper prefix).
     """
-    bits = render_rpn(e).translate(_RPN_TO_BITS) + "1"
-    return CatalanSequence(bits)
+    return _trusted(CatalanSequence, render_rpn(e).translate(_RPN_TO_BITS) + "1")
 
 
 def rpn_paper_decode(s: CatalanSequence) -> ExtendedBinaryTree:

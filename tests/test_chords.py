@@ -41,7 +41,7 @@ class TestConstructor:
             ChordDiagram(n, ())
         assert str(info.value) == message and len(message) < 200
 
-    @pytest.mark.parametrize("chords", [((1, 2, 3),), ((1, "a"),), ((1.0, 2.0),)])
+    @pytest.mark.parametrize("chords", [((1, 2, 3),), ((1, "a"),), ((1.0, 2.0),), ((True, 2),)])
     def test_rejects_chords_that_are_not_pairs_of_ints(self, chords):
         with pytest.raises(CatalanError) as info:
             ChordDiagram(1, chords)

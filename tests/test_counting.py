@@ -89,5 +89,5 @@ def test_values_stay_positive():
 
 
 def test_series_prefix_requires_unit_constant_term():
-    with pytest.raises(AssertionError):
+    with pytest.raises(CatalanError):
         SeriesPrefix((2, 1))

@@ -5,8 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catseq.core import CatalanError, DomainError, enumerate_sequences, validate
+from catseq.chords import ChordDiagram
+from catseq.core import (
+    CatalanError,
+    CatalanSequence,
+    DomainError,
+    enumerate_sequences,
+    random_uniform,
+    sequence_count,
+    unrank,
+    validate,
+)
 from catseq.families import FAMILIES, family_ids, resolve, transcode
+from catseq.lattice import GridPath, PlusMinusSequence
+from catseq.polygons import Triangulation
 from catseq.render import render_dot, render_mountain
 from catseq.trees import decode_tree
 
@@ -27,6 +39,61 @@ _TEXTS = st.one_of(
     _PAIRS,
     st.tuples(_NUMBERS, _PAIRS).map(";".join),
 )
+
+
+
+def _int_pairs(value) -> bool:
+    return type(value) is tuple and all(
+        type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int for pair in value
+    )
+
+
+def _rebuilt(x):
+    """``x`` rebuilt through its public constructor, which checks every
+    condition, after asserting that each field has exactly the type that
+    constructor stores.  Trees and expressions have no checks to skip."""
+    if type(x) is CatalanSequence:
+        assert type(x.bits) is str
+        return CatalanSequence(x.bits)
+    if type(x) is GridPath:
+        assert type(x.steps) is str
+        return GridPath(x.steps)
+    if type(x) is PlusMinusSequence:
+        assert type(x.values) is tuple and all(type(v) is int for v in x.values)
+        return PlusMinusSequence(x.values)
+    if type(x) is ChordDiagram:
+        assert type(x.n) is int and _int_pairs(x.chords)
+        return ChordDiagram(x.n, x.chords)
+    if type(x) is Triangulation:
+        assert type(x.m) is int and _int_pairs(x.diagonals)
+        return Triangulation(x.m, x.diagonals)
+    return x
+
+
+class TestTrustedOutputs:
+    """The codecs build their outputs without the public constructors'
+    checks; each output must still pass them, field types included."""
+
+    @pytest.mark.parametrize("name", family_ids())
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(n=st.integers(0, 2000), seed=st.integers(0, 2**32 - 1))
+    def test_decode_and_encode_outputs_pass_the_constructors(self, name, n, seed):
+        word = cycle_lemma_word(n, random.Random(seed))
+        if name == "rpn-paper":
+            word = f"0{word}1"  # its image: 0·u·1 with u valid
+        fam = FAMILIES[name]
+        x = fam.decode(validate(word))
+        assert _rebuilt(x) == x
+        s = fam.encode(x)
+        assert _rebuilt(s) == s and s.bits == word
+
+    # n stays small here: the ballot table behind unrank holds O(n^2) big ints.
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(n=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+    def test_unrank_and_random_uniform_outputs_pass_the_constructor(self, n, seed):
+        k = random.Random(seed).randrange(sequence_count(n))
+        for s in (unrank(n, k), random_uniform(n, seed)):
+            assert _rebuilt(s) == s and len(s.bits) == 2 * n
 
 
 class TestRegistry:

@@ -1,8 +1,10 @@
 """The package surface: 71 names, each loaded from its module on first use."""
 
+import os
 import subprocess
 import sys
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -70,3 +72,25 @@ def test_names_load_on_first_use_and_submodules_still_import():
     first, loaded = proc.stdout.splitlines()
     assert first == "['catseq'] True HV"
     assert "catseq.families" in loaded and "catseq.counting" not in loaded
+
+
+_CHECKS = """
+from catseq.chords import ChordDiagram
+from catseq.core import AltitudeProfile, CatalanError
+from catseq.counting import SeriesPrefix
+for build, args in [(SeriesPrefix, ((2, 1),)), (AltitudeProfile, ((0, 2, 0),)), (ChordDiagram, (2, ((1, 3), (2, 4))))]:
+    try:
+        build(*args)
+    except CatalanError:
+        continue
+    raise SystemExit(f"{build.__name__}{args} was accepted")
+"""
+
+
+def test_checks_hold_under_python_O():
+    """python -O strips every assert, so no check may rest on one."""
+    src = str(Path(catseq.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CHECKS], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")

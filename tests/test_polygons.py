@@ -85,6 +85,15 @@ class TestConstructor:
             Triangulation(m, diagonals)
         assert len(str(info.value)) < 200
 
+    @pytest.mark.parametrize(
+        "m,diagonals",
+        [(4.0, ((0, 2),)), (4, ((0.0, 2.0),)), (3.0, ()), (4, ((True, 3),))],
+    )
+    def test_rejects_a_side_count_or_vertices_that_are_not_ints(self, m, diagonals):
+        # each equals an int, so only its type tells it apart; render_polygon would print it as '4.0;'
+        with pytest.raises(CatalanError, match="^expected an int m and diagonals that are pairs of int vertices$"):
+            Triangulation(m, diagonals)
+
     @pytest.mark.parametrize("m", range(3, 9))
     def test_accepts_exactly_the_non_crossing_diagonal_sets(self, m):
         diagonals = [(a, b) for a, b in combinations(range(m), 2) if 2 <= b - a < m - 1]
