@@ -21,7 +21,8 @@ _PUBLIC = {
         "AltitudeProfile", "CapExceededError", "CatalanError", "CatalanSequence",
         "CountMismatchError", "DomainError", "IndexOutOfRangeError", "InvalidSymbolError",
         "OddLengthError", "ParseError", "PrefixViolationError", "altitude_profile",
-        "enumerate_sequences", "random_uniform", "rank", "sequence_count", "unrank", "validate",
+        "enumerate_sequences", "iter_sequences", "random_uniform", "rank", "sequence_count", "unrank",
+        "validate",
     ),
     "counting": (
         "SeriesPrefix", "binomial", "catalan_closed", "catalan_convolution", "catalan_linear",

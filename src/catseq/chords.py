@@ -67,7 +67,7 @@ def encode_chords(d: ChordDiagram) -> CatalanSequence:
     for i, j in d.chords:
         bits[i - 1] = "0"
         bits[j - 1] = "1"
-    return _trusted(CatalanSequence, "".join(bits))
+    return _trusted(CatalanSequence, bits="".join(bits))
 
 
 def decode_chords(s: CatalanSequence) -> ChordDiagram:
@@ -85,7 +85,7 @@ def decode_chords(s: CatalanSequence) -> ChordDiagram:
         else:
             slot = open_slots.pop()
             chords[slot] = (chords[slot], p)
-    return _trusted(ChordDiagram, s.semilength, tuple(chords))
+    return _trusted(ChordDiagram, n=s.semilength, chords=tuple(chords))
 
 
 def parse_chords(text: str) -> ChordDiagram:

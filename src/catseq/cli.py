@@ -8,6 +8,7 @@ domain errors (a valid sequence outside a partial codec's image).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import core
@@ -87,7 +88,7 @@ def _cmd_count(args) -> None:
 
 
 def _cmd_enumerate(args) -> None:
-    for s in core.enumerate_sequences(args.n):
+    for s in core.iter_sequences(args.n):  # streams: memory does not grow with C_n
         print(s.bits)
 
 
@@ -133,6 +134,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         args.handler(args)
+    except BrokenPipeError:
+        # the reader closed stdout early, as `catseq enumerate --n 11 | head -1`
+        # does; stdout goes to devnull so that the flush at exit cannot fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except DomainError as exc:
         print(f"catseq: domain error: {exc}", file=sys.stderr)
         return 2

@@ -9,12 +9,14 @@ family in this package round-trips through this form, so the string of
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import add
 
-#: Largest semilength `enumerate_sequences` materializes by default.
-#: C_16 is about 35 million words; anything above that must go through
-#: rank/unrank, which only need the ballot-number table.
+#: Largest semilength `iter_sequences` and `enumerate_sequences` accept by
+#: default.  C_16 is about 35 million words: the iterator streams them in
+#: constant memory, but the list holds them all.  Anything above the cap must
+#: go through rank/unrank, which only need the ballot-number table.
 ENUMERATION_CAP = 16
 
 
@@ -118,13 +120,13 @@ def cut_number(k: int) -> str:
     return text if len(text) <= 20 else f"{text[:20]}..."
 
 
-def _trusted(cls, *fields):
-    """An instance of the frozen dataclass ``cls`` with ``fields`` set in
-    declaration order and no check run.  Only a codec whose own construction
-    proves the value valid may build through here; the public constructors,
-    ``validate`` and every ``parse_*`` keep every check."""
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with each of its fields set
+    by name from ``fields`` and no check run.  Only a codec whose own
+    construction proves the value valid may build through here; the public
+    constructors, ``validate`` and every ``parse_*`` keep every check."""
     obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, fields):
+    for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
 
@@ -230,17 +232,53 @@ def altitude_profile(s: CatalanSequence) -> AltitudeProfile:
     return AltitudeProfile(tuple(heights))
 
 
+def iter_sequences(n: int, cap: int = ENUMERATION_CAP) -> Iterator[CatalanSequence]:
+    """The C_n Catalan sequences of semilength n, lexicographically ascending,
+    one at a time, in memory that does not grow with C_n.
+
+    Raises CatalanError for n < 0 and CapExceededError for n > ``cap`` when
+    called, before the first word.
+
+    >>> it = iter_sequences(3)
+    >>> next(it).bits, next(it).bits, [s.bits for s in it]
+    ('000111', '001011', ['001101', '010011', '010101'])
+    """
+    if n < 0:
+        raise CatalanError("semilength must be nonnegative")
+    if n > cap:
+        raise CapExceededError(f"semilength {n} exceeds the enumeration cap {cap}")
+    return _successors(n)
+
+
+def _successors(n: int) -> Iterator[CatalanSequence]:
+    """Every word of semilength n from 0^n 1^n on, each by the lexicographic
+    successor (Knuth, TAOCP 4A, 7.2.1.6, Algorithm P): the word
+    p 0 1^(h+1) (01)^k with h >= 1 is followed by p 1 0^(k+1) 1^(k+h), and
+    (01)^n, which holds no "11", is the last.  The last "11" starts at
+    j = i + h, where i is the changed 0, and j alone fixes k, so
+    ``tails[j][h]`` is all that follows p.
+    """
+    tails = []
+    for j in range(2 * n):
+        k = n - j // 2 - 1  # a "11" at j leaves 2n - j - 2 = 2k symbols after it
+        tails.append(["1" + "0" * (k + 1) + "1" * (k + h) for h in range(j + 1)])
+    word = "0" * n + "1" * n
+    while True:
+        yield _trusted(CatalanSequence, bits=word)  # valid by the identity above
+        j = word.rfind("11")
+        if j < 0:
+            return
+        i = word.rindex("0", 0, j)
+        word = word[:i] + tails[j][j - i]
+
+
 def enumerate_sequences(n: int, cap: int = ENUMERATION_CAP) -> list[CatalanSequence]:
     """All C_n Catalan sequences of semilength n, lexicographically ascending.
 
     >>> [s.bits for s in enumerate_sequences(2)]
     ['0011', '0101']
     """
-    if n < 0:
-        raise CatalanError("semilength must be nonnegative")
-    if n > cap:
-        raise CapExceededError(f"semilength {n} exceeds the enumeration cap {cap}")
-    return [unrank(n, k) for k in range(sequence_count(n))]
+    return list(iter_sequences(n, cap))
 
 
 #: _ballot[r][b] = number of valid completions with r symbols remaining and a
@@ -313,7 +351,7 @@ def unrank(n: int, k: int) -> CatalanSequence:
             k -= with_zero
             bits.append("1")
             balance -= 1
-    return _trusted(CatalanSequence, "".join(bits))
+    return _trusted(CatalanSequence, bits="".join(bits))
 
 
 def random_uniform(n: int, seed: int) -> CatalanSequence:

@@ -28,6 +28,8 @@ class GridPath:
     steps: str
 
     def __post_init__(self):
+        if not isinstance(self.steps, str):  # the codec and the text form translate a str
+            raise CatalanError(f"steps must be a str, not {type(self.steps).__name__}")
         lead = 0
         for i, ch in enumerate(self.steps):
             if ch == "H":
@@ -66,23 +68,23 @@ class PlusMinusSequence:
 
 def encode_path(p: GridPath) -> CatalanSequence:
     """H -> 0, V -> 1; valid because the path stays under the diagonal."""
-    return _trusted(CatalanSequence, p.steps.translate(_PATH_TO_BITS))
+    return _trusted(CatalanSequence, bits=p.steps.translate(_PATH_TO_BITS))
 
 
 def decode_path(s: CatalanSequence) -> GridPath:
     """0 -> H, 1 -> V; inverse of encode_path."""
-    return _trusted(GridPath, s.bits.translate(_BITS_TO_PATH))
+    return _trusted(GridPath, steps=s.bits.translate(_BITS_TO_PATH))
 
 
 def encode_pm(x: PlusMinusSequence) -> CatalanSequence:
     """+1 -> 0 and -1 -> 1 (note the inversion); the partial-sum conditions
     are exactly prefix dominance, so the result is always valid."""
-    return _trusted(CatalanSequence, "".join("0" if v == 1 else "1" for v in x.values))
+    return _trusted(CatalanSequence, bits="".join("0" if v == 1 else "1" for v in x.values))
 
 
 def decode_pm(s: CatalanSequence) -> PlusMinusSequence:
     """0 -> +1, 1 -> -1; inverse of encode_pm."""
-    return _trusted(PlusMinusSequence, tuple(1 if ch == "0" else -1 for ch in s.bits))
+    return _trusted(PlusMinusSequence, values=tuple(1 if ch == "0" else -1 for ch in s.bits))
 
 
 def parse_path(text: str) -> GridPath:

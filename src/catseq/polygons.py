@@ -113,7 +113,7 @@ def encode_polygon(tri: Triangulation) -> CatalanSequence:
             stack += ((a, c), "01")
         elif c + 1 < b:
             stack += ((c, b), "10")
-    return _trusted(CatalanSequence, "".join(out))
+    return _trusted(CatalanSequence, bits="".join(out))
 
 
 def decode_polygon(s: CatalanSequence) -> Triangulation:
@@ -145,7 +145,8 @@ def decode_polygon(s: CatalanSequence) -> Triangulation:
                 break
             k += pair == "01"  # a 01 is numbered as its left subtree closes
             diagonals.append((lo, k + 1))
-    return _trusted(Triangulation, s.semilength + 2, tuple(sorted(diagonals[:-1])))  # the last is the root side
+    # diagonals[-1] is the root side, not a diagonal
+    return _trusted(Triangulation, m=s.semilength + 2, diagonals=tuple(sorted(diagonals[:-1])))
 
 
 def dual_tree(tri: Triangulation) -> BinaryTree:

@@ -119,7 +119,7 @@ def encode_tree(t: BinaryTree | ExtendedBinaryTree) -> CatalanSequence:
     The wrapper 0...1 is applied only to nonempty trees, so semilength
     always equals node_count and the single-node tree alone claims "01".
     """
-    return _trusted(CatalanSequence, _edge_pairs(t))
+    return _trusted(CatalanSequence, bits=_edge_pairs(t))
 
 
 def _edge_pairs(t) -> str:
@@ -346,7 +346,7 @@ def rpn_paper_encode(e: ExtendedBinaryTree) -> CatalanSequence:
     An expression with k factors encodes to semilength k, always a valid
     sequence (operands strictly dominate operators in every proper prefix).
     """
-    return _trusted(CatalanSequence, render_rpn(e).translate(_RPN_TO_BITS) + "1")
+    return _trusted(CatalanSequence, bits=render_rpn(e).translate(_RPN_TO_BITS) + "1")
 
 
 def rpn_paper_decode(s: CatalanSequence) -> ExtendedBinaryTree:

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -50,6 +51,37 @@ class TestEnumerateValidate:
 
     def test_enumerate_n0__is_one_empty_line(self, capsys):
         assert run(capsys, "enumerate", "--n", "0") == (0, "\n", "")
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_enumerate_prints_the_listed_words(self, capsys, n):
+        lines = "".join(f"{s.bits}\n" for s in enumerate_sequences(n))
+        assert run(capsys, "enumerate", "--n", str(n)) == (0, lines, "")
+
+    @pytest.mark.parametrize(
+        "n,message",
+        [("-1", "semilength must be nonnegative"), ("17", "semilength 17 exceeds the enumeration cap 16")],
+    )
+    def test_enumerate_out_of_range_prints_nothing(self, capsys, n, message):
+        assert run(capsys, "enumerate", "--n", n) == (1, "", f"catseq: error: {message}\n")
+
+    def test_enumerate_streams(self):
+        class ByteCount(io.TextIOBase):
+            count = 0
+
+            def write(self, text):
+                self.count += len(text)
+                return len(text)
+
+        sink = ByteCount()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(sink):
+                code = main(["enumerate", "--n", "11"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, sink.count) == (0, 58786 * 23)
+        assert peak < 2**20  # the list of 58,786 sequences alone takes several MB
 
     def test_validate_ok(self, capsys):
         assert run(capsys, "validate", "000111") == (0, "valid semilength=3\n", "")
@@ -171,6 +203,16 @@ def test_subprocess_runs_are_byte_identical():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stderr == second.stderr == b""
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    cmd = [sys.executable, "-m", "catseq", "enumerate", "--n", "11"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()  # 1.3 MB follow, far more than the pipe holds
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), first, err) == (1, b"0" * 11 + b"1" * 11 + b"\n", b"")
 
 
 _NAMES = [*FAMILIES, *ALIASES, "frieze"]

@@ -19,8 +19,10 @@ from catseq.core import (
     PrefixViolationError,
     altitude_profile,
     enumerate_sequences,
+    iter_sequences,
     random_uniform,
     rank,
+    sequence_count,
     unrank,
     validate,
 )
@@ -178,6 +180,39 @@ class TestEnumerate:
     def test_negative(self):
         with pytest.raises(core.CatalanError):
             enumerate_sequences(-1)
+
+
+class TestIterSequences:
+    @pytest.mark.parametrize("n", range(11))
+    def test_same_words_as_unranking_every_index(self, n):
+        assert list(iter_sequences(n)) == [unrank(n, k) for k in range(sequence_count(n))]
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_same_words_as_the_brute_force_filter(self, n):
+        assert [s.bits for s in iter_sequences(n)] == brute_sequences(n)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_rank_of_the_ith_word_is_i(self, n):
+        for i, s in enumerate(iter_sequences(n)):
+            assert rank(s) == i
+
+    def test_yields_validated_sequences(self):
+        for s in iter_sequences(6):
+            assert type(s) is CatalanSequence and CatalanSequence(s.bits) == s
+
+    def test_first_word_comes_at_once_at_the_cap(self):
+        assert next(iter_sequences(16)).bits == "0" * 16 + "1" * 16
+
+    @pytest.mark.parametrize("n,error", [(-1, core.CatalanError), (core.ENUMERATION_CAP + 1, CapExceededError)])
+    def test_bad_semilength_raises_when_called(self, n, error):
+        with pytest.raises(error):
+            iter_sequences(n)  # no next(): the check is not deferred to the first word
+
+    def test_cap_keyword(self):
+        assert len(list(iter_sequences(5, cap=5))) == 42
+        with pytest.raises(CapExceededError):
+            iter_sequences(6, cap=5)
+        assert list(iter_sequences(6, cap=6)) == enumerate_sequences(6, cap=6)
 
 
 class TestRankUnrank:

@@ -37,6 +37,11 @@ class TestGridPath:
         with pytest.raises(CatalanError):
             GridPath("HX")
 
+    @pytest.mark.parametrize("steps", [("H", "V"), ["H", "V"], iter("HV"), None, 7])
+    def test_steps_that_are_not_a_str_rejected(self, steps):
+        with pytest.raises(CatalanError, match="steps must be a str"):
+            GridPath(steps)
+
     def test_touching_the_diagonal_is_allowed(self):
         assert GridPath("HVHV").n == 2
 

@@ -1,4 +1,4 @@
-"""The package surface: 71 names, each loaded from its module on first use."""
+"""The package surface: 72 names, each loaded from its module on first use."""
 
 import os
 import subprocess
@@ -15,7 +15,7 @@ SURFACE = {
     "chords": "ChordDiagram decode_chords encode_chords",
     "core": "AltitudeProfile CapExceededError CatalanError CatalanSequence CountMismatchError"
     " DomainError IndexOutOfRangeError InvalidSymbolError OddLengthError ParseError"
-    " PrefixViolationError altitude_profile enumerate_sequences random_uniform rank"
+    " PrefixViolationError altitude_profile enumerate_sequences iter_sequences random_uniform rank"
     " sequence_count unrank validate",
     "counting": "SeriesPrefix binomial catalan_closed catalan_convolution catalan_linear catalan_series",
     "families": "FAMILIES Family family_ids resolve transcode",
@@ -32,7 +32,7 @@ MODULE_OF = {name: module for module, names in SURFACE.items() for name in names
 
 
 def test_all_is_the_pinned_surface():
-    assert len(MODULE_OF) == 71
+    assert len(MODULE_OF) == 72
     assert catseq.__all__ == sorted(MODULE_OF)
 
 
