@@ -1,5 +1,10 @@
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
+from catseq import counting
 from catseq.core import CatalanError
 from catseq.counting import (
     SeriesPrefix,
@@ -91,3 +96,23 @@ def test_values_stay_positive():
 def test_series_prefix_requires_unit_constant_term():
     with pytest.raises(CatalanError):
         SeriesPrefix((2, 1))
+
+
+def test_threads_growing_the_convolution_memo_agree(monkeypatch):
+    indices = list(range(0, 241, 3))
+    expected = {n: catalan_closed(n) for n in indices}
+    orders = [random.Random(t).sample(indices, len(indices)) for t in range(6)]
+
+    def count(order):
+        return {n: catalan_convolution(n) for n in order}
+
+    monkeypatch.setattr(counting, "_conv_cache", [1])  # every thread grows it anew
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+            counted = list(pool.map(count, orders, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for result in counted:
+        assert result == expected
