@@ -321,23 +321,22 @@ def parse_rpn(text: str) -> ExtendedBinaryTree:
     return stack[0]
 
 
-#: render_rpn's stack mark for a '*' still to write; no child can be it
-_OPERATOR = object()
-
-
 def render_rpn(e: ExtendedBinaryTree) -> str:
-    """Postorder text: left body, right body, '*' per multiplication."""
+    """Postorder text: left body, right body, '*' per multiplication.
+
+    A preorder walk that takes the right child first writes each '*', then
+    its right body, then its left body: the postfix text backwards.
+    """
     out = []
-    stack: list[Internal | object | None] = [e]
+    stack: list[ExtendedBinaryTree] = [e]
     while stack:
         item = stack.pop()
         if item is None:
             out.append("a")
-        elif item is _OPERATOR:
-            out.append("*")
         else:
-            stack.extend((_OPERATOR, item.right, item.left))
-    return "".join(out)
+            out.append("*")
+            stack += (item.left, item.right)
+    return "".join(out)[::-1]
 
 
 def rpn_paper_encode(e: ExtendedBinaryTree) -> CatalanSequence:
