@@ -10,7 +10,6 @@ ints (arbitrary precision); no floating point is used anywhere here.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 from .core import CatalanError
@@ -50,20 +49,21 @@ def catalan_closed(n: int) -> int:
     return quotient
 
 
+#: C_0..C_k; grown onto a copy that then replaces it, like core._ballot, so no lock
 _conv_cache = [1]
-_conv_lock = threading.Lock()
 
 
 def catalan_convolution(n: int) -> int:
     """C_n by the convolution recurrence C_{k+1} = sum C_i * C_{k-i}."""
+    global _conv_cache
     _check_index(n)
-    with _conv_lock:
-        while len(_conv_cache) <= n:
-            k = len(_conv_cache) - 1  # C_0..C_k known, extend by C_{k+1}
-            _conv_cache.append(
-                sum(_conv_cache[i] * _conv_cache[k - i] for i in range(k + 1))
-            )
-        return _conv_cache[n]
+    memo = _conv_cache
+    if len(memo) <= n:
+        memo = memo.copy()
+        for k in range(len(memo) - 1, n):  # C_0..C_k known, extend by C_{k+1}
+            memo.append(sum(memo[i] * memo[k - i] for i in range(k + 1)))
+        _conv_cache = memo
+    return memo[n]
 
 
 def catalan_linear(n: int) -> int:
