@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CatalanError, CatalanSequence, ParseError, _trusted, cut_number, parse_pairs
+from .core import CatalanError, CatalanSequence, _trusted, cut_number, parse_pairs, parsed
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,7 @@ def parse_chords(text: str) -> ChordDiagram:
     if not text:
         return ChordDiagram(0, ())
     pairs = parse_pairs(text, "chord", "i-j")
-    try:
-        return ChordDiagram(len(pairs), pairs)
-    except CatalanError as exc:
-        raise ParseError(f"bad chord diagram: {exc}") from exc
+    return parsed(ChordDiagram, "chord diagram", len(pairs), pairs)
 
 
 def render_chords(d: ChordDiagram) -> str:

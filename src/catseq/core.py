@@ -107,6 +107,14 @@ def parse_pairs(text: str, noun: str, form: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def parsed(cls, what: str, *fields):
+    """``cls(*fields)``, its checks' CatalanError raised as a ParseError on a bad ``what``."""
+    try:
+        return cls(*fields)
+    except CatalanError as exc:
+        raise ParseError(f"bad {what}: {exc}") from exc
+
+
 def cut_number(k: int) -> str:
     """``str(k)``, cut to 20 characters plus '...' when longer, so that an
     error message naming a number stays short.  The low digits go first,

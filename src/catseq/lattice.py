@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CatalanError, CatalanSequence, ParseError, _trusted, cut_number
+from .core import CatalanError, CatalanSequence, ParseError, _trusted, cut_number, parsed
 
 _PATH_TO_BITS = str.maketrans("HV", "01")
 _BITS_TO_PATH = str.maketrans("01", "HV")
@@ -88,10 +88,7 @@ def decode_pm(s: CatalanSequence) -> PlusMinusSequence:
 
 
 def parse_path(text: str) -> GridPath:
-    try:
-        return GridPath(text)
-    except CatalanError as exc:
-        raise ParseError(f"bad path text: {exc}") from exc
+    return parsed(GridPath, "path text", text)
 
 
 def render_path(p: GridPath) -> str:
@@ -107,10 +104,7 @@ def parse_pm(text: str) -> PlusMinusSequence:
             values.append(-1)
         else:
             raise ParseError(f"expected '+' or '-', found {ch!r}", i + 1)
-    try:
-        return PlusMinusSequence(tuple(values))
-    except CatalanError as exc:
-        raise ParseError(f"bad vote text: {exc}") from exc
+    return parsed(PlusMinusSequence, "vote text", tuple(values))
 
 
 def render_pm(x: PlusMinusSequence) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import CatalanError, CatalanSequence, ParseError, _trusted, cut_number, parse_natural, parse_pairs
+from .core import CatalanError, CatalanSequence, ParseError, _trusted, cut_number, parse_natural, parse_pairs, parsed
 from .trees import BinaryTree, decode_tree, encode_tree
 
 
@@ -169,10 +169,7 @@ def parse_polygon(text: str) -> Triangulation:
     if not sep or m is None:
         raise ParseError("expected 'm;diagonals' with a numeric side count")
     diagonals = parse_pairs(tail, "diagonal", "a-b") if tail else ()
-    try:
-        return Triangulation(m, diagonals)
-    except CatalanError as exc:
-        raise ParseError(f"bad triangulation: {exc}") from exc
+    return parsed(Triangulation, "triangulation", m, diagonals)
 
 
 def render_polygon(tri: Triangulation) -> str:
