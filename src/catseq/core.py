@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
+from itertools import accumulate
 from dataclasses import dataclass
 from operator import add
 
@@ -234,10 +235,8 @@ def altitude_profile(s: CatalanSequence) -> AltitudeProfile:
     >>> altitude_profile(CatalanSequence("0011")).heights
     (0, 1, 2, 1, 0)
     """
-    heights = [0]
-    for ch in s.bits:
-        heights.append(heights[-1] + (1 if ch == "0" else -1))
-    return AltitudeProfile(tuple(heights))
+    steps = (1 if ch == "0" else -1 for ch in s.bits)
+    return _trusted(AltitudeProfile, heights=tuple(accumulate(steps, initial=0)))  # valid as s is
 
 
 def iter_sequences(n: int, cap: int = ENUMERATION_CAP) -> Iterator[CatalanSequence]:

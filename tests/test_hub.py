@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from catseq.chords import ChordDiagram
 from catseq.core import (
+    AltitudeProfile,
     CatalanError,
     CatalanSequence,
     DomainError,
+    altitude_profile,
     enumerate_sequences,
     random_uniform,
     sequence_count,
@@ -67,6 +69,9 @@ def _rebuilt(x):
     if type(x) is Triangulation:
         assert type(x.m) is int and _int_pairs(x.diagonals)
         return Triangulation(x.m, x.diagonals)
+    if type(x) is AltitudeProfile:
+        assert type(x.heights) is tuple and all(type(h) is int for h in x.heights)
+        return AltitudeProfile(x.heights)
     return x
 
 
@@ -94,6 +99,12 @@ class TestTrustedOutputs:
         k = random.Random(seed).randrange(sequence_count(n))
         for s in (unrank(n, k), random_uniform(n, seed)):
             assert _rebuilt(s) == s and len(s.bits) == 2 * n
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(n=st.integers(0, 2000), seed=st.integers(0, 2**32 - 1))
+    def test_altitude_profile_passes_the_constructor(self, n, seed):
+        profile = altitude_profile(validate(cycle_lemma_word(n, random.Random(seed))))
+        assert _rebuilt(profile) == profile and len(profile.heights) == 2 * n + 1
 
 
 class TestRegistry:
