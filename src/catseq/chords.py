@@ -90,8 +90,6 @@ def decode_chords(s: CatalanSequence) -> ChordDiagram:
 
 def parse_chords(text: str) -> ChordDiagram:
     """Parse comma-separated "i-j" pairs, e.g. "1-8,2-7,3-4,5-6"."""
-    if not text:
-        return ChordDiagram(0, ())
     pairs = parse_pairs(text, "chord", "i-j")
     return parsed(ChordDiagram, "chord diagram", len(pairs), pairs)
 

@@ -97,9 +97,9 @@ def quote_prefix(text: str) -> str:
 
 
 def parse_pairs(text: str, noun: str, form: str) -> tuple[tuple[int, int], ...]:
-    """The pairs of a comma-separated "a-b" list; ParseError names a bad part as a ``noun``."""
+    """The pairs of a comma-separated "a-b" list, () for ""; ParseError names a bad part as a ``noun``."""
     pairs = []
-    for part in text.split(","):
+    for part in text.split(",") if text else ():
         a, dash, b = part.partition("-")
         pair = (parse_natural(a), parse_natural(b))
         if not dash or None in pair:

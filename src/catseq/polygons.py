@@ -168,8 +168,7 @@ def parse_polygon(text: str) -> Triangulation:
     m = parse_natural(head)
     if not sep or m is None:
         raise ParseError("expected 'm;diagonals' with a numeric side count")
-    diagonals = parse_pairs(tail, "diagonal", "a-b") if tail else ()
-    return parsed(Triangulation, "triangulation", m, diagonals)
+    return parsed(Triangulation, "triangulation", m, parse_pairs(tail, "diagonal", "a-b"))
 
 
 def render_polygon(tri: Triangulation) -> str:

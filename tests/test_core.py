@@ -16,6 +16,7 @@ from catseq.core import (
     IndexOutOfRangeError,
     InvalidSymbolError,
     OddLengthError,
+    ParseError,
     PrefixViolationError,
     altitude_profile,
     enumerate_sequences,
@@ -314,3 +315,20 @@ def test_catalan_sequence_equality_and_str():
     assert str(validate("0011")) == "0011"
     assert list(validate("01")) == ["0", "1"]
     assert len(validate("0011")) == 4
+
+
+class TestParseHelpers:
+    def test_parse_pairs_reads_the_empty_list_and_a_list(self):
+        assert core.parse_pairs("", "chord", "i-j") == ()
+        assert core.parse_pairs("1-2,3-4", "chord", "i-j") == ((1, 2), (3, 4))
+
+    @pytest.mark.parametrize("text", [",", "1-2,", "1-2,,3-4"])
+    def test_parse_pairs_rejects_an_empty_part(self, text):
+        with pytest.raises(ParseError, match=r"^bad chord '', expected the form 'i-j'$"):
+            core.parse_pairs(text, "chord", "i-j")
+
+    def test_parsed_raises_a_constructor_error_as_a_parse_error(self):
+        assert core.parsed(CatalanSequence, "word", "01") == CatalanSequence("01")
+        with pytest.raises(ParseError, match=r"^bad word: length 3 is odd$") as info:
+            core.parsed(CatalanSequence, "word", "001")
+        assert type(info.value.__cause__) is OddLengthError and info.value.position is None
