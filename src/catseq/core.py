@@ -164,6 +164,8 @@ class CatalanSequence:
 
     def __post_init__(self):
         bits = self.bits
+        if not isinstance(bits, str):  # every codec and text form reads a str
+            raise CatalanError(f"bits must be a str, not {type(bits).__name__}")
         if len(bits) % 2:
             raise OddLengthError(f"length {len(bits)} is odd")
         balance = 0
@@ -206,13 +208,14 @@ class AltitudeProfile:
     heights: tuple[int, ...]
 
     def __post_init__(self):
-        hs = self.heights
         try:
+            hs = tuple(self.heights)
             ok = hs[0] == 0 == hs[-1] and min(hs) >= 0 and all(abs(b - a) == 1 for a, b in zip(hs, hs[1:]))
         except (TypeError, IndexError):
             ok = False
         if not ok:
             raise CatalanError("heights must start and end at 0, move by 1 per step and never drop below 0")
+        object.__setattr__(self, "heights", hs)
 
     @property
     def peak(self) -> int:
@@ -223,8 +226,8 @@ def validate(bits: str) -> CatalanSequence:
     """Check both Catalan conditions and return the validated sequence.
 
     Raises OddLengthError, PrefixViolationError (with the 1-based index
-    of the first offending prefix), CountMismatchError, or
-    InvalidSymbolError for characters outside '0'/'1'.
+    of the first offending prefix), CountMismatchError, InvalidSymbolError
+    for characters outside '0'/'1', or CatalanError if ``bits`` is no str.
     """
     return CatalanSequence(bits)
 

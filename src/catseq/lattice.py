@@ -55,8 +55,13 @@ class PlusMinusSequence:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        try:
+            values = tuple(self.values)
+        except TypeError:
+            raise CatalanError(f"values must be iterable, not {type(self.values).__name__}") from None
+        object.__setattr__(self, "values", values)
         total = 0
-        for i, x in enumerate(self.values):
+        for i, x in enumerate(values):
             if x not in (1, -1):
                 raise CatalanError(f"invalid value {cut_number(x)} at position {i + 1}")
             total += x
@@ -104,7 +109,7 @@ def parse_pm(text: str) -> PlusMinusSequence:
             values.append(-1)
         else:
             raise ParseError(f"expected '+' or '-', found {ch!r}", i + 1)
-    return parsed(PlusMinusSequence, "vote text", tuple(values))
+    return parsed(PlusMinusSequence, "vote text", values)
 
 
 def render_pm(x: PlusMinusSequence) -> str:

@@ -131,6 +131,16 @@ class TestAltitudeProfile:
             core.AltitudeProfile(heights)
         assert len(str(info.value)) < 200
 
+    @pytest.mark.parametrize("heights", [[0, 1, 0], iter((0, 1, 0)), range(1)])
+    def test_stores_any_iterable_as_a_tuple(self, heights):
+        profile = core.AltitudeProfile(heights)
+        assert type(profile.heights) is tuple and hash(profile) == hash(core.AltitudeProfile(tuple(profile.heights)))
+
+    @pytest.mark.parametrize("heights", [5, None])
+    def test_rejects_a_non_iterable(self, heights):
+        with pytest.raises(core.CatalanError, match="^heights must start and end at 0"):
+            core.AltitudeProfile(heights)
+
     def test_rejects_non_profiles_under_optimization(self):
         script = (
             "from catseq.core import AltitudeProfile, CatalanError\n"
@@ -332,3 +342,18 @@ class TestParseHelpers:
         with pytest.raises(ParseError, match=r"^bad word: length 3 is odd$") as info:
             core.parsed(CatalanSequence, "word", "001")
         assert type(info.value.__cause__) is OddLengthError and info.value.position is None
+
+
+class TestSequenceFieldType:
+    @pytest.mark.parametrize("bits", [["0", "1"], ("0", "1"), b"01", 5, None, ["0", "1", "1"]])
+    def test_bits_that_are_not_a_str_rejected_first(self, bits):
+        with pytest.raises(core.CatalanError, match=r"^bits must be a str, not \w+$"):
+            CatalanSequence(bits)
+        with pytest.raises(core.CatalanError, match="^bits must be a str"):
+            validate(bits)
+
+    def test_a_str_subclass_is_a_str(self):
+        class Word(str):
+            pass
+
+        assert CatalanSequence(Word("01")).semilength == 1

@@ -123,6 +123,17 @@ class TestPlusMinus:
         with pytest.raises(CatalanError):
             PlusMinusSequence((1,))
 
+    @pytest.mark.parametrize("values", [[1, -1], iter([1, -1]), (v for v in (1, -1))])
+    def test_stores_any_iterable_as_a_tuple(self, values):
+        x = PlusMinusSequence(values)
+        assert x.values == (1, -1) and hash(x) == hash(PlusMinusSequence((1, -1)))
+        assert encode_pm(x).bits == "01"
+
+    @pytest.mark.parametrize("values", [5, None])
+    def test_rejects_a_non_iterable(self, values):
+        with pytest.raises(CatalanError, match=f"^values must be iterable, not {type(values).__name__}$"):
+            PlusMinusSequence(values)
+
     @pytest.mark.parametrize(
         "values,message",
         [
