@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from itertools import accumulate
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import add
 
 #: Largest semilength `iter_sequences` and `enumerate_sequences` accept by

@@ -81,8 +81,9 @@ def resolve(name: str) -> Family:
 def transcode(source: str, target: str, text: str) -> str:
     """Convert any family's text form into any other's through the sequence.
 
-    Raises ParseError when ``text`` does not parse in the source family and
-    DomainError when the target codec is partial and rejects the sequence.
+    Raises ParseError when ``text`` does not parse in the source family, or
+    validate's errors for ``sequence`` text (PrefixViolationError for "0110"),
+    and DomainError when the target codec is partial and rejects the sequence.
     """
     src = resolve(source)
     dst = resolve(target)

@@ -322,11 +322,9 @@ def parse_rpn(text: str) -> ExtendedBinaryTree:
 
 
 def render_rpn(e: ExtendedBinaryTree) -> str:
-    """Postorder text: left body, right body, '*' per multiplication.
-
-    A preorder walk that takes the right child first writes each '*', then
-    its right body, then its left body: the postfix text backwards.
-    """
+    """Postorder text: left body, right body, '*' per multiplication.  A
+    preorder walk that takes the right child first writes each '*', then its
+    right body, then its left body: the postfix text backwards."""
     out = []
     stack: list[ExtendedBinaryTree] = [e]
     while stack:

@@ -11,6 +11,8 @@ from catseq.core import (
     CatalanError,
     CatalanSequence,
     DomainError,
+    ParseError,
+    PrefixViolationError,
     altitude_profile,
     enumerate_sequences,
     random_uniform,
@@ -148,6 +150,11 @@ class TestTranscode:
     def test_parse_failure_propagates(self):
         with pytest.raises(CatalanError):
             transcode("pm", "path", "++x-")
+
+    def test_sequence_text_raises_the_validation_errors(self):
+        with pytest.raises(PrefixViolationError) as info:
+            transcode("sequence", "tree", "0110")
+        assert not isinstance(info.value, ParseError) and info.value.position == 3
 
     @pytest.mark.parametrize("n", range(7))
     def test_hub_identity_over_all_total_pairs(self, n):
