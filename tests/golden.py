@@ -18,8 +18,8 @@ the fingerprints name the first case that differs.  The sections:
 - ``cli``: stdout, stderr and exit code of a fixed list of argv.
 
 The digests were taken on CPython 3.11; argparse's messages may differ on
-other versions.  Check with ``python tests/golden.py``; regenerate, after
-a deliberate change of output only, with ``python tests/golden.py --write``.
+other versions.  Check with ``PYTHONPATH=src python tests/golden.py``, and
+regenerate, after a deliberate change of output only, by adding ``--write``.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import random
 import sys
 from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 from catseq import cli, counting
 from catseq.core import (
@@ -173,19 +174,12 @@ def _cli_argv():
 
 
 def cli_cases():
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"  # argparse wraps its usage text to the terminal width
-    try:
+    with mock.patch.dict(os.environ, COLUMNS="80"):  # argparse wraps usage to the terminal width
         for argv in _cli_argv():
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
             yield [argv, code, out.getvalue(), err.getvalue()]
-    finally:
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
 
 
 SECTIONS = {
