@@ -12,6 +12,9 @@ the fingerprints name the first case that differs.  The sections:
   n <= 7 and of every fifth of those cycle-lemma words, the rpn-paper
   source reading its image 0·u·1;
 - ``parse``: 20,000 seeded short texts, each through the nine parsers;
+- ``malformed``: ``transcode(source, "sequence", text)`` for 216 seeded texts
+  of n = 128-2048 with 1-3 edits, 24 per source family, and for numbers
+  that ``int`` rejects or that run past its 4,300-digit limit;
 - ``ranking``: ``rank``, ``unrank``, ``random_uniform`` and
   ``iter_sequences`` for n < 60 and five seeds, and the four Catalan
   routes for n < 320;
@@ -30,6 +33,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 from itertools import islice
 from pathlib import Path
@@ -129,6 +133,46 @@ def parse_cases():
         yield [text, *(outcome(f.parse, text) for f in FAMILIES.values())]
 
 
+def edited(text: str, alphabet: str, edits: int, rng) -> str:
+    """``text`` after ``edits`` random edits of its tokens, each a run of
+    ASCII digits or one other character: a deletion, an insertion or a
+    replacement by a character of ``alphabet``, or a swap of two tokens."""
+    tokens = re.findall(r"[0-9]+|[^0-9]", text)
+    for _ in range(edits):
+        at = rng.randrange(len(tokens) + 1)
+        edit = rng.randrange(4)
+        if edit == 1:
+            tokens.insert(at, rng.choice(alphabet))
+        elif at == len(tokens):
+            continue
+        elif edit == 0:
+            del tokens[at]
+        elif edit == 2:
+            tokens[at] = rng.choice(alphabet)
+        else:
+            other = rng.randrange(len(tokens))
+            tokens[at], tokens[other] = tokens[other], tokens[at]
+    return "".join(tokens)
+
+
+#: numbers that str.isdigit accepts but int rejects, or past int's digit limit
+BIG = "9" * 5000
+NUMBER_FAULTS = ["1-\u00b2", "\u00b2;", "4;0-\u00b2", f"1-{BIG}", f"{BIG}-1,2-3", f"{BIG};", f"4;0-{BIG}", f"4;{BIG}-2"]
+
+
+def malformed_cases(per_family: int = 24):
+    rng = random.Random("golden malformed")
+    for i in range(per_family * len(ALPHABETS)):
+        name = list(ALPHABETS)[i % len(ALPHABETS)]
+        alphabet = ALPHABETS[name] + (STRANGE if rng.random() < 0.1 else "")
+        n = rng.randrange(128, 2049)
+        bits = cycle_lemma_word(n - (name == "rpn-paper"), rng)
+        text = edited(family_text(name, bits), alphabet, rng.randrange(1, 4), rng)
+        yield [name, text, outcome(transcode, name, "sequence", text)]
+    for text in NUMBER_FAULTS:
+        yield [text, *(outcome(transcode, name, "sequence", text) for name in FAMILIES)]
+
+
 def ranking_cases():
     for n in range(60):
         total = sequence_count(n)
@@ -186,6 +230,7 @@ SECTIONS = {
     "render": render_cases,
     "transcode": transcode_cases,
     "parse": parse_cases,
+    "malformed": malformed_cases,
     "ranking": ranking_cases,
     "cli": cli_cases,
 }
