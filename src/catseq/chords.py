@@ -4,7 +4,9 @@ Encoding writes 0 at the smaller endpoint and 1 at the larger endpoint
 of every chord.  The paper decodes by repeatedly extracting the leftmost
 adjacent 0-then-1 among the positions still present, keeping original
 labels.  Each pair so extracted is a 0 and the 1 that matches it as
-parentheses, so decoding here is one pass of stack matching.
+parentheses, so decoding here is one pass of stack matching.  A chord
+list is valid exactly when its word is a Catalan word, so the check that
+ChordDiagram shares with read_chords is the pass that writes the word.
 """
 
 from __future__ import annotations
@@ -14,6 +16,35 @@ from dataclasses import dataclass
 from .core import CatalanError, CatalanSequence, _trusted, cut_number, parse_pairs, parsed
 
 
+def _chord_bits(n: int, chords) -> str:
+    """The word of ``n`` chords, pairs of int labels either way round.
+
+    A partner array shows that the labels cover 1..2n once each.  Then each
+    point writes 0 as its chord opens and 1 as it closes, with a stack of
+    open chords: they cross exactly when a closing point's chord (a, b) is
+    not the top one (c, d), and then a < c < b < d.
+    """
+    partner = [0] * (2 * n + 1)
+    for a, b in chords:
+        if not (0 < a <= 2 * n and 0 < b <= 2 * n) or a == b or partner[a] or partner[b]:
+            raise CatalanError("chords must pair each of the points 1..2n exactly once")
+        partner[a] = b
+        partner[b] = a
+    bits = []
+    open_chords: list[int] = []
+    for p in range(1, 2 * n + 1):
+        q = partner[p]
+        if q > p:
+            open_chords.append(p)
+            bits.append("0")
+            continue
+        top = open_chords.pop()
+        if top != q:
+            raise CatalanError(f"chords {q}-{p} and {top}-{partner[top]} cross")
+        bits.append("1")
+    return "".join(bits)
+
+
 @dataclass(frozen=True)
 class ChordDiagram:
     """n non-crossing chords pairing the points 1..2n, labeled clockwise.
@@ -21,11 +52,6 @@ class ChordDiagram:
     Chords are stored sorted ascending by smaller endpoint with each pair
     as (smaller, larger).  Rotations and reflections are distinct
     diagrams; the labels are part of the object.
-
-    Non-crossing is checked in one pass over the points 1..2n with a stack
-    of open chords: the chords are non-crossing exactly when every larger
-    endpoint closes the chord on top of the stack.  When it does not, its
-    chord (a, b) and the top chord (c, d) cross as a < c < b < d.
     """
 
     n: int
@@ -37,62 +63,45 @@ class ChordDiagram:
             object.__setattr__(self, "chords", normalized)
             if len(normalized) != self.n:
                 raise CatalanError(f"expected {cut_number(self.n)} chords, got {len(normalized)}")
-            points = [p for chord in normalized for p in chord]
-            if sorted(points) != list(range(1, 2 * self.n + 1)):
-                raise CatalanError("chords must pair each of the points 1..2n exactly once")
-            if type(self.n) is not int or not {*map(type, points)} <= {int}:
+            if type(self.n) is not int or not {type(v) for chord in normalized for v in chord} <= {int}:
                 raise TypeError  # a bool or float label equals an int but renders apart
-            partner = [0] * (2 * self.n + 1)
-            for a, b in normalized:
-                partner[a] = b
-                partner[b] = a
         except CatalanError:
             raise
         except (TypeError, ValueError):
             raise CatalanError("expected an int n and chords that are pairs of int labels") from None
-        open_chords: list[int] = []
-        for p in range(1, 2 * self.n + 1):
-            q = partner[p]
-            if q > p:
-                open_chords.append(p)
-                continue
-            top = open_chords.pop()
-            if top != q:
-                raise CatalanError(f"chords {q}-{p} and {top}-{partner[top]} cross")
+        _chord_bits(self.n, normalized)
 
 
-def encode_chords(d: ChordDiagram) -> CatalanSequence:
-    """Position i gets 0 and position j gets 1 for every chord (i, j)."""
-    bits = [""] * (2 * d.n)
-    for i, j in d.chords:
-        bits[i - 1] = "0"
-        bits[j - 1] = "1"
-    return _trusted(CatalanSequence, bits="".join(bits))
-
-
-def decode_chords(s: CatalanSequence) -> ChordDiagram:
-    """Inverse of encode_chords: each 1 closes a chord at the latest open 0.
-
-    Each chord takes its slot when it opens, so the chords come out sorted
-    by smaller endpoint, as the constructor would store them.
-    """
+def _matching(bits: str) -> list[tuple[int, int]]:
+    """The chords of a valid word, each 1 closing one at the latest open 0,
+    sorted by smaller endpoint, as each takes its slot when it opens."""
     chords: list = []
     open_slots: list[int] = []
-    for p, bit in enumerate(s.bits, start=1):
+    for p, bit in enumerate(bits, start=1):
         if bit == "0":
             open_slots.append(len(chords))
             chords.append(p)
         else:
             slot = open_slots.pop()
             chords[slot] = (chords[slot], p)
-    return _trusted(ChordDiagram, n=s.semilength, chords=tuple(chords))
+    return chords
 
 
-def parse_chords(text: str) -> ChordDiagram:
-    """Parse comma-separated "i-j" pairs, e.g. "1-8,2-7,3-4,5-6"."""
+def encode_chords(d: ChordDiagram) -> CatalanSequence:
+    """Position i gets 0 and position j gets 1 for every chord (i, j)."""
+    return _trusted(CatalanSequence, bits=_chord_bits(d.n, d.chords))
+
+
+def decode_chords(s: CatalanSequence) -> ChordDiagram:
+    """Inverse of encode_chords: stack matching of the word."""
+    return _trusted(ChordDiagram, n=s.semilength, chords=tuple(_matching(s.bits)))
+
+
+def read_chords(text: str) -> CatalanSequence:
+    """The word of comma-separated "i-j" pairs, e.g. "1-8,2-7,3-4,5-6"."""
     pairs = parse_pairs(text, "chord", "i-j")
-    return parsed(ChordDiagram, "chord diagram", len(pairs), pairs)
+    return _trusted(CatalanSequence, bits=parsed(_chord_bits, "chord diagram", len(pairs), pairs))
 
 
-def render_chords(d: ChordDiagram) -> str:
-    return ",".join(f"{i}-{j}" for i, j in d.chords)
+def write_chords(s: CatalanSequence) -> str:
+    return ",".join(f"{i}-{j}" for i, j in _matching(s.bits))

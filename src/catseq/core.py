@@ -9,6 +9,7 @@ family in this package round-trips through this form, so the string of
 from __future__ import annotations
 
 import random
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
@@ -90,6 +91,9 @@ def parse_natural(text: str) -> int | None:
     return None
 
 
+_PAIR_LIST = re.compile(r"[0-9]+-[0-9]+(?:,[0-9]+-[0-9]+)*")
+
+
 def quote_prefix(text: str) -> str:
     """``repr(text)``, cut to 20 characters plus '...' when longer, so that
     an error message quoting a part of some input stays short."""
@@ -97,21 +101,28 @@ def quote_prefix(text: str) -> str:
 
 
 def parse_pairs(text: str, noun: str, form: str) -> tuple[tuple[int, int], ...]:
-    """The pairs of a comma-separated "a-b" list, () for ""; ParseError names a bad part as a ``noun``."""
-    pairs = []
-    for part in text.split(",") if text else ():
+    """The pairs of a comma-separated "a-b" list, () for ""; ParseError names its first bad part as a ``noun``.
+    A list that fails one regular expression, or int's digit limit, is read part by part to find that part."""
+    if not text:
+        return ()
+    if _PAIR_LIST.fullmatch(text):
+        try:
+            numbers = [*map(int, text.replace(",", "-").split("-"))]
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            pass
+        else:
+            return tuple(zip(numbers[::2], numbers[1::2]))
+    for part in text.split(","):
         a, dash, b = part.partition("-")
-        pair = (parse_natural(a), parse_natural(b))
-        if not dash or None in pair:
-            raise ParseError(f"bad {noun} {quote_prefix(part)}, expected the form {form!r}")
-        pairs.append(pair)
-    return tuple(pairs)
+        if not dash or parse_natural(a) is None or parse_natural(b) is None:
+            break
+    raise ParseError(f"bad {noun} {quote_prefix(part)}, expected the form {form!r}")
 
 
-def parsed(cls, what: str, *fields):
-    """``cls(*fields)``, its checks' CatalanError raised as a ParseError on a bad ``what``."""
+def parsed(check, what: str, *args):
+    """``check(*args)``, its CatalanError raised as a ParseError on a bad ``what``."""
     try:
-        return cls(*fields)
+        return check(*args)
     except CatalanError as exc:
         raise ParseError(f"bad {what}: {exc}") from exc
 

@@ -1,10 +1,12 @@
 """The transcoding hub: every family, one registry, any-to-any conversion.
 
-Converting between two families is always encode-to-sequence followed by
-decode-from-sequence, which preserves semilength by construction.  The
-identity codec for sequences themselves is registered too, so the hub is
-uniform; "mountain" names the same family, as do the vote and ballot
-aliases for the ±1 family.
+Each family reads its text straight into the Catalan sequence and writes
+the sequence straight back as text, so a conversion is one read and one
+write and builds no object of either family.  The object API composes the
+same passes with the family's codec: ``parse`` is ``decode`` after ``read``
+and ``render`` is ``write`` after ``encode``.  The identity family for
+sequences is registered too, so the hub is uniform; "mountain" names the
+same family, as do the vote and ballot aliases for the ±1 family.
 """
 
 from __future__ import annotations
@@ -18,14 +20,21 @@ from .core import CatalanError, CatalanSequence, validate
 
 @dataclass(frozen=True)
 class Family:
-    """One object family: its text grammar and its sequence codec."""
+    """One object family: its text read into and written from the sequence,
+    and its sequence codec."""
 
     name: str
-    parse: Callable[[str], Any]
-    render: Callable[[Any], str]
+    read: Callable[[str], CatalanSequence]
+    write: Callable[[CatalanSequence], str]
     encode: Callable[[Any], CatalanSequence]
     decode: Callable[[CatalanSequence], Any]
-    total: bool = True  # False when decode can reject valid sequences
+    total: bool = True  # False when write and decode can reject valid sequences
+
+    def parse(self, text: str) -> Any:
+        return self.decode(self.read(text))
+
+    def render(self, obj: Any) -> str:
+        return self.write(self.encode(obj))
 
 
 def _identity(s: CatalanSequence) -> CatalanSequence:
@@ -35,28 +44,17 @@ def _identity(s: CatalanSequence) -> CatalanSequence:
 FAMILIES: dict[str, Family] = {
     f.name: f
     for f in (
-        Family("sequence", validate, lambda s: s.bits, _identity, _identity),
-        Family("tree", trees.parse_tree, trees.render_tree, trees.encode_tree, trees.decode_tree),
-        Family("path", lattice.parse_path, lattice.render_path, lattice.encode_path, lattice.decode_path),
-        Family("pm", lattice.parse_pm, lattice.render_pm, lattice.encode_pm, lattice.decode_pm),
-        Family("chords", chords.parse_chords, chords.render_chords, chords.encode_chords, chords.decode_chords),
-        Family("mult", trees.parse_mult, trees.render_mult, trees.encode_expression, trees.decode_expression),
-        Family("rpn", trees.parse_rpn, trees.render_rpn, trees.encode_expression, trees.decode_expression),
-        Family(
-            "rpn-paper",
-            trees.parse_rpn,
-            trees.render_rpn,
-            trees.rpn_paper_encode,
-            trees.rpn_paper_decode,
-            total=False,
-        ),
-        Family(
-            "polygon",
-            polygons.parse_polygon,
-            polygons.render_polygon,
-            polygons.encode_polygon,
-            polygons.decode_polygon,
-        ),
+        Family("sequence", validate, str, _identity, _identity),
+        Family("tree", trees.read_tree, trees.write_tree, trees.encode_tree, trees.decode_tree),
+        Family("path", lattice.read_path, lattice.write_path, lattice.encode_path, lattice.decode_path),
+        Family("pm", lattice.read_pm, lattice.write_pm, lattice.encode_pm, lattice.decode_pm),
+        Family("chords", chords.read_chords, chords.write_chords, chords.encode_chords, chords.decode_chords),
+        Family("mult", trees.read_mult, trees.write_mult, trees.encode_expression, trees.decode_expression),
+        Family("rpn", trees.read_rpn, trees.write_rpn, trees.encode_expression, trees.decode_expression),
+        Family("rpn-paper", trees.rpn_paper_read, trees.rpn_paper_write, trees.rpn_paper_encode,
+               trees.rpn_paper_decode, total=False),
+        Family("polygon", polygons.read_polygon, polygons.write_polygon, polygons.encode_polygon,
+               polygons.decode_polygon),
     )
 }
 
@@ -79,7 +77,8 @@ def resolve(name: str) -> Family:
 
 
 def transcode(source: str, target: str, text: str) -> str:
-    """Convert any family's text form into any other's through the sequence.
+    """Convert any family's text form into any other's through the sequence:
+    the source family's ``read``, then the target family's ``write``.
 
     Raises ParseError when ``text`` does not parse in the source family, or
     validate's errors for ``sequence`` text (PrefixViolationError for "0110"),
@@ -87,4 +86,4 @@ def transcode(source: str, target: str, text: str) -> str:
     """
     src = resolve(source)
     dst = resolve(target)
-    return dst.render(dst.decode(src.encode(src.parse(text))))
+    return dst.write(src.read(text))

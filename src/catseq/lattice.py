@@ -2,8 +2,10 @@
 
 Both families are letter-for-letter substitutions on the sequence: a
 horizontal step or a +1 vote becomes 0, a vertical step or a -1 vote
-becomes 1.  Votes and mountain ranges are these same objects under
-other names, so they are registry aliases rather than separate codecs.
+becomes 1.  So their texts are read and written by substitution too, the
+reading after the one check each shares with its value type.  Votes and
+mountain ranges are these same objects under other names, so they are
+registry aliases rather than separate codecs.
 """
 
 from __future__ import annotations
@@ -14,6 +16,39 @@ from .core import CatalanError, CatalanSequence, ParseError, _trusted, cut_numbe
 
 _PATH_TO_BITS = str.maketrans("HV", "01")
 _BITS_TO_PATH = str.maketrans("01", "HV")
+_PM_TO_BITS = str.maketrans("+-", "01")
+_BITS_TO_PM = str.maketrans("01", "+-")
+
+
+def _check_steps(steps) -> None:
+    """GridPath's check of a step word; CatalanError names the first fault."""
+    if not isinstance(steps, str):  # the codec and the text form translate a str
+        raise CatalanError(f"steps must be a str, not {type(steps).__name__}")
+    lead = 0
+    for i, ch in enumerate(steps):
+        if ch == "H":
+            lead += 1
+        elif ch == "V":
+            lead -= 1
+        else:
+            raise CatalanError(f"invalid step {ch!r} at position {i + 1}")
+        if lead < 0:
+            raise CatalanError(f"path crosses the diagonal at step {i + 1}")
+    if lead != 0:
+        raise CatalanError("path does not end on the diagonal")
+
+
+def _check_votes(values) -> None:
+    """PlusMinusSequence's check of ±1 values; CatalanError names the first fault."""
+    total = 0
+    for i, x in enumerate(values):
+        if type(x) is not int or x not in (1, -1):  # a bool or float equals an int but renders apart
+            raise CatalanError(f"invalid value {cut_number(x)} at position {i + 1}")
+        total += x
+        if total < 0:
+            raise CatalanError(f"partial sum drops below 0 at position {i + 1}")
+    if total != 0:
+        raise CatalanError("values do not sum to 0")
 
 
 @dataclass(frozen=True)
@@ -28,20 +63,7 @@ class GridPath:
     steps: str
 
     def __post_init__(self):
-        if not isinstance(self.steps, str):  # the codec and the text form translate a str
-            raise CatalanError(f"steps must be a str, not {type(self.steps).__name__}")
-        lead = 0
-        for i, ch in enumerate(self.steps):
-            if ch == "H":
-                lead += 1
-            elif ch == "V":
-                lead -= 1
-            else:
-                raise CatalanError(f"invalid step {ch!r} at position {i + 1}")
-            if lead < 0:
-                raise CatalanError(f"path crosses the diagonal at step {i + 1}")
-        if lead != 0:
-            raise CatalanError("path does not end on the diagonal")
+        _check_steps(self.steps)
 
     @property
     def n(self) -> int:
@@ -50,7 +72,7 @@ class GridPath:
 
 @dataclass(frozen=True)
 class PlusMinusSequence:
-    """±1 word with every partial sum >= 0 and total 0."""
+    """±1 word with every partial sum >= 0 and total 0; each value a plain int."""
 
     values: tuple[int, ...]
 
@@ -60,15 +82,7 @@ class PlusMinusSequence:
         except TypeError:
             raise CatalanError(f"values must be iterable, not {type(self.values).__name__}") from None
         object.__setattr__(self, "values", values)
-        total = 0
-        for i, x in enumerate(values):
-            if x not in (1, -1):
-                raise CatalanError(f"invalid value {cut_number(x)} at position {i + 1}")
-            total += x
-            if total < 0:
-                raise CatalanError(f"partial sum drops below 0 at position {i + 1}")
-        if total != 0:
-            raise CatalanError("values do not sum to 0")
+        _check_votes(values)
 
 
 def encode_path(p: GridPath) -> CatalanSequence:
@@ -78,7 +92,7 @@ def encode_path(p: GridPath) -> CatalanSequence:
 
 def decode_path(s: CatalanSequence) -> GridPath:
     """0 -> H, 1 -> V; inverse of encode_path."""
-    return _trusted(GridPath, steps=s.bits.translate(_BITS_TO_PATH))
+    return _trusted(GridPath, steps=write_path(s))
 
 
 def encode_pm(x: PlusMinusSequence) -> CatalanSequence:
@@ -92,25 +106,22 @@ def decode_pm(s: CatalanSequence) -> PlusMinusSequence:
     return _trusted(PlusMinusSequence, values=tuple(1 if ch == "0" else -1 for ch in s.bits))
 
 
-def parse_path(text: str) -> GridPath:
-    return parsed(GridPath, "path text", text)
+def read_path(text: str) -> CatalanSequence:
+    parsed(_check_steps, "path text", text)
+    return _trusted(CatalanSequence, bits=text.translate(_PATH_TO_BITS))
 
 
-def render_path(p: GridPath) -> str:
-    return p.steps
+def write_path(s: CatalanSequence) -> str:
+    return s.bits.translate(_BITS_TO_PATH)
 
 
-def parse_pm(text: str) -> PlusMinusSequence:
-    values = []
-    for i, ch in enumerate(text):
-        if ch == "+":
-            values.append(1)
-        elif ch == "-":
-            values.append(-1)
-        else:
-            raise ParseError(f"expected '+' or '-', found {ch!r}", i + 1)
-    return parsed(PlusMinusSequence, "vote text", values)
+def read_pm(text: str) -> CatalanSequence:
+    rest = text.lstrip("+-")
+    if rest:
+        raise ParseError(f"expected '+' or '-', found {rest[0]!r}", len(text) - len(rest) + 1)
+    parsed(_check_votes, "vote text", [1 if ch == "+" else -1 for ch in text])
+    return _trusted(CatalanSequence, bits=text.translate(_PM_TO_BITS))
 
 
-def render_pm(x: PlusMinusSequence) -> str:
-    return "".join("+" if v == 1 else "-" for v in x.values)
+def write_pm(s: CatalanSequence) -> str:
+    return s.bits.translate(_BITS_TO_PM)

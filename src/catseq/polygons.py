@@ -7,28 +7,88 @@ are the triangles across its (a, c) / (c, b) edges, apex c on base
 (a, b).  The degenerate two-sided polygon stands in for n = 0.
 
 The codec is the tree codec of the dual tree, worked straight on the
-word, and dual_tree and rebuild_triangulation go through it.  Encoding
-finds each apex by the apex rule: c is the largest neighbour of a below
-b.  Decoding places each subtree by the in-order base rule: the subtree
-whose nodes hold the in-order positions lo..hi sits on the base
-(lo, hi + 2).
+word, and dual_tree and rebuild_triangulation go through it.  A diagonal
+set is valid exactly when it has a dual tree, so the check Triangulation
+shares with read_polygon is the pass that writes the word; decode_polygon
+shares write_polygon's pass over the postfix text of the dual tree.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import CatalanError, CatalanSequence, ParseError, _trusted, cut_number, parse_natural, parse_pairs, parsed
-from .trees import BinaryTree, decode_tree, encode_tree
+from .trees import BinaryTree, decode_tree, encode_tree, write_rpn
 
 
 class MalformedTriangulationError(CatalanError):
-    """Some base edge has no apex; the diagonal set is inconsistent."""
+    """A Triangulation whose diagonals changed after its check fails it now."""
 
 
 class SizeMismatchError(CatalanError):
     """The tree's node count does not fit the requested polygon."""
+
+
+#: a region's digit pair, by 2 * (its left region is a triangle) + (its right one is)
+_PAIR = ("", "10", "01", "00")
+
+
+def _triangulation_bits(m, diagonals) -> tuple[list[tuple[int, int]], str]:
+    """The diagonals as (smaller, larger) pairs and the dual tree's word;
+    CatalanError names the first fault: a side count that is no int >= 2 or
+    vertices that are no ints, a wrong count, a duplicate, the least diagonal
+    out of range or a side, and a crossing.
+
+    Sorted by (a ascending, b descending), the regions come in the dual
+    tree's preorder: (a, b) is followed by its left region (a, c), unless
+    its apex c is a + 1, and its innermost enclosing region is its parent.
+    One pass with a stack of enclosing regions finds a crossing and writes
+    each region's pair once the next region shows its apex.
+    """
+    try:
+        if m < 2:
+            raise CatalanError("a polygon needs at least 2 sides")
+        normalized = [(a, b) if a < b else (b, a) for a, b in diagonals]
+        if type(m) is not int or not {type(v) for d in normalized for v in d} <= {int}:
+            raise TypeError  # a bool or float vertex compares as an int but renders apart
+    except CatalanError:
+        raise
+    except (TypeError, ValueError):
+        raise CatalanError("expected an int m and diagonals that are pairs of int vertices") from None
+    expected = max(0, m - 3)
+    if len(normalized) != expected:
+        raise CatalanError(
+            f"a {cut_number(m)}-gon triangulation needs {cut_number(expected)} diagonals, got {len(normalized)}"
+        )
+    if len(set(normalized)) != len(normalized):
+        raise CatalanError("duplicate diagonal")
+    root = (0, m - 1)
+    bad = [(a, b) for a, b in normalized if not (0 <= a and b <= m - 1 and b - a >= 2) or (a, b) == root]
+    if bad:
+        a, b = min(bad)
+        if not 0 <= a < b <= m - 1:
+            raise CatalanError(f"diagonal {cut_number(a)}-{cut_number(b)} is outside the vertex range")
+        raise CatalanError(f"{a}-{b} is a polygon side, not a diagonal")
+    if m == 2:
+        return normalized, ""
+    out = ["0"]
+    enclosing = [root]
+    pa, pb = root  # the region before, whose pair waits for its apex
+    for a, b in sorted(normalized, key=lambda d: (d[0], -d[1])):
+        while enclosing[-1][1] <= a:
+            enclosing.pop()
+        c, d = enclosing[-1]
+        if d < b:
+            raise CatalanError(f"diagonals {c}-{d} and {a}-{b} cross")
+        apex = b if a == pa else pa + 1
+        out.append(_PAIR[2 * (apex - pa > 1) + (pb - apex > 1)])
+        if d == b and a - c > 1:  # a right region whose left sibling is a region too
+            out.append("11")
+        enclosing.append((a, b))
+        pa, pb = a, b
+    out.append(_PAIR[pb - pa > 2])  # the last region's apex is pa + 1
+    out.append("1")
+    return normalized, "".join(out)
 
 
 @dataclass(frozen=True)
@@ -38,115 +98,44 @@ class Triangulation:
     Diagonals are stored as (a, b) with a < b, sorted ascending; the root
     side (0, m-1) is never a diagonal.  m = 2 is the degenerate polygon
     with no triangles at all.
-
-    Non-crossing is checked in one stack pass over the diagonals sorted by
-    (a ascending, b descending).  The stack holds the diagonals that nest
-    around the current one; those ending at or before its a are popped, and
-    it crosses the top (c, d) exactly when c < a < d < b.
     """
 
     m: int
     diagonals: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        try:
-            if self.m < 2:
-                raise CatalanError("a polygon needs at least 2 sides")
-            normalized = tuple(sorted((min(a, b), max(a, b)) for a, b in self.diagonals))
-            if type(self.m) is not int or not {type(v) for d in normalized for v in d} <= {int}:
-                raise TypeError  # a bool or float vertex compares as an int but renders apart
-        except CatalanError:
-            raise
-        except (TypeError, ValueError):
-            raise CatalanError("expected an int m and diagonals that are pairs of int vertices") from None
-        object.__setattr__(self, "diagonals", normalized)
-        expected = max(0, self.m - 3)
-        if len(normalized) != expected:
-            raise CatalanError(
-                f"a {cut_number(self.m)}-gon triangulation needs {cut_number(expected)} diagonals,"
-                f" got {len(normalized)}"
-            )
-        if len(set(normalized)) != len(normalized):
-            raise CatalanError("duplicate diagonal")
-        for a, b in normalized:
-            if not (0 <= a < b <= self.m - 1):
-                raise CatalanError(f"diagonal {cut_number(a)}-{cut_number(b)} is outside the vertex range")
-            if b - a < 2 or (a, b) == (0, self.m - 1):
-                raise CatalanError(f"{a}-{b} is a polygon side, not a diagonal")
-        enclosing: list[tuple[int, int]] = []
-        for a, b in sorted(normalized, key=lambda d: (d[0], -d[1])):
-            while enclosing and enclosing[-1][1] <= a:
-                enclosing.pop()
-            if enclosing and enclosing[-1][1] < b:
-                c, d = enclosing[-1]
-                raise CatalanError(f"diagonals {c}-{d} and {a}-{b} cross")
-            enclosing.append((a, b))
+        normalized, _ = _triangulation_bits(self.m, self.diagonals)
+        object.__setattr__(self, "diagonals", tuple(sorted(normalized)))
 
 
 def encode_polygon(tri: Triangulation) -> CatalanSequence:
-    """The edge-pair code of the dual tree, read straight off the regions.
+    """The edge-pair code of the dual tree, semilength m - 2, as the check writes it."""
+    try:
+        return _trusted(CatalanSequence, bits=_triangulation_bits(tri.m, tri.diagonals)[1])
+    except CatalanError as exc:
+        raise MalformedTriangulationError(f"malformed triangulation: {exc}") from exc
 
-    Region (a, b) holds a triangle unless (a, b) is a polygon side.  Its
-    apex c is the largest neighbour of a below b, since an edge from a that
-    ends between c and b would cross (c, b); (a, c) and (c, b) are its left
-    and right regions.  A triangulated m-gon yields semilength m - 2.
-    """
-    m = tri.m
-    higher = [[a + 1] for a in range(m - 1)]  # sorted, as tri.diagonals is
-    for a, b in tri.diagonals:
-        higher[a].append(b)
-    diagonals = set(tri.diagonals)
-    out: list[str] = []
-    stack = ["1", (0, m - 1), "0"] if m > 2 else []  # pairs to emit and regions to walk
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        a, b = item
-        c = higher[a][bisect_left(higher[a], b) - 1]
-        if not (a < c < b and (c + 1 == b or (c, b) in diagonals)):
-            raise MalformedTriangulationError(f"base {a}-{b} has no apex")
-        if a + 1 < c and c + 1 < b:
-            stack += ((c, b), "11", (a, c), "00")
-        elif a + 1 < c:
-            stack += ((a, c), "01")
-        elif c + 1 < b:
-            stack += ((c, b), "10")
-    return _trusted(CatalanSequence, bits="".join(out))
+
+def _diagonals(s: CatalanSequence) -> list[tuple[int, int]]:
+    """The sorted diagonals behind ``s``.  The extended dual tree's leaves
+    are the sides (j, j + 1) in order, so in its postfix text each operator
+    closes the region from its left subtree's start to the leaves so far."""
+    starts: list[int] = []
+    regions = []
+    leaves = 0
+    for ch in write_rpn(s):
+        if ch == "a":
+            starts.append(leaves)
+            leaves += 1
+        else:
+            starts.pop()
+            regions.append((starts[-1], leaves))
+    return sorted(regions[:-1])  # the last region is the root side
 
 
 def decode_polygon(s: CatalanSequence) -> Triangulation:
-    """The (semilength + 2)-gon triangulation behind the sequence.
-
-    The subtree whose nodes hold the in-order positions lo..hi sits on the
-    base (lo, hi + 2), so every subtree but the root's gives a diagonal
-    when it closes.  One pass over the digit pairs, with frames as in
-    decode_tree, numbers a 10 node when it opens and any other node when
-    its left subtree closes, or at once if it is childless.
-    """
-    diagonals: list[tuple[int, int]] = []
-    frames: list[tuple[str, int]] = []  # (pair, lo); a 00 past its left subtree is 11
-    k = 0  # nodes numbered so far
-    body = s.bits[1:-1] + "11" if s.bits else ""
-    for i in range(0, len(body), 2):
-        pair = body[i : i + 2]
-        if pair != "11":
-            frames.append((pair, k))
-            k += pair == "10"  # no left subtree: numbered as it opens
-            continue
-        lo, k = k, k + 1  # a childless node closes at once
-        diagonals.append((lo, k + 1))
-        while frames:
-            pair, lo = frames.pop()
-            if pair == "00":
-                k += 1
-                frames.append(("11", lo))
-                break
-            k += pair == "01"  # a 01 is numbered as its left subtree closes
-            diagonals.append((lo, k + 1))
-    # diagonals[-1] is the root side, not a diagonal
-    return _trusted(Triangulation, m=s.semilength + 2, diagonals=tuple(sorted(diagonals[:-1])))
+    """The (semilength + 2)-gon triangulation behind the sequence."""
+    return _trusted(Triangulation, m=s.semilength + 2, diagonals=tuple(_diagonals(s)))
 
 
 def dual_tree(tri: Triangulation) -> BinaryTree:
@@ -162,14 +151,15 @@ def rebuild_triangulation(t: BinaryTree, m: int) -> Triangulation:
     return decode_polygon(s)
 
 
-def parse_polygon(text: str) -> Triangulation:
-    """Parse "m;a-b,c-d,..." with diagonals optional, e.g. "5;0-2,0-3" or "3;"."""
+def read_polygon(text: str) -> CatalanSequence:
+    """The dual tree's word of "m;a-b,c-d,..." with diagonals optional, e.g. "5;0-2,0-3" or "3;"."""
     head, sep, tail = text.partition(";")
     m = parse_natural(head)
     if not sep or m is None:
         raise ParseError("expected 'm;diagonals' with a numeric side count")
-    return parsed(Triangulation, "triangulation", m, parse_pairs(tail, "diagonal", "a-b"))
+    _, bits = parsed(_triangulation_bits, "triangulation", m, parse_pairs(tail, "diagonal", "a-b"))
+    return _trusted(CatalanSequence, bits=bits)
 
 
-def render_polygon(tri: Triangulation) -> str:
-    return f"{tri.m};" + ",".join(f"{a}-{b}" for a, b in tri.diagonals)
+def write_polygon(s: CatalanSequence) -> str:
+    return f"{s.semilength + 2};" + ",".join(f"{a}-{b}" for a, b in _diagonals(s))

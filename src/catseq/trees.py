@@ -3,35 +3,39 @@
 The tree codec walks the tree in preorder and emits a digit pair per
 edge: 01 for a lone left edge, 10 for a lone right edge, and 00 / 11
 for the left / right edges of a node with two children, the whole body
-wrapped in a leading 0 and a trailing 1.  Decoding reads the pairs once
-and builds the frozen nodes bottom-up: each 01, 10 or 00 opens a frame
-for the node it describes, and each 11, like the end of the input,
-closes frames until it reaches the 00 still waiting for its left subtree.
+wrapped in a leading 0 and a trailing 1.
 
 Extended binary trees (every internal node has exactly two children)
 double as multiplication expressions: leaves are factors, internal
 nodes multiplications.  Node and Internal share one base, so equality,
-hashing, the edge-pair codec and one infix grammar serve both; the
-grammar only swaps tokens, "(. (. .))" for trees and "(a*(a*a))" for
-expressions.  One walker (_edge_pairs) gives the code of either kind
-and one builder (_decode_pairs) decodes a code into either kind, so
-extend_tree and strip_leaves are the code of one kind decoded as the other.
+hashing, the codec and one infix grammar serve both; the grammar only
+swaps tokens, "(. (. .))" for trees and "(a*(a*a))" for expressions.
 Expressions also have a postfix syntax ("aaa**") and two sequence
 codecs: the total one, which is the tree codec on the internal nodes,
 and the append-a-1 postfix wire format whose decode is partial.
 
-Every traversal here uses an explicit stack; degenerate chains of 10^4
-nodes and more are fine.
+Each text is read straight into the code, by the infix grammar or the
+postfix fold (_postfix), and written straight from it by one writer
+(_write), with no nodes.  Decoding is the postfix fold over the written
+postfix text.  The object API composes these with the codec: parse_tree
+is decode_tree after read_tree, render_tree is write_tree after encode_tree.
+Every traversal uses an explicit stack, so chains of 10^5 nodes are fine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .core import CatalanSequence, DomainError, ParseError, _trusted
+from .core import CatalanError, CatalanSequence, DomainError, ParseError, _trusted
 
 _RPN_TO_BITS = str.maketrans("a*", "01")
 _BITS_TO_RPN = str.maketrans("01", "a*")
+
+#: a node's text is opener, left, separator, right, closer; an empty subtree is the leaf
+_TREE = ("(", ".", " ", ")")
+_MULT = ("(", "a", "*", ")")
+_RPN = ("", "a", "", "*")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -40,11 +44,18 @@ class _BinaryNode:
 
     Equality and hashing compare the concrete type and the edge-pair code,
     which is one-to-one on shapes, so a Node never equals an Internal.  The
-    repr shows the infix text in the subclass's tokens.
+    repr shows the infix text in the subclass's tokens.  A child that is
+    neither ``None`` nor a node of the same type raises CatalanError.
     """
 
     left: _BinaryNode | None = None
     right: _BinaryNode | None = None
+
+    def __post_init__(self):
+        for child in (self.left, self.right):
+            if child is not None and type(child) is not type(self):
+                kind = type(self).__name__
+                raise CatalanError(f"a {kind} child must be None or a {kind}, not {type(child).__name__}")
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -55,7 +66,7 @@ class _BinaryNode:
         return hash((type(self), _edge_pairs(self)))
 
     def __repr__(self):
-        return f"{type(self).__name__}[{_render_infix(self, type(self))}]"
+        return f"{type(self).__name__}[{_write(_edge_pairs(self), self._TOKENS)}]"
 
 
 class Node(_BinaryNode):
@@ -64,7 +75,7 @@ class Node(_BinaryNode):
     The empty binary tree as a whole is plain ``None``.
     """
 
-    _TOKENS = (".", " ")  # infix leaf and separator: "(. (. .))"
+    _TOKENS = _TREE
 
 
 class Internal(_BinaryNode):
@@ -75,7 +86,7 @@ class Internal(_BinaryNode):
     leaf_count = internal_count + 1 holds by construction.
     """
 
-    _TOKENS = ("a", "*")  # "(a*(a*a))"
+    _TOKENS = _MULT
 
 
 BinaryTree = Node | None
@@ -122,76 +133,97 @@ def encode_tree(t: BinaryTree | ExtendedBinaryTree) -> CatalanSequence:
     return _trusted(CatalanSequence, bits=_edge_pairs(t))
 
 
-def _edge_pairs(t) -> str:
-    """The bits of encode_tree(t), unchecked.
+def _edge_pairs(root, children=attrgetter("left", "right")) -> str:
+    """The bits of encode_tree(root); ``children(node)`` is its (left, right).
 
     The stack holds the nodes still to walk and None for a 11 still to
-    write, so every digit comes from the walk itself and the word is valid
-    whatever the nodes hold; a child that is not a node raises.
+    write, so the word is valid whatever the nodes hold.
     """
-    if t is None:
+    if root is None:
         return ""
     out = ["0"]
-    stack: list[_BinaryNode | None] = [t]
+    stack = [root]
     while stack:
         item = stack.pop()
         if item is None:
             out.append("11")
             continue
-        left, right = item.left, item.right
-        if left is not None and right is None:
-            out.append("01")
-            stack.append(left)
-        elif left is None and right is not None:
+        left, right = children(item)
+        if right is None:
+            if left is not None:
+                out.append("01")
+                stack.append(left)
+        elif left is None:
             out.append("10")
             stack.append(right)
-        elif left is not None and right is not None:
+        else:
             out.append("00")
-            stack.append(right)
-            stack.append(None)
-            stack.append(left)
+            stack += (right, None, left)
     out.append("1")
     return "".join(out)
 
 
-def _decode_pairs(s: CatalanSequence, make):
-    """The tree behind ``s`` built from ``make(left, right)`` nodes in one pass.
+def _write(bits: str, tokens: tuple[str, str, str, str]) -> str:
+    """The text of the code ``bits``: a node as opener, left, separator,
+    right, closer, and an empty subtree as the leaf.
 
-    Each 01, 10 or 00 pushes a frame for the node it describes, whose
-    child comes next.  A 11, or the end of the input, means the current
-    node is childless: frames close bottom-up into finished subtrees
-    until the 00 still waiting for its left subtree, which takes that
-    subtree and waits for its right one.  The root hangs below a virtual
-    00 at the bottom of the stack.  Valid input never underflows it.
+    A 01, 10 or 00 writes what precedes its node's first nonempty subtree
+    and pushes what follows it, None for a 00's right subtree.  A 11, like
+    the end, is a childless node; it pops closers down to that None.
     """
-    if not s.bits:
-        return None
-    frames: list = ["00"]
-    body = s.bits[1:-1] + "11"  # the final 11 closes every frame left open
-    for i in range(0, len(body), 2):
-        pair = body[i : i + 2]
-        if pair != "11":
-            frames.append(pair)
-            continue
-        node = make()
-        while True:
-            frame = frames.pop()
-            if frame.__class__ is make:  # a 00 whose left subtree is done
-                node = make(frame, node)
-            elif frame == "01":
-                node = make(node, None)
-            elif frame == "10":
-                node = make(None, node)
-            else:  # the 00 waiting for its left subtree
-                frames.append(node)
-                break
-    assert len(frames) == 1, "pair stream of a valid sequence left open frames"
-    return frames[0]
+    opener, leaf, sep, closer = tokens
+    if not bits:
+        return leaf
+    childless = opener + leaf + sep + leaf + closer
+    out = []
+    closers: list[str | None] = []
+    for i in range(1, len(bits) - 1, 2):
+        pair = bits[i : i + 2]
+        if pair == "11":
+            out.append(childless)
+            while (tail := closers.pop()) is not None:
+                out.append(tail)
+            out.append(sep)
+            closers.append(closer)
+        elif pair == "10":
+            out.append(opener + leaf + sep)
+            closers.append(closer)
+        else:
+            out.append(opener)
+            closers.append(sep + leaf + closer if pair == "01" else None)
+    out.append(childless)
+    out += reversed(closers)  # a valid code leaves no 00 waiting
+    return "".join(out)
+
+
+def _postfix(text: str, make=lambda left, right: (left, right)):
+    """The tree of a postfix word over {'a', '*'}: None per leaf and
+    ``make(left, right)`` per operator.
+
+    Raises StackUnderflowError when an operator lacks two operands and
+    ExcessOperandsError when more than one value remains at the end.
+    """
+    stack: list = []
+    for i, ch in enumerate(text):
+        if ch == "a":
+            stack.append(None)
+        elif ch == "*":
+            if len(stack) < 2:
+                raise StackUnderflowError(i + 1)
+            right = stack.pop()
+            stack[-1] = make(stack[-1], right)
+        else:
+            raise ParseError(f"expected 'a' or '*', found {ch!r}", i + 1)
+    if not stack:
+        raise ParseError("empty postfix word", 1)
+    if len(stack) > 1:
+        raise ExcessOperandsError(len(stack))
+    return stack[0]
 
 
 def decode_tree(s: CatalanSequence) -> BinaryTree:
-    """Exact inverse of encode_tree: one pass over the digit pairs."""
-    return _decode_pairs(s, Node)
+    """Exact inverse of encode_tree: the postfix fold over write_rpn(s)."""
+    return _postfix(write_rpn(s), Node)
 
 
 def extend_tree(t: BinaryTree) -> ExtendedBinaryTree:
@@ -205,95 +237,107 @@ def strip_leaves(e: ExtendedBinaryTree) -> BinaryTree:
     return decode_tree(encode_expression(e))
 
 
-def encode_expression(e: ExtendedBinaryTree) -> CatalanSequence:
-    """Total expression codec: the tree codec on the internal nodes, i.e.
-    encode_tree(strip_leaves(e)).  n multiplications yield semilength n."""
-    return encode_tree(e)
+#: the total expression codec is the tree codec on the internal nodes
+encode_expression = encode_tree
 
 
 def decode_expression(s: CatalanSequence) -> ExtendedBinaryTree:
     """Inverse of encode_expression: decode_tree with Internal nodes."""
-    return _decode_pairs(s, Internal)
+    return _postfix(write_rpn(s), Internal)
 
 
-def _parse_infix(text: str, make, end_noun: str, noun: str, separator: str):
-    """Parse  T := leaf | "(" T sep T ")"  in ``make``'s tokens into ``make`` nodes.
+def _read_infix(text: str, tokens: tuple[str, str, str, str], end_noun: str, noun: str, separator: str) -> str:
+    """The code of the text  T := leaf | "(" T sep T ")"  in ``tokens``.
 
-    Raises ParseError with the 1-based offending position; the three
-    strings name the text, the whole and the separator in its messages.
+    Each "(" reserves a slot for its node's pair and its separator one for
+    its 11; its ")" fills both, knowing now which subtrees are nodes.
+    ParseError gives the 1-based position; the strings name parts in it.
     """
-    leaf, sep = make._TOKENS
-    pos = 0
-    length = len(text)
-    frames: list[list] = []
-    while True:
-        if pos >= length:
-            raise ParseError(f"unexpected end of {end_noun}", pos + 1)
-        ch = text[pos]
-        if ch == "(":
-            frames.append([])
-            pos += 1
-            continue
-        if ch != leaf:
-            raise ParseError(f"expected '(' or {leaf!r}, found {ch!r}", pos + 1)
-        node = None
-        pos += 1
-        while True:  # attach the finished subtree upward
-            if not frames:
-                if pos != length:
-                    raise ParseError(f"trailing characters after {noun}", pos + 1)
-                return node
-            frame = frames[-1]
-            if not frame:
-                frame.append(node)
-                if pos >= length or text[pos] != sep:
-                    raise ParseError(f"expected {separator}", pos + 1)
-                pos += 1
-                break
-            if pos >= length or text[pos] != ")":
-                raise ParseError("expected ')'", pos + 1)
-            pos += 1
-            node = make(frame[0], node)
-            frames.pop()
-
-
-def _render_infix(root, kind) -> str:
-    """Infix text  T := leaf | "(" T sep T ")"  in ``kind``'s tokens."""
-    leaf, sep = kind._TOKENS
-    out = []
-    stack = [root]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif item is None:
-            out.append(leaf)
+    leaf, sep = tokens[1:3]
+    slots = ["0"]
+    frames: list[int] = []  # per open "(": its pair's slot, then its 11's slot, or -1 past an empty left
+    want = True  # a subtree starts here
+    node = False  # the subtree just finished is a node
+    for pos, ch in enumerate(text, 1):
+        if want:
+            if ch == "(":
+                frames += (len(slots), 0)
+                slots.append("")
+            elif ch == leaf:
+                want = node = False
+            else:
+                raise ParseError(f"expected '(' or {leaf!r}, found {ch!r}", pos)
+        elif not frames:
+            raise ParseError(f"trailing characters after {noun}", pos)
+        elif not frames[-1]:
+            if ch != sep:
+                raise ParseError(f"expected {separator}", pos)
+            frames[-1] = len(slots) if node else -1
+            slots.append("")
+            want = True
+        elif ch != ")":
+            raise ParseError("expected ')'", pos)
         else:
-            stack.extend((")", item.right, sep, item.left, "("))
-    return "".join(out)
+            eleven = frames.pop()
+            pair = frames.pop()
+            if eleven > 0:
+                slots[pair] = "00" if node else "01"
+                slots[eleven] = "11" if node else ""
+            elif node:
+                slots[pair] = "10"
+            node = True
+    if want:
+        raise ParseError(f"unexpected end of {end_noun}", len(text) + 1)
+    if frames:
+        raise ParseError("expected ')'" if frames[-1] else f"expected {separator}", len(text) + 1)
+    return "".join(slots) + "1" if node else ""
+
+
+def read_tree(text: str) -> CatalanSequence:
+    """The code of the tree text  Tree := "." | "(" Tree " " Tree ")"."""
+    return _trusted(CatalanSequence, bits=_read_infix(text, _TREE, "tree text", "tree", "' ' between subtrees"))
+
+
+def write_tree(s: CatalanSequence) -> str:
+    return _write(s.bits, _TREE)
 
 
 def parse_tree(text: str) -> BinaryTree:
     """Parse the tree text form  Tree := "." | "(" Tree " " Tree ")"."""
-    return _parse_infix(text, Node, "tree text", "tree", "' ' between subtrees")
+    return decode_tree(read_tree(text))
 
 
 def render_tree(t: BinaryTree) -> str:
     """Canonical tree text: "." for empty, "(left right)" otherwise."""
-    return _render_infix(t, Node)
+    return write_tree(encode_tree(t))
+
+
+def read_mult(text: str) -> CatalanSequence:
+    """The code of the expression  Expr := "a" | "(" Expr "*" Expr ")"."""
+    return _trusted(CatalanSequence, bits=_read_infix(text, _MULT, "expression", "expression", "'*'"))
+
+
+def write_mult(s: CatalanSequence) -> str:
+    return _write(s.bits, _MULT)
 
 
 def parse_mult(text: str) -> ExtendedBinaryTree:
-    """Parse the grammar  Expr := "a" | "(" Expr "*" Expr ")".
-
-    Raises ParseError with the 1-based offending position.
-    """
-    return _parse_infix(text, Internal, "expression", "expression", "'*'")
+    """Parse the grammar  Expr := "a" | "(" Expr "*" Expr ")"."""
+    return decode_expression(read_mult(text))
 
 
 def render_mult(e: ExtendedBinaryTree) -> str:
     """Canonical parenthesized text; every factor is the letter 'a'."""
-    return _render_infix(e, Internal)
+    return write_mult(encode_expression(e))
+
+
+def read_rpn(text: str) -> CatalanSequence:
+    """The code of the expression behind a postfix word over {'a', '*'}."""
+    return _trusted(CatalanSequence, bits=_edge_pairs(_postfix(text), children=tuple))  # a pair is its children
+
+
+def write_rpn(s: CatalanSequence) -> str:
+    return _write(s.bits, _RPN)
 
 
 def parse_rpn(text: str) -> ExtendedBinaryTree:
@@ -302,61 +346,40 @@ def parse_rpn(text: str) -> ExtendedBinaryTree:
     Raises StackUnderflowError when an operator lacks two operands and
     ExcessOperandsError when more than one value remains at the end.
     """
-    stack: list[ExtendedBinaryTree] = []
-    for i, ch in enumerate(text):
-        if ch == "a":
-            stack.append(None)
-        elif ch == "*":
-            if len(stack) < 2:
-                raise StackUnderflowError(i + 1)
-            right = stack.pop()
-            left = stack.pop()
-            stack.append(Internal(left, right))
-        else:
-            raise ParseError(f"expected 'a' or '*', found {ch!r}", i + 1)
-    if not stack:
-        raise ParseError("empty postfix word", 1)
-    if len(stack) > 1:
-        raise ExcessOperandsError(len(stack))
-    return stack[0]
+    return decode_expression(read_rpn(text))
 
 
 def render_rpn(e: ExtendedBinaryTree) -> str:
-    """Postorder text: left body, right body, '*' per multiplication.  A
-    preorder walk that takes the right child first writes each '*', then its
-    right body, then its left body: the postfix text backwards."""
-    out = []
-    stack: list[ExtendedBinaryTree] = [e]
-    while stack:
-        item = stack.pop()
-        if item is None:
-            out.append("a")
-        else:
-            out.append("*")
-            stack += (item.left, item.right)
-    return "".join(out)[::-1]
+    """Postorder text: left body, right body, '*' per multiplication."""
+    return write_rpn(encode_expression(e))
 
 
-def rpn_paper_encode(e: ExtendedBinaryTree) -> CatalanSequence:
-    """Postfix wire format: operand -> 0, operator -> 1, then one extra 1.
-
-    An expression with k factors encodes to semilength k, always a valid
-    sequence (operands strictly dominate operators in every proper prefix).
-    """
-    return _trusted(CatalanSequence, bits=render_rpn(e).translate(_RPN_TO_BITS) + "1")
+def rpn_paper_read(text: str) -> CatalanSequence:
+    """The rpn-paper code of a postfix word; raises parse_rpn's errors."""
+    _postfix(text)
+    return _trusted(CatalanSequence, bits=text.translate(_RPN_TO_BITS) + "1")
 
 
-def rpn_paper_decode(s: CatalanSequence) -> ExtendedBinaryTree:
-    """Partial inverse of rpn_paper_encode.
-
-    Drops the final 1 and reads the rest as a postfix word; raises
-    NotInImageError when that word is not well formed, which happens for
-    every valid sequence outside the wire format's image.
-    """
+def rpn_paper_write(s: CatalanSequence) -> str:
+    """The postfix word whose rpn-paper code is ``s``: the rest after the
+    final 1, read as a postfix word.  Raises NotInImageError when that word
+    is not well formed, as for every valid sequence outside the image."""
     if not s.bits:
         raise NotInImageError("the empty sequence is outside the rpn-paper image")
     word = s.bits[:-1].translate(_BITS_TO_RPN)
     try:
-        return parse_rpn(word)
+        _postfix(word)
     except ParseError as exc:
         raise NotInImageError(f"sequence {s.bits} is outside the rpn-paper image") from exc
+    return word
+
+
+def rpn_paper_encode(e: ExtendedBinaryTree) -> CatalanSequence:
+    """Postfix wire format: operand -> 0, operator -> 1, then one extra 1;
+    k factors give semilength k, as operands lead in every proper prefix."""
+    return _trusted(CatalanSequence, bits=render_rpn(e).translate(_RPN_TO_BITS) + "1")
+
+
+def rpn_paper_decode(s: CatalanSequence) -> ExtendedBinaryTree:
+    """Partial inverse of rpn_paper_encode; NotInImageError outside its image."""
+    return parse_rpn(rpn_paper_write(s))

@@ -3,10 +3,13 @@ from itertools import combinations
 
 import pytest
 
-from catseq.chords import ChordDiagram, decode_chords, encode_chords, parse_chords, render_chords
+from catseq.chords import ChordDiagram, decode_chords, encode_chords
 from catseq.core import CatalanError, ParseError, enumerate_sequences, validate
+from catseq.families import FAMILIES
 
 from oracle import crosses, first01_pairs, perfect_matchings
+
+parse_chords, render_chords = FAMILIES["chords"].parse, FAMILIES["chords"].render
 
 
 class TestConstructor:

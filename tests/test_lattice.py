@@ -10,10 +10,11 @@ from catseq.lattice import (
     decode_pm,
     encode_path,
     encode_pm,
-    parse_path,
-    parse_pm,
-    render_pm,
 )
+from catseq.families import FAMILIES
+
+parse_path = FAMILIES["path"].parse
+parse_pm, render_pm = FAMILIES["pm"].parse, FAMILIES["pm"].render
 
 
 class TestGridPath:

@@ -14,13 +14,14 @@ from catseq.polygons import (
     decode_polygon,
     dual_tree,
     encode_polygon,
-    parse_polygon,
     rebuild_triangulation,
-    render_polygon,
 )
+from catseq.families import FAMILIES
 from catseq.trees import Node, node_count
 
 from oracle import crosses, cycle_lemma_word, ref_dual_tree, ref_encode_tree, triangulations
+
+parse_polygon, render_polygon = FAMILIES["polygon"].parse, FAMILIES["polygon"].render
 
 
 class TestConstructor:
