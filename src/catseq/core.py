@@ -211,7 +211,7 @@ class CatalanSequence:
 class AltitudeProfile:
     """Running balance (#0 - #1) along a sequence, one entry per prefix.
 
-    For a sequence of semilength n this holds 2n + 1 heights, starting
+    For a sequence of semilength n this holds 2n + 1 int heights, starting
     and ending at 0, moving by exactly 1 per step and never dropping
     below 0.  It is the silhouette of the mountain-range rendering.
     """
@@ -221,7 +221,8 @@ class AltitudeProfile:
     def __post_init__(self):
         try:
             hs = tuple(self.heights)
-            ok = hs[0] == 0 == hs[-1] and min(hs) >= 0 and all(abs(b - a) == 1 for a, b in zip(hs, hs[1:]))
+            ok = {*map(type, hs)} == {int}  # a bool or float equals an int but renders apart
+            ok = ok and hs[0] == 0 == hs[-1] and min(hs) >= 0 and all(abs(b - a) == 1 for a, b in zip(hs, hs[1:]))
         except (TypeError, IndexError):
             ok = False
         if not ok:

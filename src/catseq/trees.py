@@ -55,7 +55,7 @@ class _BinaryNode:
         for child in (self.left, self.right):
             if child is not None and type(child) is not type(self):
                 kind = type(self).__name__
-                raise CatalanError(f"a {kind} child must be None or a {kind}, not {type(child).__name__}")
+                raise CatalanError(f"{kind} children must be None or {kind}, not {type(child).__name__}")
 
     def __eq__(self, other):
         if type(other) is not type(self):

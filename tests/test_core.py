@@ -123,7 +123,8 @@ class TestAltitudeProfile:
             assert hs[0] == 0 and hs[-1] == 0
             assert min(hs) >= 0
 
-    NOT_PROFILES = [(0, 2, 0), (0, -1, 0), (0, 1), (1, 0), ()]
+    # the last two equal int profiles, but a bool or float height renders apart
+    NOT_PROFILES = [(0, 2, 0), (0, -1, 0), (0, 1), (1, 0), (), (0, 1.0, 0), (0, True, 0)]
 
     @pytest.mark.parametrize("heights", NOT_PROFILES)
     def test_rejects_non_profiles(self, heights):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catseq import chords, lattice, polygons, trees
 from catseq.chords import ChordDiagram
 from catseq.core import (
     AltitudeProfile,
@@ -20,15 +22,32 @@ from catseq.core import (
     unrank,
     validate,
 )
-from catseq.families import FAMILIES, family_ids, resolve, transcode
+from catseq.families import FAMILIES, Family, family_ids, resolve, transcode
 from catseq.lattice import GridPath, PlusMinusSequence
 from catseq.polygons import Triangulation
 from catseq.render import render_dot, render_mountain
 from catseq.trees import decode_tree
 
-from oracle import cycle_lemma_word
+from oracle import brute_sequences, cycle_lemma_word
 
 TOTAL_FAMILIES = [name for name, fam in FAMILIES.items() if fam.total]
+
+#: every value type and every object codec, by the module that defines it
+OBJECT_API = {
+    trees: "Node Internal encode_tree decode_tree encode_expression decode_expression parse_tree render_tree"
+    " parse_mult render_mult parse_rpn render_rpn rpn_paper_encode rpn_paper_decode",
+    lattice: "GridPath PlusMinusSequence encode_path decode_path encode_pm decode_pm",
+    chords: "ChordDiagram encode_chords decode_chords",
+    polygons: "Triangulation encode_polygon decode_polygon",
+}
+
+
+def outcome(fn, *args):
+    """The result, or the error's class and message."""
+    try:
+        return fn(*args)
+    except CatalanError as exc:
+        return type(exc), str(exc)
 
 # Numbers include digits that str.isdigit accepts but int rejects ('²',
 # Arabic-Indic three) and a run past the interpreter's int-string limit.
@@ -191,16 +210,42 @@ class TestTranscode:
         assert validate(encoded.bits) == encoded
         assert fam.parse(fam.render(x)) == x
 
-    @pytest.mark.parametrize("name", ["chords", "polygon"])
+    @pytest.mark.parametrize("name", TOTAL_FAMILIES)
     def test_text_round_trip_at_n_10000_within_budget(self, name):
         word = cycle_lemma_word(10_000, random.Random(name))
         fam = FAMILIES[name]
         start = time.perf_counter()
         text = fam.render(fam.decode(validate(word)))
         back = fam.encode(fam.parse(text)).bits
+        hub_text = transcode("sequence", name, word)
+        hub_back = transcode(name, "sequence", hub_text)
         elapsed = time.perf_counter() - start
-        assert back == word
-        assert elapsed < 1.5, f"{name} round trip at n = 10^4 took {elapsed:.2f} s"
+        assert back == hub_back == word and hub_text == text
+        assert elapsed < 1.5, f"{name} round trips at n = 10^4 took {elapsed:.2f} s"
+
+    def test_transcode_builds_no_family_objects(self, monkeypatch):
+        """No pair calls a family's parse, encode, decode or render, nor the
+        module codecs and value types behind them."""
+        words = [w for n in range(6) for w in brute_sequences(n)]
+        cases = []
+        for src in FAMILIES:
+            for bits in words:
+                bits = f"0{bits}1" if src == "rpn-paper" else bits
+                text = transcode("sequence", src, bits)
+                cases += [(src, dst, text, outcome(transcode, src, dst, text)) for dst in FAMILIES]
+
+        def built(*args, **kwargs):
+            raise AssertionError("transcode built a family object")
+
+        monkeypatch.setattr(Family, "parse", built)
+        monkeypatch.setattr(Family, "render", built)
+        for name, fam in FAMILIES.items():
+            monkeypatch.setitem(FAMILIES, name, dataclasses.replace(fam, encode=built, decode=built))
+        for module, names in OBJECT_API.items():
+            for attr in names.split():
+                monkeypatch.setattr(module, attr, built)
+        for src, dst, text, expected in cases:
+            assert outcome(transcode, src, dst, text) == expected, (src, dst, text)
 
     @pytest.mark.parametrize("n", range(7))
     def test_semilength_is_preserved(self, n):

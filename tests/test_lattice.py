@@ -151,6 +151,20 @@ class TestPlusMinus:
             PlusMinusSequence(values)
         assert str(info.value) == message and len(message) < 200
 
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ((True, -1), "invalid value True at position 1"),
+            ((1, -1.0), "invalid value -1.0 at position 2"),
+            ((1.0, -1), "invalid value 1.0 at position 1"),
+        ],
+    )
+    def test_rejects_values_that_are_not_plain_ints(self, values, message):
+        # each equals an int, so only its type tells such a sequence from one of ints
+        with pytest.raises(CatalanError) as info:
+            PlusMinusSequence(values)
+        assert str(info.value) == message
+
 
 class TestTextForms:
     def test_path_text(self):

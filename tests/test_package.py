@@ -76,14 +76,23 @@ def test_names_load_on_first_use_and_submodules_still_import():
 
 _CHECKS = """
 from catseq.chords import ChordDiagram
-from catseq.core import AltitudeProfile, CatalanError
+from catseq.core import AltitudeProfile, CatalanError, CatalanSequence
 from catseq.counting import SeriesPrefix
-for build, args in [(SeriesPrefix, ((2, 1),)), (AltitudeProfile, ((0, 2, 0),)), (ChordDiagram, (2, ((1, 3), (2, 4))))]:
+from catseq.families import FAMILIES
+from catseq.lattice import PlusMinusSequence
+from catseq.trees import Node
+MALFORMED = {"sequence": "0110", "tree": "((. .) .", "path": "HVVH", "pm": "+--+", "chords": "1-3,2-4",
+             "mult": "(a*a", "rpn": "aa", "rpn-paper": "a*", "polygon": "6;0-2,1-3,0-4"}
+cases = [(SeriesPrefix, ((2, 1),)), (AltitudeProfile, ((0, 2, 0),)), (ChordDiagram, (2, ((1, 3), (2, 4)))),
+         (AltitudeProfile, ((0, 1.0, 0),)), (PlusMinusSequence, ((True, -1),)), (Node, (5,))]
+cases += [(FAMILIES[name].read, (text,)) for name, text in MALFORMED.items()]
+cases.append((FAMILIES["rpn-paper"].write, (CatalanSequence("010011"),)))
+for build, args in cases:
     try:
         build(*args)
     except CatalanError:
         continue
-    raise SystemExit(f"{build.__name__}{args} was accepted")
+    raise SystemExit(f"{build}{args} was accepted")
 """
 
 

@@ -375,3 +375,18 @@ def test_structural_equality_and_hash():
 def test_reprs_are_textual():
     assert repr(Node()) == "Node[(. .)]"
     assert repr(Internal()) == "Internal[(a*a)]"
+
+
+@pytest.mark.parametrize(
+    "kind,children,message",
+    [
+        (Node, (5,), "Node children must be None or Node, not int"),
+        (Node, ("x",), "Node children must be None or Node, not str"),
+        (Node, (None, Internal()), "Node children must be None or Node, not Internal"),
+        (Internal, (Node(), None), "Internal children must be None or Internal, not Node"),
+    ],
+)
+def test_children_must_be_nodes_of_the_same_type(kind, children, message):
+    with pytest.raises(CatalanError) as info:
+        kind(*children)
+    assert str(info.value) == message
