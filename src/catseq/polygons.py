@@ -16,6 +16,7 @@ shares write_polygon's pass over the postfix text of the dual tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import CatalanError, CatalanSequence, ParseError, _trusted, cut_number, parse_natural, parse_pairs, parsed
 from .trees import BinaryTree, decode_tree, encode_tree, write_rpn
@@ -74,7 +75,7 @@ def _triangulation_bits(m, diagonals) -> tuple[list[tuple[int, int]], str]:
     out = ["0"]
     enclosing = [root]
     pa, pb = root  # the region before, whose pair waits for its apex
-    for a, b in sorted(normalized, key=lambda d: (d[0], -d[1])):
+    for a, b in sorted(sorted(normalized, key=itemgetter(1), reverse=True), key=itemgetter(0)):
         while enclosing[-1][1] <= a:
             enclosing.pop()
         c, d = enclosing[-1]
