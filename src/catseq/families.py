@@ -51,10 +51,17 @@ FAMILIES: dict[str, Family] = {
         Family("chords", chords.read_chords, chords.write_chords, chords.encode_chords, chords.decode_chords),
         Family("mult", trees.read_mult, trees.write_mult, trees.encode_expression, trees.decode_expression),
         Family("rpn", trees.read_rpn, trees.write_rpn, trees.encode_expression, trees.decode_expression),
-        Family("rpn-paper", trees.rpn_paper_read, trees.rpn_paper_write, trees.rpn_paper_encode,
-               trees.rpn_paper_decode, total=False),
-        Family("polygon", polygons.read_polygon, polygons.write_polygon, polygons.encode_polygon,
-               polygons.decode_polygon),
+        Family(
+            "rpn-paper",
+            trees.rpn_paper_read,
+            trees.rpn_paper_write,
+            trees.rpn_paper_encode,
+            trees.rpn_paper_decode,
+            total=False,
+        ),
+        Family(
+            "polygon", polygons.read_polygon, polygons.write_polygon, polygons.encode_polygon, polygons.decode_polygon
+        ),
     )
 }
 

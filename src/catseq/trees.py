@@ -237,8 +237,10 @@ def strip_leaves(e: ExtendedBinaryTree) -> BinaryTree:
     return decode_tree(encode_expression(e))
 
 
-#: the total expression codec is the tree codec on the internal nodes
-encode_expression = encode_tree
+def encode_expression(e: ExtendedBinaryTree) -> CatalanSequence:
+    """Total expression codec: the tree codec on the internal nodes, i.e.
+    encode_tree(strip_leaves(e)).  n multiplications yield semilength n."""
+    return encode_tree(e)
 
 
 def decode_expression(s: CatalanSequence) -> ExtendedBinaryTree:
@@ -322,7 +324,10 @@ def write_mult(s: CatalanSequence) -> str:
 
 
 def parse_mult(text: str) -> ExtendedBinaryTree:
-    """Parse the grammar  Expr := "a" | "(" Expr "*" Expr ")"."""
+    """Parse the grammar  Expr := "a" | "(" Expr "*" Expr ")".
+
+    Raises ParseError with the 1-based offending position.
+    """
     return decode_expression(read_mult(text))
 
 
@@ -341,12 +346,13 @@ def write_rpn(s: CatalanSequence) -> str:
 
 
 def parse_rpn(text: str) -> ExtendedBinaryTree:
-    """Build an expression from a postfix word over {'a', '*'}.
+    """Build an expression from a postfix word over {'a', '*'}: the postfix
+    fold with Internal nodes, which is decode_expression after read_rpn.
 
     Raises StackUnderflowError when an operator lacks two operands and
     ExcessOperandsError when more than one value remains at the end.
     """
-    return decode_expression(read_rpn(text))
+    return _postfix(text, Internal)
 
 
 def render_rpn(e: ExtendedBinaryTree) -> str:
@@ -382,4 +388,4 @@ def rpn_paper_encode(e: ExtendedBinaryTree) -> CatalanSequence:
 
 def rpn_paper_decode(s: CatalanSequence) -> ExtendedBinaryTree:
     """Partial inverse of rpn_paper_encode; NotInImageError outside its image."""
-    return parse_rpn(rpn_paper_write(s))
+    return _postfix(rpn_paper_write(s), Internal)
