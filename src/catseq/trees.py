@@ -19,7 +19,8 @@ postfix fold (_postfix), and written straight from it by one writer
 (_write), with no nodes.  Decoding is the postfix fold over the written
 postfix text.  The object API composes these with the codec: parse_tree
 is decode_tree after read_tree, render_tree is write_tree after encode_tree.
-Every traversal uses an explicit stack, so chains of 10^5 nodes are fine.
+Every traversal uses an explicit stack; degenerate chains of 10^4 nodes and
+more are fine.
 """
 
 from __future__ import annotations
