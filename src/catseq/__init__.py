@@ -41,8 +41,7 @@ _PUBLIC = {
         "BinaryTree", "ExcessOperandsError", "ExtendedBinaryTree", "Internal", "Node",
         "NotInImageError", "StackUnderflowError", "decode_expression", "decode_tree",
         "encode_expression", "encode_tree", "extend_tree", "internal_count", "leaf_count",
-        "node_count", "parse_mult", "parse_rpn", "parse_tree", "render_mult", "render_rpn",
-        "render_tree", "rpn_paper_decode", "rpn_paper_encode", "strip_leaves",
+        "node_count", "rpn_paper_decode", "rpn_paper_encode", "strip_leaves",
     ),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -17,8 +17,9 @@ and the append-a-1 postfix wire format whose decode is partial.
 Each text is read straight into the code, by the infix grammar or the
 postfix fold (_postfix), and written straight from it by one writer
 (_write), with no nodes.  Decoding is the postfix fold over the written
-postfix text.  The object API composes these with the codec: parse_tree
-is decode_tree after read_tree, render_tree is write_tree after encode_tree.
+postfix text.  This module holds the value types, the codecs and the
+read_*/write_* passes; text to object and back is FAMILIES[name].parse
+and .render in catseq.families, which compose these passes with a codec.
 Every traversal uses an explicit stack; degenerate chains of 10^4 nodes and
 more are fine.
 """
@@ -305,16 +306,6 @@ def write_tree(s: CatalanSequence) -> str:
     return _write(s.bits, _TREE)
 
 
-def parse_tree(text: str) -> BinaryTree:
-    """Parse the tree text form  Tree := "." | "(" Tree " " Tree ")"."""
-    return decode_tree(read_tree(text))
-
-
-def render_tree(t: BinaryTree) -> str:
-    """Canonical tree text: "." for empty, "(left right)" otherwise."""
-    return write_tree(encode_tree(t))
-
-
 def read_mult(text: str) -> CatalanSequence:
     """The code of the expression  Expr := "a" | "(" Expr "*" Expr ")"."""
     return _trusted(CatalanSequence, bits=_read_infix(text, _MULT, "expression", "expression", "'*'"))
@@ -322,19 +313,6 @@ def read_mult(text: str) -> CatalanSequence:
 
 def write_mult(s: CatalanSequence) -> str:
     return _write(s.bits, _MULT)
-
-
-def parse_mult(text: str) -> ExtendedBinaryTree:
-    """Parse the grammar  Expr := "a" | "(" Expr "*" Expr ")".
-
-    Raises ParseError with the 1-based offending position.
-    """
-    return decode_expression(read_mult(text))
-
-
-def render_mult(e: ExtendedBinaryTree) -> str:
-    """Canonical parenthesized text; every factor is the letter 'a'."""
-    return write_mult(encode_expression(e))
 
 
 def read_rpn(text: str) -> CatalanSequence:
@@ -346,23 +324,8 @@ def write_rpn(s: CatalanSequence) -> str:
     return _write(s.bits, _RPN)
 
 
-def parse_rpn(text: str) -> ExtendedBinaryTree:
-    """Build an expression from a postfix word over {'a', '*'}: the postfix
-    fold with Internal nodes, which is decode_expression after read_rpn.
-
-    Raises StackUnderflowError when an operator lacks two operands and
-    ExcessOperandsError when more than one value remains at the end.
-    """
-    return _postfix(text, Internal)
-
-
-def render_rpn(e: ExtendedBinaryTree) -> str:
-    """Postorder text: left body, right body, '*' per multiplication."""
-    return write_rpn(encode_expression(e))
-
-
 def rpn_paper_read(text: str) -> CatalanSequence:
-    """The rpn-paper code of a postfix word; raises parse_rpn's errors."""
+    """The rpn-paper code of a postfix word; raises read_rpn's errors."""
     _postfix(text)
     return _trusted(CatalanSequence, bits=text.translate(_RPN_TO_BITS) + "1")
 
@@ -384,7 +347,7 @@ def rpn_paper_write(s: CatalanSequence) -> str:
 def rpn_paper_encode(e: ExtendedBinaryTree) -> CatalanSequence:
     """Postfix wire format: operand -> 0, operator -> 1, then one extra 1;
     k factors give semilength k, as operands lead in every proper prefix."""
-    return _trusted(CatalanSequence, bits=render_rpn(e).translate(_RPN_TO_BITS) + "1")
+    return _trusted(CatalanSequence, bits=write_rpn(encode_expression(e)).translate(_RPN_TO_BITS) + "1")
 
 
 def rpn_paper_decode(s: CatalanSequence) -> ExtendedBinaryTree:

@@ -13,14 +13,9 @@ from itertools import product
 from catseq.core import enumerate_sequences, rank, unrank, validate
 from catseq.counting import catalan_closed, catalan_convolution, catalan_linear, catalan_series
 from catseq.families import FAMILIES
-from catseq.trees import (
-    NotInImageError,
-    node_count,
-    parse_rpn,
-    render_rpn,
-    rpn_paper_decode,
-    rpn_paper_encode,
-)
+from catseq.trees import NotInImageError, node_count, rpn_paper_decode, rpn_paper_encode
+
+parse_rpn, render_rpn = FAMILIES["rpn"].parse, FAMILIES["rpn"].render
 
 COUNTS = [1, 1, 2, 5, 14, 42, 132, 429]  # C_0..C_7
 

@@ -34,8 +34,8 @@ TOTAL_FAMILIES = [name for name, fam in FAMILIES.items() if fam.total]
 
 #: every value type and every object codec, by the module that defines it
 OBJECT_API = {
-    trees: "Node Internal encode_tree decode_tree encode_expression decode_expression parse_tree render_tree"
-    " parse_mult render_mult parse_rpn render_rpn rpn_paper_encode rpn_paper_decode",
+    trees: "Node Internal encode_tree decode_tree encode_expression decode_expression"
+    " rpn_paper_encode rpn_paper_decode",
     lattice: "GridPath PlusMinusSequence encode_path decode_path encode_pm decode_pm",
     chords: "ChordDiagram encode_chords decode_chords",
     polygons: "Triangulation encode_polygon decode_polygon",

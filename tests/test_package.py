@@ -1,4 +1,4 @@
-"""The package surface: 72 names, each loaded from its module on first use."""
+"""The package surface: 66 names, each loaded from its module on first use."""
 
 import os
 import subprocess
@@ -25,14 +25,13 @@ SURFACE = {
     "render": "render_dot render_mountain",
     "trees": "BinaryTree ExcessOperandsError ExtendedBinaryTree Internal Node NotInImageError"
     " StackUnderflowError decode_expression decode_tree encode_expression encode_tree extend_tree"
-    " internal_count leaf_count node_count parse_mult parse_rpn parse_tree render_mult render_rpn"
-    " render_tree rpn_paper_decode rpn_paper_encode strip_leaves",
+    " internal_count leaf_count node_count rpn_paper_decode rpn_paper_encode strip_leaves",
 }
 MODULE_OF = {name: module for module, names in SURFACE.items() for name in names.split()}
 
 
 def test_all_is_the_pinned_surface():
-    assert len(MODULE_OF) == 72
+    assert len(MODULE_OF) == 66
     assert catseq.__all__ == sorted(MODULE_OF)
 
 

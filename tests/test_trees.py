@@ -19,19 +19,18 @@ from catseq.trees import (
     internal_count,
     leaf_count,
     node_count,
-    parse_mult,
-    parse_rpn,
-    parse_tree,
-    render_mult,
-    render_rpn,
-    render_tree,
     rpn_paper_decode,
     rpn_paper_encode,
     strip_leaves,
 )
 from catseq.core import enumerate_sequences
+from catseq.families import FAMILIES
 
 from oracle import cycle_lemma_word, ref_encode_tree
+
+parse_tree, render_tree = FAMILIES["tree"].parse, FAMILIES["tree"].render
+parse_mult, render_mult = FAMILIES["mult"].parse, FAMILIES["mult"].render
+parse_rpn, render_rpn = FAMILIES["rpn"].parse, FAMILIES["rpn"].render
 
 FIG7_BITS = "00010111"
 FIG7_TREE = Node(Node(None, Node()), Node())  # root: left child with a right child, right child
