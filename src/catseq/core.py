@@ -140,6 +140,18 @@ def cut_number(k: int) -> str:
     return text if len(text) <= 20 else f"{text[:20]}..."
 
 
+def check_int(value, what: str) -> None:
+    """CatalanError unless ``value`` is a plain int: a bool or float equals an int but is refused."""
+    if type(value) is not int:
+        raise CatalanError(f"{what} must be an int, not {type(value).__name__}")
+
+
+def _check_semilength(n) -> None:
+    check_int(n, "semilength")
+    if n < 0:
+        raise CatalanError("semilength must be nonnegative")
+
+
 def _trusted(cls, **fields):
     """An instance of the frozen dataclass ``cls`` with each of its fields set
     by name from ``fields`` and no check run.  Only a codec whose own
@@ -258,15 +270,14 @@ def iter_sequences(n: int, cap: int = ENUMERATION_CAP) -> Iterator[CatalanSequen
     """The C_n Catalan sequences of semilength n, lexicographically ascending,
     one at a time, in memory that does not grow with C_n.
 
-    Raises CatalanError for n < 0 and CapExceededError for n > ``cap`` when
-    called, before the first word.
+    Raises CatalanError unless n is an int >= 0, and CapExceededError for
+    n > ``cap``, when called, before the first word.
 
     >>> it = iter_sequences(3)
     >>> next(it).bits, next(it).bits, [s.bits for s in it]
     ('000111', '001011', ['001101', '010011', '010101'])
     """
-    if n < 0:
-        raise CatalanError("semilength must be nonnegative")
+    _check_semilength(n)
     if n > cap:
         raise CapExceededError(f"semilength {n} exceeds the enumeration cap {cap}")
     return _successors(n)
@@ -326,8 +337,7 @@ def _ballot_rows(length: int) -> list[tuple[int, ...]]:
 
 def sequence_count(n: int) -> int:
     """C_n read off the ballot-number table (no list materialized)."""
-    if n < 0:
-        raise CatalanError("semilength must be nonnegative")
+    _check_semilength(n)
     return _ballot_rows(2 * n)[2 * n][0]
 
 
@@ -354,10 +364,11 @@ def rank(s: CatalanSequence) -> int:
 def unrank(n: int, k: int) -> CatalanSequence:
     """The k-th sequence of semilength n in lexicographic order; inverse of rank.
 
-    Raises IndexOutOfRangeError unless 0 <= k < C_n.
+    Raises CatalanError unless n and k are ints and n >= 0, and
+    IndexOutOfRangeError unless 0 <= k < C_n.
     """
-    if n < 0:
-        raise CatalanError("semilength must be nonnegative")
+    _check_semilength(n)
+    check_int(k, "index")
     table = _ballot_rows(2 * n)
     total = table[2 * n][0]
     if not 0 <= k < total:

@@ -12,18 +12,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import CatalanError
+from .core import CatalanError, check_int
 
 
 @dataclass(frozen=True)
 class SeriesPrefix:
-    """Leading coefficients of a power series; coefficients[k] is the z^k term."""
+    """Leading coefficients of a power series; coefficients[k] is the z^k term, a plain int."""
 
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        if not (self.coefficients and self.coefficients[0] == 1):
+        try:
+            coefficients = tuple(self.coefficients)
+        except TypeError:
+            raise CatalanError(f"coefficients must be iterable, not {type(self.coefficients).__name__}") from None
+        object.__setattr__(self, "coefficients", coefficients)
+        if not (coefficients and coefficients[0] == 1):
             raise CatalanError("a series prefix must start with the constant term 1")
+        if {*map(type, coefficients)} != {int}:  # a bool or float equals an int but renders apart
+            raise CatalanError("coefficients must be plain ints")
 
 
 def binomial(a: int, b: int) -> int:
@@ -32,6 +39,8 @@ def binomial(a: int, b: int) -> int:
     >>> binomial(6, 3)
     20
     """
+    check_int(a, "binomial argument")
+    check_int(b, "binomial argument")
     if a < 0 or b < 0:
         raise CatalanError("binomial arguments must be nonnegative")
     return math.comb(a, b)
@@ -86,6 +95,7 @@ def catalan_series(limit: int) -> SeriesPrefix:
     so each pass needs to evaluate just the first not-yet-stable
     coefficient of the square; the prefix is stable after ``limit`` passes.
     """
+    check_int(limit, "series prefix length")
     if limit < 1:
         raise CatalanError("series prefix length must be at least 1")
     coeffs = [1]
@@ -96,5 +106,6 @@ def catalan_series(limit: int) -> SeriesPrefix:
 
 
 def _check_index(n: int) -> None:
+    check_int(n, "Catalan index")
     if n < 0:
         raise CatalanError("Catalan numbers are indexed from 0")

@@ -316,6 +316,33 @@ class TestRandomUniform:
             assert [result[i] for i in range(len(cases))] == expected
 
 
+#: (function, arguments, message): a semilength or index that is not a plain
+#: int, which a bool or float would pass for, and the int messages kept as they were
+BAD_ARGUMENTS = [
+    (unrank, (3, 1.5), "index must be an int, not float"),
+    (unrank, (3, True), "index must be an int, not bool"),
+    (unrank, (2.0, 1), "semilength must be an int, not float"),
+    (sequence_count, (2.5,), "semilength must be an int, not float"),
+    (sequence_count, (True,), "semilength must be an int, not bool"),
+    (random_uniform, (2.0, 1), "semilength must be an int, not float"),
+    (iter_sequences, (2.0,), "semilength must be an int, not float"),
+    (enumerate_sequences, (None,), "semilength must be an int, not NoneType"),
+    (unrank, (-1, 0), "semilength must be nonnegative"),
+    (sequence_count, (-1,), "semilength must be nonnegative"),
+    (random_uniform, (-1, 1), "semilength must be nonnegative"),
+    (iter_sequences, (-1,), "semilength must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,args,message", BAD_ARGUMENTS, ids=[f"{fn.__name__}{args}" for fn, args, _ in BAD_ARGUMENTS]
+)
+def test_rejects_a_semilength_or_index_that_is_not_a_plain_int(fn, args, message):
+    with pytest.raises(core.CatalanError) as info:
+        fn(*args)
+    assert (type(info.value), str(info.value)) == (core.CatalanError, message)
+
+
 def test_sequence_count_matches_enumeration():
     for n in range(11):
         assert core.sequence_count(n) == len(enumerate_sequences(n))

@@ -98,6 +98,54 @@ def test_series_prefix_requires_unit_constant_term():
         SeriesPrefix((2, 1))
 
 
+#: (function, arguments, message): an index, prefix length or binomial argument
+#: that is not a plain int, and the int messages kept as they were
+BAD_ARGUMENTS = [
+    (catalan_closed, (2.5,), "Catalan index must be an int, not float"),
+    (catalan_convolution, (2.5,), "Catalan index must be an int, not float"),
+    (catalan_linear, (2.5,), "Catalan index must be an int, not float"),
+    (catalan_closed, (True,), "Catalan index must be an int, not bool"),
+    (catalan_series, (2.5,), "series prefix length must be an int, not float"),
+    (binomial, (4.0, 2), "binomial argument must be an int, not float"),
+    (binomial, (4, True), "binomial argument must be an int, not bool"),
+    (catalan_linear, (-1,), "Catalan numbers are indexed from 0"),
+    (catalan_series, (0,), "series prefix length must be at least 1"),
+    (binomial, (-1, 0), "binomial arguments must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,args,message", BAD_ARGUMENTS, ids=[f"{fn.__name__}{args}" for fn, args, _ in BAD_ARGUMENTS]
+)
+def test_rejects_an_argument_that_is_not_a_plain_int(fn, args, message):
+    with pytest.raises(CatalanError) as info:
+        fn(*args)
+    assert (type(info.value), str(info.value)) == (CatalanError, message)
+
+
+def test_series_prefix_stores_a_hashable_tuple():
+    prefix = SeriesPrefix([1, 2])
+    assert type(prefix.coefficients) is tuple
+    assert prefix == SeriesPrefix((1, 2)) and hash(prefix) == hash(SeriesPrefix((1, 2)))
+
+
+@pytest.mark.parametrize(
+    "coefficients,message",
+    [
+        ((True,), "coefficients must be plain ints"),
+        ((1.0, 2), "coefficients must be plain ints"),
+        ((1, 2.0), "coefficients must be plain ints"),
+        (5, "coefficients must be iterable, not int"),
+        ((2, 1), "a series prefix must start with the constant term 1"),
+        ((), "a series prefix must start with the constant term 1"),
+    ],
+)
+def test_series_prefix_rejects(coefficients, message):
+    with pytest.raises(CatalanError) as info:
+        SeriesPrefix(coefficients)
+    assert (type(info.value), str(info.value)) == (CatalanError, message)
+
+
 def test_threads_growing_the_convolution_memo_agree(monkeypatch):
     indices = list(range(0, 241, 3))
     expected = {n: catalan_closed(n) for n in indices}

@@ -75,15 +75,16 @@ def test_names_load_on_first_use_and_submodules_still_import():
 
 _CHECKS = """
 from catseq.chords import ChordDiagram
-from catseq.core import AltitudeProfile, CatalanError, CatalanSequence
-from catseq.counting import SeriesPrefix
+from catseq.core import AltitudeProfile, CatalanError, CatalanSequence, sequence_count, unrank
+from catseq.counting import SeriesPrefix, catalan_linear
 from catseq.families import FAMILIES
 from catseq.lattice import PlusMinusSequence
 from catseq.trees import Node
 MALFORMED = {"sequence": "0110", "tree": "((. .) .", "path": "HVVH", "pm": "+--+", "chords": "1-3,2-4",
              "mult": "(a*a", "rpn": "aa", "rpn-paper": "a*", "polygon": "6;0-2,1-3,0-4"}
 cases = [(SeriesPrefix, ((2, 1),)), (AltitudeProfile, ((0, 2, 0),)), (ChordDiagram, (2, ((1, 3), (2, 4)))),
-         (AltitudeProfile, ((0, 1.0, 0),)), (PlusMinusSequence, ((True, -1),)), (Node, (5,))]
+         (AltitudeProfile, ((0, 1.0, 0),)), (PlusMinusSequence, ((True, -1),)), (Node, (5,)),
+         (unrank, (3, 1.5)), (sequence_count, (2.5,)), (catalan_linear, (2.5,)), (SeriesPrefix, ((1.0, 2),))]
 cases += [(FAMILIES[name].read, (text,)) for name, text in MALFORMED.items()]
 cases.append((FAMILIES["rpn-paper"].write, (CatalanSequence("010011"),)))
 for build, args in cases:
