@@ -11,9 +11,7 @@ ChordDiagram shares with read_chords is the pass that writes the word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import CatalanError, CatalanSequence, _trusted, cut_number, parse_pairs, parsed
+from .core import CatalanError, CatalanSequence, _trusted, _Value, cut_number, parse_pairs, parsed
 
 
 def _chord_bits(n: int, chords) -> str:
@@ -45,8 +43,7 @@ def _chord_bits(n: int, chords) -> str:
     return "".join(bits)
 
 
-@dataclass(frozen=True)
-class ChordDiagram:
+class ChordDiagram(_Value):
     """n non-crossing chords pairing the points 1..2n, labeled clockwise.
 
     Chords are stored sorted ascending by smaller endpoint with each pair
@@ -54,22 +51,22 @@ class ChordDiagram:
     diagrams; the labels are part of the object.
     """
 
-    n: int
-    chords: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "chords")
 
-    def __post_init__(self):
+    def __init__(self, n: int, chords: tuple[tuple[int, int], ...]):
         try:
-            normalized = tuple(sorted((min(i, j), max(i, j)) for i, j in self.chords))
-            object.__setattr__(self, "chords", normalized)
-            if len(normalized) != self.n:
-                raise CatalanError(f"expected {cut_number(self.n)} chords, got {len(normalized)}")
-            if type(self.n) is not int or not {type(v) for chord in normalized for v in chord} <= {int}:
+            normalized = tuple(sorted((min(i, j), max(i, j)) for i, j in chords))
+            if len(normalized) != n:
+                raise CatalanError(f"expected {cut_number(n)} chords, got {len(normalized)}")
+            if type(n) is not int or not {type(v) for chord in normalized for v in chord} <= {int}:
                 raise TypeError  # a bool or float label equals an int but renders apart
         except CatalanError:
             raise
         except (TypeError, ValueError):
             raise CatalanError("expected an int n and chords that are pairs of int labels") from None
-        _chord_bits(self.n, normalized)
+        _chord_bits(n, normalized)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "chords", normalized)
 
 
 def _matching(bits: str) -> list[tuple[int, int]]:
@@ -89,18 +86,18 @@ def _matching(bits: str) -> list[tuple[int, int]]:
 
 def encode_chords(d: ChordDiagram) -> CatalanSequence:
     """Position i gets 0 and position j gets 1 for every chord (i, j)."""
-    return _trusted(CatalanSequence, bits=_chord_bits(d.n, d.chords))
+    return _trusted(CatalanSequence, _chord_bits(d.n, d.chords))
 
 
 def decode_chords(s: CatalanSequence) -> ChordDiagram:
     """Inverse of encode_chords: stack matching of the word."""
-    return _trusted(ChordDiagram, n=s.semilength, chords=tuple(_matching(s.bits)))
+    return _trusted(ChordDiagram, s.semilength, tuple(_matching(s.bits)))
 
 
 def read_chords(text: str) -> CatalanSequence:
     """The word of comma-separated "i-j" pairs, e.g. "1-8,2-7,3-4,5-6"."""
     pairs = parse_pairs(text, "chord", "i-j")
-    return _trusted(CatalanSequence, bits=parsed(_chord_bits, "chord diagram", len(pairs), pairs))
+    return _trusted(CatalanSequence, parsed(_chord_bits, "chord diagram", len(pairs), pairs))
 
 
 def write_chords(s: CatalanSequence) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
 
@@ -140,6 +139,14 @@ def cut_number(k: int) -> str:
     return text if len(text) <= 20 else f"{text[:20]}..."
 
 
+def _whole(k: int) -> str:
+    """``str(k)``, or ``cut_number(k)`` past the int-string limit, where ``str`` fails."""
+    try:
+        return str(k)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        return cut_number(k)
+
+
 def check_int(value, what: str) -> None:
     """CatalanError unless ``value`` is a plain int: a bool or float equals an int but is refused."""
     if type(value) is not int:
@@ -152,19 +159,59 @@ def _check_semilength(n) -> None:
         raise CatalanError("semilength must be nonnegative")
 
 
-def _trusted(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` with each of its fields set
-    by name from ``fields`` and no check run.  Only a codec whose own
-    construction proves the value valid may build through here; the public
-    constructors, ``validate`` and every ``parse_*`` keep every check."""
+def _trusted(cls, *values):
+    """``cls(*values)`` with no check run: the fields, in order, set straight
+    into their slots.  Only a codec whose own construction proves the value
+    valid may build through here; the public constructors, ``validate`` and
+    every ``parse_*`` keep every check.  Unpickling and copying rebuild
+    through here too."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
+    for name, value in zip(cls.__match_args__, values):
         object.__setattr__(obj, name, value)
     return obj
 
 
-@dataclass(frozen=True)
-class CatalanSequence:
+class _Value:
+    """The base of the value types: immutable fields in ``__slots__``.
+
+    A subclass lists its fields as its ``__slots__`` and sets them in
+    ``__init__`` with ``object.__setattr__``, after its checks.  Equality
+    (same type, equal fields), hashing, the repr ``Name(field=...)``,
+    ``__match_args__``, pickling and copying follow from the slots.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if cls.__slots__:  # a subclass that adds no slot keeps its base's fields
+            cls.__match_args__ = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return _trusted, (type(self), *self._values())
+
+
+class CatalanSequence(_Value):
     """A validated Catalan sequence.
 
     Construction enforces both defining conditions, so any instance in
@@ -183,10 +230,9 @@ class CatalanSequence:
     catseq.core.PrefixViolationError: ones exceed zeros in the prefix of length 3
     """
 
-    bits: str
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        bits = self.bits
+    def __init__(self, bits: str):
         if not isinstance(bits, str):  # every codec and text form reads a str
             raise CatalanError(f"bits must be a str, not {type(bits).__name__}")
         if len(bits) % 2:
@@ -204,6 +250,7 @@ class CatalanSequence:
         if balance != 0:
             ones = (len(bits) - balance) // 2
             raise CountMismatchError(f"{ones} ones vs {len(bits) - ones} zeros")
+        object.__setattr__(self, "bits", bits)
 
     @property
     def semilength(self) -> int:
@@ -219,8 +266,7 @@ class CatalanSequence:
         return iter(self.bits)
 
 
-@dataclass(frozen=True)
-class AltitudeProfile:
+class AltitudeProfile(_Value):
     """Running balance (#0 - #1) along a sequence, one entry per prefix.
 
     For a sequence of semilength n this holds 2n + 1 int heights, starting
@@ -228,11 +274,11 @@ class AltitudeProfile:
     below 0.  It is the silhouette of the mountain-range rendering.
     """
 
-    heights: tuple[int, ...]
+    __slots__ = ("heights",)
 
-    def __post_init__(self):
+    def __init__(self, heights: tuple[int, ...]):
         try:
-            hs = tuple(self.heights)
+            hs = tuple(heights)
             ok = {*map(type, hs)} == {int}  # a bool or float equals an int but renders apart
             ok = ok and hs[0] == 0 == hs[-1] and min(hs) >= 0 and all(abs(b - a) == 1 for a, b in zip(hs, hs[1:]))
         except (TypeError, IndexError):
@@ -263,7 +309,7 @@ def altitude_profile(s: CatalanSequence) -> AltitudeProfile:
     (0, 1, 2, 1, 0)
     """
     steps = (1 if ch == "0" else -1 for ch in s.bits)
-    return _trusted(AltitudeProfile, heights=tuple(accumulate(steps, initial=0)))  # valid as s is
+    return _trusted(AltitudeProfile, tuple(accumulate(steps, initial=0)))  # valid as s is
 
 
 def iter_sequences(n: int, cap: int = ENUMERATION_CAP) -> Iterator[CatalanSequence]:
@@ -297,7 +343,7 @@ def _successors(n: int) -> Iterator[CatalanSequence]:
         tails.append(["1" + "0" * (k + 1) + "1" * (k + h) for h in range(j + 1)])
     word = "0" * n + "1" * n
     while True:
-        yield _trusted(CatalanSequence, bits=word)  # valid by the identity above
+        yield _trusted(CatalanSequence, word)  # valid by the identity above
         j = word.rfind("11")
         if j < 0:
             return
@@ -372,7 +418,7 @@ def unrank(n: int, k: int) -> CatalanSequence:
     table = _ballot_rows(2 * n)
     total = table[2 * n][0]
     if not 0 <= k < total:
-        raise IndexOutOfRangeError(f"index {k} outside [0, {total}) for semilength {n}")
+        raise IndexOutOfRangeError(f"index {_whole(k)} outside [0, {_whole(total)}) for semilength {n}")
     bits = []
     balance = 0
     for row in reversed(table[: 2 * n]):  # row r: r symbols follow this one
@@ -384,7 +430,7 @@ def unrank(n: int, k: int) -> CatalanSequence:
             k -= with_zero
             bits.append("1")
             balance -= 1
-    return _trusted(CatalanSequence, bits="".join(bits))
+    return _trusted(CatalanSequence, "".join(bits))
 
 
 def random_uniform(n: int, seed: int) -> CatalanSequence:

@@ -10,27 +10,25 @@ ints (arbitrary precision); no floating point is used anywhere here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import CatalanError, check_int
+from .core import CatalanError, _Value, check_int
 
 
-@dataclass(frozen=True)
-class SeriesPrefix:
+class SeriesPrefix(_Value):
     """Leading coefficients of a power series; coefficients[k] is the z^k term, a plain int."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
+    def __init__(self, coefficients: tuple[int, ...]):
         try:
-            coefficients = tuple(self.coefficients)
+            coefficients = tuple(coefficients)
         except TypeError:
-            raise CatalanError(f"coefficients must be iterable, not {type(self.coefficients).__name__}") from None
-        object.__setattr__(self, "coefficients", coefficients)
+            raise CatalanError(f"coefficients must be iterable, not {type(coefficients).__name__}") from None
         if not (coefficients and coefficients[0] == 1):
             raise CatalanError("a series prefix must start with the constant term 1")
         if {*map(type, coefficients)} != {int}:  # a bool or float equals an int but renders apart
             raise CatalanError("coefficients must be plain ints")
+        object.__setattr__(self, "coefficients", coefficients)
 
 
 def binomial(a: int, b: int) -> int:

@@ -11,29 +11,35 @@ same family, as do the vote and ballot aliases for the ±1 family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from collections.abc import Callable
 
 from . import chords, lattice, polygons, trees
-from .core import CatalanError, CatalanSequence, validate
+from .core import CatalanError, CatalanSequence, _Value, validate
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(_Value):
     """One object family: its text read into and written from the sequence,
-    and its sequence codec."""
+    and its sequence codec.  ``total`` is False when write and decode can
+    reject valid sequences."""
 
-    name: str
-    read: Callable[[str], CatalanSequence]
-    write: Callable[[CatalanSequence], str]
-    encode: Callable[[Any], CatalanSequence]
-    decode: Callable[[CatalanSequence], Any]
-    total: bool = True  # False when write and decode can reject valid sequences
+    __slots__ = ("name", "read", "write", "encode", "decode", "total")
 
-    def parse(self, text: str) -> Any:
+    def __init__(
+        self,
+        name: str,
+        read: Callable[[str], CatalanSequence],
+        write: Callable[[CatalanSequence], str],
+        encode: Callable[..., CatalanSequence],
+        decode: Callable[[CatalanSequence], object],
+        total: bool = True,
+    ):
+        for field, value in zip(self.__slots__, (name, read, write, encode, decode, total)):
+            object.__setattr__(self, field, value)
+
+    def parse(self, text: str) -> object:
         return self.decode(self.read(text))
 
-    def render(self, obj: Any) -> str:
+    def render(self, obj: object) -> str:
         return self.write(self.encode(obj))
 
 

@@ -10,9 +10,7 @@ registry aliases rather than separate codecs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import CatalanError, CatalanSequence, ParseError, _trusted, cut_number, parsed
+from .core import CatalanError, CatalanSequence, ParseError, _trusted, _Value, cut_number, parsed
 
 _PATH_TO_BITS = str.maketrans("HV", "01")
 _BITS_TO_PATH = str.maketrans("01", "HV")
@@ -51,8 +49,7 @@ def _check_votes(values) -> None:
         raise CatalanError("values do not sum to 0")
 
 
-@dataclass(frozen=True)
-class GridPath:
+class GridPath(_Value):
     """Monotone path from (0,0) to (n,n) never crossing above the diagonal.
 
     ``steps`` is a word over 'H' (horizontal) and 'V' (vertical) with n of
@@ -60,55 +57,55 @@ class GridPath:
     diagonal is allowed.
     """
 
-    steps: str
+    __slots__ = ("steps",)
 
-    def __post_init__(self):
-        _check_steps(self.steps)
+    def __init__(self, steps: str):
+        _check_steps(steps)
+        object.__setattr__(self, "steps", steps)
 
     @property
     def n(self) -> int:
         return len(self.steps) // 2
 
 
-@dataclass(frozen=True)
-class PlusMinusSequence:
+class PlusMinusSequence(_Value):
     """±1 word with every partial sum >= 0 and total 0; each value a plain int."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
+    def __init__(self, values: tuple[int, ...]):
         try:
-            values = tuple(self.values)
+            values = tuple(values)
         except TypeError:
-            raise CatalanError(f"values must be iterable, not {type(self.values).__name__}") from None
-        object.__setattr__(self, "values", values)
+            raise CatalanError(f"values must be iterable, not {type(values).__name__}") from None
         _check_votes(values)
+        object.__setattr__(self, "values", values)
 
 
 def encode_path(p: GridPath) -> CatalanSequence:
     """H -> 0, V -> 1; valid because the path stays under the diagonal."""
-    return _trusted(CatalanSequence, bits=p.steps.translate(_PATH_TO_BITS))
+    return _trusted(CatalanSequence, p.steps.translate(_PATH_TO_BITS))
 
 
 def decode_path(s: CatalanSequence) -> GridPath:
     """0 -> H, 1 -> V; inverse of encode_path."""
-    return _trusted(GridPath, steps=write_path(s))
+    return _trusted(GridPath, write_path(s))
 
 
 def encode_pm(x: PlusMinusSequence) -> CatalanSequence:
     """+1 -> 0 and -1 -> 1 (note the inversion); the partial-sum conditions
     are exactly prefix dominance, so the result is always valid."""
-    return _trusted(CatalanSequence, bits="".join("0" if v == 1 else "1" for v in x.values))
+    return _trusted(CatalanSequence, "".join("0" if v == 1 else "1" for v in x.values))
 
 
 def decode_pm(s: CatalanSequence) -> PlusMinusSequence:
     """0 -> +1, 1 -> -1; inverse of encode_pm."""
-    return _trusted(PlusMinusSequence, values=tuple(1 if ch == "0" else -1 for ch in s.bits))
+    return _trusted(PlusMinusSequence, tuple(1 if ch == "0" else -1 for ch in s.bits))
 
 
 def read_path(text: str) -> CatalanSequence:
     parsed(_check_steps, "path text", text)
-    return _trusted(CatalanSequence, bits=text.translate(_PATH_TO_BITS))
+    return _trusted(CatalanSequence, text.translate(_PATH_TO_BITS))
 
 
 def write_path(s: CatalanSequence) -> str:
@@ -120,7 +117,7 @@ def read_pm(text: str) -> CatalanSequence:
     if rest:
         raise ParseError(f"expected '+' or '-', found {rest[0]!r}", len(text) - len(rest) + 1)
     parsed(_check_votes, "vote text", [1 if ch == "+" else -1 for ch in text])
-    return _trusted(CatalanSequence, bits=text.translate(_PM_TO_BITS))
+    return _trusted(CatalanSequence, text.translate(_PM_TO_BITS))
 
 
 def write_pm(s: CatalanSequence) -> str:

@@ -15,10 +15,11 @@ shares write_polygon's pass over the postfix text of the dual tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import CatalanError, CatalanSequence, ParseError, _trusted, cut_number, parse_natural, parse_pairs, parsed
+from .core import (
+    CatalanError, CatalanSequence, ParseError, _trusted, _Value, cut_number, parse_natural, parse_pairs, parsed,
+)
 from .trees import BinaryTree, decode_tree, encode_tree, write_rpn
 
 
@@ -92,8 +93,7 @@ def _triangulation_bits(m, diagonals) -> tuple[list[tuple[int, int]], str]:
     return normalized, "".join(out)
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(_Value):
     """A convex m-gon cut into m - 2 triangles by m - 3 non-crossing diagonals.
 
     Diagonals are stored as (a, b) with a < b, sorted ascending; the root
@@ -101,18 +101,18 @@ class Triangulation:
     with no triangles at all.
     """
 
-    m: int
-    diagonals: tuple[tuple[int, int], ...]
+    __slots__ = ("m", "diagonals")
 
-    def __post_init__(self):
-        normalized, _ = _triangulation_bits(self.m, self.diagonals)
+    def __init__(self, m: int, diagonals: tuple[tuple[int, int], ...]):
+        normalized, _ = _triangulation_bits(m, diagonals)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "diagonals", tuple(sorted(normalized)))
 
 
 def encode_polygon(tri: Triangulation) -> CatalanSequence:
     """The edge-pair code of the dual tree, semilength m - 2, as the check writes it."""
     try:
-        return _trusted(CatalanSequence, bits=_triangulation_bits(tri.m, tri.diagonals)[1])
+        return _trusted(CatalanSequence, _triangulation_bits(tri.m, tri.diagonals)[1])
     except CatalanError as exc:
         raise MalformedTriangulationError(f"malformed triangulation: {exc}") from exc
 
@@ -136,7 +136,7 @@ def _diagonals(s: CatalanSequence) -> list[tuple[int, int]]:
 
 def decode_polygon(s: CatalanSequence) -> Triangulation:
     """The (semilength + 2)-gon triangulation behind the sequence."""
-    return _trusted(Triangulation, m=s.semilength + 2, diagonals=tuple(_diagonals(s)))
+    return _trusted(Triangulation, s.semilength + 2, tuple(_diagonals(s)))
 
 
 def dual_tree(tri: Triangulation) -> BinaryTree:
@@ -159,7 +159,7 @@ def read_polygon(text: str) -> CatalanSequence:
     if not sep or m is None:
         raise ParseError("expected 'm;diagonals' with a numeric side count")
     _, bits = parsed(_triangulation_bits, "triangulation", m, parse_pairs(tail, "diagonal", "a-b"))
-    return _trusted(CatalanSequence, bits=bits)
+    return _trusted(CatalanSequence, bits)
 
 
 def write_polygon(s: CatalanSequence) -> str:

@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .core import CatalanSequence, altitude_profile
-
-if TYPE_CHECKING:  # an annotation only: mountains never load the tree module
-    from .trees import BinaryTree
 
 
 def render_mountain(s: CatalanSequence) -> list[str]:
@@ -28,6 +23,7 @@ def render_mountain(s: CatalanSequence) -> list[str]:
     return ["".join(rows[level]).rstrip() for level in range(peak - 1, -1, -1)]
 
 
+# BinaryTree, of catseq.trees, is only named in this lazy annotation: mountains never load that module
 def render_dot(t: BinaryTree) -> str:
     """Deterministic DOT text: nodes v0, v1, ... in preorder, edges tagged L/R."""
     declarations = []

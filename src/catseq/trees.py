@@ -26,10 +26,9 @@ more are fine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 
-from .core import CatalanError, CatalanSequence, DomainError, ParseError, _trusted
+from .core import CatalanError, CatalanSequence, DomainError, ParseError, _trusted, _Value
 
 _RPN_TO_BITS = str.maketrans("a*", "01")
 _BITS_TO_RPN = str.maketrans("01", "a*")
@@ -40,24 +39,26 @@ _MULT = ("(", "a", "*", ")")
 _RPN = ("", "a", "", "*")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class _BinaryNode:
+class _BinaryNode(_Value):
     """Two child slots, ``None`` for an empty one; the base of Node and Internal.
 
     Equality and hashing compare the concrete type and the edge-pair code,
     which is one-to-one on shapes, so a Node never equals an Internal.  The
-    repr shows the infix text in the subclass's tokens.  A child that is
-    neither ``None`` nor a node of the same type raises CatalanError.
+    repr shows the infix text in the subclass's tokens, and pickling and
+    copying rebuild from the postfix text, so a deep chain needs no deep
+    recursion.  A child that is neither ``None`` nor a node of the same type
+    raises CatalanError.
     """
 
-    left: _BinaryNode | None = None
-    right: _BinaryNode | None = None
+    __slots__ = ("left", "right")
 
-    def __post_init__(self):
-        for child in (self.left, self.right):
+    def __init__(self, left: _BinaryNode | None = None, right: _BinaryNode | None = None):
+        for child in (left, right):
             if child is not None and type(child) is not type(self):
                 kind = type(self).__name__
                 raise CatalanError(f"{kind} children must be None or {kind}, not {type(child).__name__}")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -70,6 +71,9 @@ class _BinaryNode:
     def __repr__(self):
         return f"{type(self).__name__}[{_write(_edge_pairs(self), self._TOKENS)}]"
 
+    def __reduce__(self):
+        return _postfix, (_write(_edge_pairs(self), _RPN), type(self))
+
 
 class Node(_BinaryNode):
     """A binary-tree node; ``None`` in either slot is the empty subtree.
@@ -77,6 +81,7 @@ class Node(_BinaryNode):
     The empty binary tree as a whole is plain ``None``.
     """
 
+    __slots__ = ()
     _TOKENS = _TREE
 
 
@@ -88,6 +93,7 @@ class Internal(_BinaryNode):
     leaf_count = internal_count + 1 holds by construction.
     """
 
+    __slots__ = ()
     _TOKENS = _MULT
 
 
@@ -132,7 +138,7 @@ def encode_tree(t: BinaryTree | ExtendedBinaryTree) -> CatalanSequence:
     The wrapper 0...1 is applied only to nonempty trees, so semilength
     always equals node_count and the single-node tree alone claims "01".
     """
-    return _trusted(CatalanSequence, bits=_edge_pairs(t))
+    return _trusted(CatalanSequence, _edge_pairs(t))
 
 
 def _edge_pairs(root, children=attrgetter("left", "right")) -> str:
@@ -299,7 +305,7 @@ def _read_infix(text: str, tokens: tuple[str, str, str, str], end_noun: str, nou
 
 def read_tree(text: str) -> CatalanSequence:
     """The code of the tree text  Tree := "." | "(" Tree " " Tree ")"."""
-    return _trusted(CatalanSequence, bits=_read_infix(text, _TREE, "tree text", "tree", "' ' between subtrees"))
+    return _trusted(CatalanSequence, _read_infix(text, _TREE, "tree text", "tree", "' ' between subtrees"))
 
 
 def write_tree(s: CatalanSequence) -> str:
@@ -308,7 +314,7 @@ def write_tree(s: CatalanSequence) -> str:
 
 def read_mult(text: str) -> CatalanSequence:
     """The code of the expression  Expr := "a" | "(" Expr "*" Expr ")"."""
-    return _trusted(CatalanSequence, bits=_read_infix(text, _MULT, "expression", "expression", "'*'"))
+    return _trusted(CatalanSequence, _read_infix(text, _MULT, "expression", "expression", "'*'"))
 
 
 def write_mult(s: CatalanSequence) -> str:
@@ -317,7 +323,7 @@ def write_mult(s: CatalanSequence) -> str:
 
 def read_rpn(text: str) -> CatalanSequence:
     """The code of the expression behind a postfix word over {'a', '*'}."""
-    return _trusted(CatalanSequence, bits=_edge_pairs(_postfix(text), children=tuple))  # a pair is its children
+    return _trusted(CatalanSequence, _edge_pairs(_postfix(text), children=tuple))  # a pair is its children
 
 
 def write_rpn(s: CatalanSequence) -> str:
@@ -327,7 +333,7 @@ def write_rpn(s: CatalanSequence) -> str:
 def rpn_paper_read(text: str) -> CatalanSequence:
     """The rpn-paper code of a postfix word; raises read_rpn's errors."""
     _postfix(text)
-    return _trusted(CatalanSequence, bits=text.translate(_RPN_TO_BITS) + "1")
+    return _trusted(CatalanSequence, text.translate(_RPN_TO_BITS) + "1")
 
 
 def rpn_paper_write(s: CatalanSequence) -> str:
@@ -347,7 +353,7 @@ def rpn_paper_write(s: CatalanSequence) -> str:
 def rpn_paper_encode(e: ExtendedBinaryTree) -> CatalanSequence:
     """Postfix wire format: operand -> 0, operator -> 1, then one extra 1;
     k factors give semilength k, as operands lead in every proper prefix."""
-    return _trusted(CatalanSequence, bits=write_rpn(encode_expression(e)).translate(_RPN_TO_BITS) + "1")
+    return _trusted(CatalanSequence, write_rpn(encode_expression(e)).translate(_RPN_TO_BITS) + "1")
 
 
 def rpn_paper_decode(s: CatalanSequence) -> ExtendedBinaryTree:

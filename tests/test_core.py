@@ -249,6 +249,13 @@ class TestRankUnrank:
         with pytest.raises(IndexOutOfRangeError):
             unrank(3, -1)
 
+    @pytest.mark.parametrize("k", [10**5000, -(10**5000)], ids=["10**5000", "-10**5000"])
+    def test_unrank_names_an_index_past_the_int_string_limit_cut(self, k):
+        with pytest.raises(IndexOutOfRangeError) as exc:
+            unrank(3, k)
+        assert str(exc.value) == f"index {core.cut_number(k)} outside [0, 5) for semilength 3"
+        assert len(str(exc.value)) < 70
+
     @pytest.mark.parametrize("n", range(11))
     def test_mutually_inverse_along_the_list(self, n):
         for k, s in enumerate(enumerate_sequences(n)):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import time
 
@@ -240,7 +239,7 @@ class TestTranscode:
         monkeypatch.setattr(Family, "parse", built)
         monkeypatch.setattr(Family, "render", built)
         for name, fam in FAMILIES.items():
-            monkeypatch.setitem(FAMILIES, name, dataclasses.replace(fam, encode=built, decode=built))
+            monkeypatch.setitem(FAMILIES, name, Family(fam.name, fam.read, fam.write, built, built, fam.total))
         for module, names in OBJECT_API.items():
             for attr in names.split():
                 monkeypatch.setattr(module, attr, built)
