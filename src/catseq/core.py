@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import re
 from collections.abc import Iterator
+from functools import cache
 from itertools import accumulate
 from operator import add
 
@@ -19,6 +20,8 @@ from operator import add
 #: constant memory, but the list holds them all.  Anything above the cap must
 #: go through rank/unrank, which only need the ballot-number table.
 ENUMERATION_CAP = 16
+#: Length of the closings that end the words of one batch of ``_successors``.
+_BATCH = 10
 
 
 class CatalanError(ValueError):
@@ -220,7 +223,7 @@ class CatalanSequence(_Value):
     of semilength 0.  The same holds for every validated type of the
     package: its public constructor checks, and a codec that builds a
     value it has proved valid, such as ``unrank`` or ``decode_chords``,
-    builds it through the one private ``_trusted`` helper instead.
+    builds it through the private ``_trusted`` (``_trusted_sequence``) instead.
 
     >>> CatalanSequence("001011").semilength
     3
@@ -264,6 +267,13 @@ class CatalanSequence(_Value):
 
     def __iter__(self):
         return iter(self.bits)
+
+
+def _trusted_sequence(bits: str, new=object.__new__, store=CatalanSequence.bits.__set__) -> CatalanSequence:
+    """``_trusted(CatalanSequence, bits)`` as one allocation and one slot store (bound as locals)."""
+    s = new(CatalanSequence)
+    store(s, bits)
+    return s
 
 
 class AltitudeProfile(_Value):
@@ -316,34 +326,50 @@ def iter_sequences(n: int, cap: int = ENUMERATION_CAP) -> Iterator[CatalanSequen
     """The C_n Catalan sequences of semilength n, lexicographically ascending,
     one at a time, in memory that does not grow with C_n.
 
-    Raises CatalanError unless n is an int >= 0, and CapExceededError for
-    n > ``cap``, when called, before the first word.
+    Raises CatalanError unless n and ``cap`` are ints and n >= 0, and
+    CapExceededError for n > ``cap``, when called, before the first word.
 
     >>> it = iter_sequences(3)
     >>> next(it).bits, next(it).bits, [s.bits for s in it]
     ('000111', '001011', ['001101', '010011', '010101'])
     """
     _check_semilength(n)
+    check_int(cap, "cap")
     if n > cap:
         raise CapExceededError(f"semilength {n} exceeds the enumeration cap {cap}")
     return _successors(n)
 
 
+@cache
+def _closings(m: int) -> list[list[str]]:
+    """Per balance b, the closings of length m: the words that take b to 0 and no lower, ascending."""
+    if m == 0:
+        return [[""]]
+    prev = _closings(m - 1) + [[], []]  # none from m or m + 1, which prev[-1] reads as -1
+    return [["0" + c for c in prev[b + 1]] + ["1" + c for c in prev[b - 1]] for b in range(m + 1)]
+
+
 def _successors(n: int) -> Iterator[CatalanSequence]:
-    """Every word of semilength n from 0^n 1^n on, each by the lexicographic
-    successor (Knuth, TAOCP 4A, 7.2.1.6, Algorithm P): the word
-    p 0 1^(h+1) (01)^k with h >= 1 is followed by p 1 0^(k+1) 1^(k+h), and
-    (01)^n, which holds no "11", is the last.  The last "11" starts at
-    j = i + h, where i is the changed 0, and j alone fixes k, so
+    """Every word of semilength n in batches: the words whose first 2n - m symbols
+    are q, m = min(2n, _BATCH), are q and each closing of q's balance b.  The next
+    batch starts at the lexicographic successor (Knuth, TAOCP 4A, 7.2.1.6, Algorithm P)
+    of the last, q 1^b (01)^c: p 0 1^(h+1) (01)^k with h >= 1 is followed by
+    p 1 0^(k+1) 1^(k+h), and (01)^n, which holds no "11", is the last.  The last "11"
+    starts at j = i + h, where i is the changed 0, and j alone fixes k, so
     ``tails[j][h]`` is all that follows p.
     """
+    cut = max(0, 2 * n - _BATCH)
+    closings = _closings(2 * n - cut)
     tails = []
     for j in range(2 * n):
         k = n - j // 2 - 1  # a "11" at j leaves 2n - j - 2 = 2k symbols after it
         tails.append(["1" + "0" * (k + 1) + "1" * (k + h) for h in range(j + 1)])
     word = "0" * n + "1" * n
     while True:
-        yield _trusted(CatalanSequence, word)  # valid by the identity above
+        prefix = word[:cut]
+        ends = closings[2 * prefix.count("0") - cut]
+        yield from map(_trusted_sequence, map(prefix.__add__, ends))  # valid as each closing is
+        word = prefix + ends[-1]
         j = word.rfind("11")
         if j < 0:
             return
@@ -430,10 +456,15 @@ def unrank(n: int, k: int) -> CatalanSequence:
             k -= with_zero
             bits.append("1")
             balance -= 1
-    return _trusted(CatalanSequence, "".join(bits))
+    return _trusted_sequence("".join(bits))
 
 
 def random_uniform(n: int, seed: int) -> CatalanSequence:
-    """A uniformly random sequence of semilength n, deterministic in (n, seed)."""
-    index = random.Random(seed).randrange(sequence_count(n))
-    return unrank(n, index)
+    """A uniformly random sequence of semilength n, deterministic in (n, seed): CatalanError for
+    a seed of None, which draws from the system, a NaN, or a type ``random.Random`` refuses."""
+    total = sequence_count(n)
+    if not isinstance(seed, (int, float, str, bytes, bytearray)):
+        raise CatalanError(f"seed must be an int, float, str, bytes or bytearray, not {type(seed).__name__}")
+    if seed != seed:
+        raise CatalanError("seed must not be NaN")
+    return unrank(n, random.Random(seed).randrange(total))

@@ -18,6 +18,8 @@ the fingerprints name the first case that differs.  The sections:
 - ``ranking``: ``rank``, ``unrank``, ``random_uniform`` and
   ``iter_sequences`` for n < 60 and five seeds, and the four Catalan
   routes for n < 320;
+- ``enumeration``: the whole of ``iter_sequences(n)`` for n <= 12, as its
+  count, its first and last words and the SHA-256 of its words, one a line;
 - ``cli``: stdout, stderr and exit code of a fixed list of argv.
 
 The digests were taken on CPython 3.11; argparse's messages may differ on
@@ -188,6 +190,13 @@ def ranking_cases():
     yield [str(c) for c in counting.catalan_series(320).coefficients]
 
 
+def enumeration_cases():
+    for n in range(13):
+        words = [s.bits for s in iter_sequences(n)]
+        text = "".join(f"{w}\n" for w in words)
+        yield [n, len(words), words[0], words[-1], hashlib.sha256(text.encode()).hexdigest()]
+
+
 def _cli_argv():
     argv = [
         [],
@@ -232,6 +241,7 @@ SECTIONS = {
     "parse": parse_cases,
     "malformed": malformed_cases,
     "ranking": ranking_cases,
+    "enumeration": enumeration_cases,
     "cli": cli_cases,
 }
 

@@ -195,9 +195,12 @@ class TestEnumerate:
 
 
 class TestIterSequences:
-    @pytest.mark.parametrize("n", range(11))
+    # n <= 4 reads its whole word from the closings table, n = 5 exactly fills
+    # it, and n >= 6 takes a prefix of 2n - 10 symbols: every change of prefix
+    # up to n = 12 is checked against unrank
+    @pytest.mark.parametrize("n", range(13))
     def test_same_words_as_unranking_every_index(self, n):
-        assert list(iter_sequences(n)) == [unrank(n, k) for k in range(sequence_count(n))]
+        assert [s.bits for s in iter_sequences(n)] == [unrank(n, k).bits for k in range(sequence_count(n))]
 
     @pytest.mark.parametrize("n", range(9))
     def test_same_words_as_the_brute_force_filter(self, n):
@@ -209,11 +212,22 @@ class TestIterSequences:
             assert rank(s) == i
 
     def test_yields_validated_sequences(self):
-        for s in iter_sequences(6):
+        for s in iter_sequences(7):
             assert type(s) is CatalanSequence and CatalanSequence(s.bits) == s
+            assert not hasattr(s, "__dict__") and repr(s) == f"CatalanSequence(bits={s.bits!r})"
 
     def test_first_word_comes_at_once_at_the_cap(self):
         assert next(iter_sequences(16)).bits == "0" * 16 + "1" * 16
+
+    def test_streams_in_constant_memory(self):
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in iter_sequences(12))  # keeps no word
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 208012
+        assert peak < 2**20  # the list of 208,012 sequences alone takes over 20 MB
 
     @pytest.mark.parametrize("n,error", [(-1, core.CatalanError), (core.ENUMERATION_CAP + 1, CapExceededError)])
     def test_bad_semilength_raises_when_called(self, n, error):
@@ -348,6 +362,60 @@ def test_rejects_a_semilength_or_index_that_is_not_a_plain_int(fn, args, message
     with pytest.raises(core.CatalanError) as info:
         fn(*args)
     assert (type(info.value), str(info.value)) == (core.CatalanError, message)
+
+
+#: a cap that is not a plain int: each is refused when called, n checked first
+BAD_CAPS = [(None, "NoneType"), ("5", "str"), (2.5, "float"), (True, "bool"), (16.0, "float")]
+
+
+@pytest.mark.parametrize("fn", [iter_sequences, enumerate_sequences])
+@pytest.mark.parametrize("cap,name", BAD_CAPS)
+def test_rejects_a_cap_that_is_not_a_plain_int(fn, cap, name):
+    with pytest.raises(core.CatalanError) as info:
+        fn(3, cap)
+    assert (type(info.value), str(info.value)) == (core.CatalanError, f"cap must be an int, not {name}")
+    with pytest.raises(core.CatalanError, match="^semilength must be nonnegative$"):
+        fn(-1, cap)
+
+
+#: seeds of every type random.Random reads, with the words they gave before
+#: seeds were checked: each keeps its word
+SEEDS = [
+    (0, "01000010111011010101"),
+    (7, "00110000011111001101"),
+    (-7, "00110000011111001101"),
+    (2**100, "00001011110101010011"),
+    (True, "00010011001101101101"),
+    (1.5, "00100101001011101011"),
+    (-0.0, "01000010111011010101"),
+    ("catseq", "00000010001111111011"),
+    (b"catseq", "00000010001111111011"),
+    (bytearray(b"catseq"), "00000010001111111011"),
+]
+
+#: seeds that drew from the system's entropy (None), hash by identity (NaN)
+#: or made random.Random raise a bare TypeError
+BAD_SEEDS = [
+    (None, "seed must be an int, float, str, bytes or bytearray, not NoneType"),
+    ([1], "seed must be an int, float, str, bytes or bytearray, not list"),
+    ({}, "seed must be an int, float, str, bytes or bytearray, not dict"),
+    (1j, "seed must be an int, float, str, bytes or bytearray, not complex"),
+    (float("nan"), "seed must not be NaN"),
+]
+
+
+@pytest.mark.parametrize("seed,bits", SEEDS, ids=[repr(seed) for seed, _ in SEEDS])
+def test_every_seed_type_keeps_its_word(seed, bits):
+    assert random_uniform(10, seed).bits == bits
+
+
+@pytest.mark.parametrize("seed,message", BAD_SEEDS, ids=[repr(seed) for seed, _ in BAD_SEEDS])
+def test_rejects_a_seed_that_is_not_deterministic(seed, message):
+    with pytest.raises(core.CatalanError) as info:
+        random_uniform(3, seed)
+    assert (type(info.value), str(info.value)) == (core.CatalanError, message)
+    with pytest.raises(core.CatalanError, match="^semilength must be nonnegative$"):
+        random_uniform(-1, seed)
 
 
 def test_sequence_count_matches_enumeration():

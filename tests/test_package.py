@@ -76,10 +76,12 @@ def test_names_load_on_first_use_and_submodules_still_import():
 _CHECKS = """
 from catseq.chords import ChordDiagram
 from catseq.core import AltitudeProfile, CatalanError, CatalanSequence, sequence_count, unrank
+from catseq.core import enumerate_sequences, iter_sequences, random_uniform
 from catseq.counting import SeriesPrefix, catalan_linear
 from catseq.families import FAMILIES
 from catseq.lattice import PlusMinusSequence
 from catseq.trees import Node
+from test_core import BAD_CAPS, BAD_SEEDS
 MALFORMED = {"sequence": "0110", "tree": "((. .) .", "path": "HVVH", "pm": "+--+", "chords": "1-3,2-4",
              "mult": "(a*a", "rpn": "aa", "rpn-paper": "a*", "polygon": "6;0-2,1-3,0-4"}
 cases = [(SeriesPrefix, ((2, 1),)), (AltitudeProfile, ((0, 2, 0),)), (ChordDiagram, (2, ((1, 3), (2, 4)))),
@@ -87,6 +89,8 @@ cases = [(SeriesPrefix, ((2, 1),)), (AltitudeProfile, ((0, 2, 0),)), (ChordDiagr
          (unrank, (3, 1.5)), (sequence_count, (2.5,)), (catalan_linear, (2.5,)), (SeriesPrefix, ((1.0, 2),))]
 cases += [(FAMILIES[name].read, (text,)) for name, text in MALFORMED.items()]
 cases.append((FAMILIES["rpn-paper"].write, (CatalanSequence("010011"),)))
+cases += [(fn, (3, cap)) for fn in (iter_sequences, enumerate_sequences) for cap, _ in BAD_CAPS]
+cases += [(random_uniform, (3, seed)) for seed, _ in BAD_SEEDS]
 for build, args in cases:
     try:
         build(*args)
@@ -98,8 +102,8 @@ for build, args in cases:
 
 def test_checks_hold_under_python_O():
     """python -O strips every assert, so no check may rest on one."""
-    src = str(Path(catseq.__file__).parents[1])
+    path = os.pathsep.join([str(Path(catseq.__file__).parents[1]), str(Path(__file__).parent)])  # src, tests
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _CHECKS], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+        [sys.executable, "-O", "-c", _CHECKS], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
     )
     assert (proc.returncode, proc.stderr) == (0, "")
