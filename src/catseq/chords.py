@@ -11,7 +11,7 @@ ChordDiagram shares with read_chords is the pass that writes the word.
 
 from __future__ import annotations
 
-from .core import CatalanError, CatalanSequence, _trusted, _Value, cut_number, parse_pairs, parsed
+from .core import CatalanError, CatalanSequence, _trusted, _trusted_sequence, _Value, cut_number, parse_pairs, parsed
 
 
 def _chord_bits(n: int, chords) -> str:
@@ -86,7 +86,7 @@ def _matching(bits: str) -> list[tuple[int, int]]:
 
 def encode_chords(d: ChordDiagram) -> CatalanSequence:
     """Position i gets 0 and position j gets 1 for every chord (i, j)."""
-    return _trusted(CatalanSequence, _chord_bits(d.n, d.chords))
+    return _trusted_sequence(_chord_bits(d.n, d.chords))
 
 
 def decode_chords(s: CatalanSequence) -> ChordDiagram:
@@ -97,7 +97,7 @@ def decode_chords(s: CatalanSequence) -> ChordDiagram:
 def read_chords(text: str) -> CatalanSequence:
     """The word of comma-separated "i-j" pairs, e.g. "1-8,2-7,3-4,5-6"."""
     pairs = parse_pairs(text, "chord", "i-j")
-    return _trusted(CatalanSequence, parsed(_chord_bits, "chord diagram", len(pairs), pairs))
+    return _trusted_sequence(parsed(_chord_bits, "chord diagram", len(pairs), pairs))
 
 
 def write_chords(s: CatalanSequence) -> str:

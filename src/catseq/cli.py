@@ -84,12 +84,17 @@ def _cmd_count(args) -> None:
     from . import counting
     counting._check_index(args.n)  # catalan_series would object to its prefix length instead
     route = getattr(counting, f"catalan_{args.method}")
-    print(route(args.n + 1).coefficients[args.n] if args.method == "series" else route(args.n))
+    count = route(args.n + 1).coefficients[args.n] if args.method == "series" else route(args.n)
+    try:
+        text = str(count)
+    except ValueError:  # a cut number is no answer
+        limit = sys.get_int_max_str_digits()
+        raise CatalanError(f"C_{args.n} has more than {limit} digits, the int-string limit") from None
+    print(text)
 
 
 def _cmd_enumerate(args) -> None:
-    for s in core.iter_sequences(args.n):  # streams: memory does not grow with C_n
-        print(s.bits)
+    sys.stdout.writelines(s.bits + "\n" for s in core.iter_sequences(args.n))  # streams in constant memory
 
 
 def _cmd_validate(args) -> None:

@@ -102,9 +102,16 @@ def quote_prefix(text: str) -> str:
     return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
 
 
+def check_text(text, what: str) -> None:
+    """ParseError unless ``text`` is a str, the one type every family's reader walks."""
+    if not isinstance(text, str):
+        raise ParseError(f"{what} must be a str, not {type(text).__name__}")
+
+
 def parse_pairs(text: str, noun: str, form: str) -> tuple[tuple[int, int], ...]:
     """The pairs of a comma-separated "a-b" list, () for ""; ParseError names its first bad part as a ``noun``.
     A list that fails one regular expression, or int's digit limit, is read part by part to find that part."""
+    check_text(text, f"{noun} list")
     if not text:
         return ()
     if _PAIR_LIST.fullmatch(text):
@@ -164,10 +171,10 @@ def _check_semilength(n) -> None:
 
 def _trusted(cls, *values):
     """``cls(*values)`` with no check run: the fields, in order, set straight
-    into their slots.  Only a codec whose own construction proves the value
-    valid may build through here; the public constructors, ``validate`` and
-    every ``parse_*`` keep every check.  Unpickling and copying rebuild
-    through here too."""
+    into their slots, for a codec whose own construction proves the value
+    valid.  It builds every value type but CatalanSequence, which has
+    ``_trusted_sequence``, and unpickling and copying rebuild every value
+    through here.  The public constructors and every ``read`` keep every check."""
     obj = object.__new__(cls)
     for name, value in zip(cls.__match_args__, values):
         object.__setattr__(obj, name, value)
@@ -222,8 +229,8 @@ class CatalanSequence(_Value):
     more ones than zeros.  The empty word is the unique valid sequence
     of semilength 0.  The same holds for every validated type of the
     package: its public constructor checks, and a codec that builds a
-    value it has proved valid, such as ``unrank`` or ``decode_chords``,
-    builds it through the private ``_trusted`` (``_trusted_sequence``) instead.
+    value it has proved valid builds it unchecked, a word through the
+    private ``_trusted_sequence`` and any other value through ``_trusted``.
 
     >>> CatalanSequence("001011").semilength
     3
@@ -270,7 +277,7 @@ class CatalanSequence(_Value):
 
 
 def _trusted_sequence(bits: str, new=object.__new__, store=CatalanSequence.bits.__set__) -> CatalanSequence:
-    """``_trusted(CatalanSequence, bits)`` as one allocation and one slot store (bound as locals)."""
+    """The one trusted builder of a word: ``bits`` unchecked, by one allocation and one slot store."""
     s = new(CatalanSequence)
     store(s, bits)
     return s

@@ -10,7 +10,9 @@ registry aliases rather than separate codecs.
 
 from __future__ import annotations
 
-from .core import CatalanError, CatalanSequence, ParseError, _trusted, _Value, cut_number, parsed
+from .core import (
+    CatalanError, CatalanSequence, ParseError, _trusted, _trusted_sequence, _Value, check_text, cut_number, parsed,
+)
 
 _PATH_TO_BITS = str.maketrans("HV", "01")
 _BITS_TO_PATH = str.maketrans("01", "HV")
@@ -84,7 +86,7 @@ class PlusMinusSequence(_Value):
 
 def encode_path(p: GridPath) -> CatalanSequence:
     """H -> 0, V -> 1; valid because the path stays under the diagonal."""
-    return _trusted(CatalanSequence, p.steps.translate(_PATH_TO_BITS))
+    return _trusted_sequence(p.steps.translate(_PATH_TO_BITS))
 
 
 def decode_path(s: CatalanSequence) -> GridPath:
@@ -95,7 +97,7 @@ def decode_path(s: CatalanSequence) -> GridPath:
 def encode_pm(x: PlusMinusSequence) -> CatalanSequence:
     """+1 -> 0 and -1 -> 1 (note the inversion); the partial-sum conditions
     are exactly prefix dominance, so the result is always valid."""
-    return _trusted(CatalanSequence, "".join("0" if v == 1 else "1" for v in x.values))
+    return _trusted_sequence("".join("0" if v == 1 else "1" for v in x.values))
 
 
 def decode_pm(s: CatalanSequence) -> PlusMinusSequence:
@@ -105,7 +107,7 @@ def decode_pm(s: CatalanSequence) -> PlusMinusSequence:
 
 def read_path(text: str) -> CatalanSequence:
     parsed(_check_steps, "path text", text)
-    return _trusted(CatalanSequence, text.translate(_PATH_TO_BITS))
+    return _trusted_sequence(text.translate(_PATH_TO_BITS))
 
 
 def write_path(s: CatalanSequence) -> str:
@@ -113,11 +115,12 @@ def write_path(s: CatalanSequence) -> str:
 
 
 def read_pm(text: str) -> CatalanSequence:
+    check_text(text, "vote text")
     rest = text.lstrip("+-")
     if rest:
         raise ParseError(f"expected '+' or '-', found {rest[0]!r}", len(text) - len(rest) + 1)
     parsed(_check_votes, "vote text", [1 if ch == "+" else -1 for ch in text])
-    return _trusted(CatalanSequence, text.translate(_PM_TO_BITS))
+    return _trusted_sequence(text.translate(_PM_TO_BITS))
 
 
 def write_pm(s: CatalanSequence) -> str:

@@ -18,7 +18,8 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .core import (
-    CatalanError, CatalanSequence, ParseError, _trusted, _Value, cut_number, parse_natural, parse_pairs, parsed,
+    CatalanError, CatalanSequence, ParseError, _trusted, _trusted_sequence, _Value, check_text, cut_number,
+    parse_natural, parse_pairs, parsed,
 )
 from .trees import BinaryTree, decode_tree, encode_tree, write_rpn
 
@@ -112,7 +113,7 @@ class Triangulation(_Value):
 def encode_polygon(tri: Triangulation) -> CatalanSequence:
     """The edge-pair code of the dual tree, semilength m - 2, as the check writes it."""
     try:
-        return _trusted(CatalanSequence, _triangulation_bits(tri.m, tri.diagonals)[1])
+        return _trusted_sequence(_triangulation_bits(tri.m, tri.diagonals)[1])
     except CatalanError as exc:
         raise MalformedTriangulationError(f"malformed triangulation: {exc}") from exc
 
@@ -154,12 +155,13 @@ def rebuild_triangulation(t: BinaryTree, m: int) -> Triangulation:
 
 def read_polygon(text: str) -> CatalanSequence:
     """The dual tree's word of "m;a-b,c-d,..." with diagonals optional, e.g. "5;0-2,0-3" or "3;"."""
+    check_text(text, "polygon text")
     head, sep, tail = text.partition(";")
     m = parse_natural(head)
     if not sep or m is None:
         raise ParseError("expected 'm;diagonals' with a numeric side count")
     _, bits = parsed(_triangulation_bits, "triangulation", m, parse_pairs(tail, "diagonal", "a-b"))
-    return _trusted(CatalanSequence, bits)
+    return _trusted_sequence(bits)
 
 
 def write_polygon(s: CatalanSequence) -> str:

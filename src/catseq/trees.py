@@ -16,19 +16,19 @@ and the append-a-1 postfix wire format whose decode is partial.
 
 Each text is read straight into the code, by the infix grammar or the
 postfix fold (_postfix), and written straight from it by one writer
-(_write), with no nodes.  Decoding is the postfix fold over the written
-postfix text.  This module holds the value types, the codecs and the
-read_*/write_* passes; text to object and back is FAMILIES[name].parse
-and .render in catseq.families, which compose these passes with a codec.
-Every traversal uses an explicit stack; degenerate chains of 10^4 nodes and
-more are fine.
+(_write), with no nodes; the sequence check alone decides the rpn-paper
+image, the words 0 D 1 with D a Catalan word.  Decoding is the postfix fold
+over the written postfix text.  This module holds the value types, the
+codecs and the read_*/write_* passes; FAMILIES[name].parse and .render in
+catseq.families compose these passes with a codec.  Every traversal uses
+an explicit stack; degenerate chains of 10^4 nodes and more are fine.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
 
-from .core import CatalanError, CatalanSequence, DomainError, ParseError, _trusted, _Value
+from .core import CatalanError, CatalanSequence, DomainError, ParseError, _trusted_sequence, _Value, check_text
 
 _RPN_TO_BITS = str.maketrans("a*", "01")
 _BITS_TO_RPN = str.maketrans("01", "a*")
@@ -138,7 +138,7 @@ def encode_tree(t: BinaryTree | ExtendedBinaryTree) -> CatalanSequence:
     The wrapper 0...1 is applied only to nonempty trees, so semilength
     always equals node_count and the single-node tree alone claims "01".
     """
-    return _trusted(CatalanSequence, _edge_pairs(t))
+    return _trusted_sequence(_edge_pairs(t))
 
 
 def _edge_pairs(root, children=attrgetter("left", "right")) -> str:
@@ -211,6 +211,7 @@ def _postfix(text: str, make=lambda left, right: (left, right)):
     Raises StackUnderflowError when an operator lacks two operands and
     ExcessOperandsError when more than one value remains at the end.
     """
+    check_text(text, "postfix word")
     stack: list = []
     for i, ch in enumerate(text):
         if ch == "a":
@@ -263,6 +264,7 @@ def _read_infix(text: str, tokens: tuple[str, str, str, str], end_noun: str, nou
     its 11; its ")" fills both, knowing now which subtrees are nodes.
     ParseError gives the 1-based position; the strings name parts in it.
     """
+    check_text(text, end_noun)
     leaf, sep = tokens[1:3]
     slots = ["0"]
     frames: list[int] = []  # per open "(": its pair's slot, then its 11's slot, or -1 past an empty left
@@ -305,7 +307,7 @@ def _read_infix(text: str, tokens: tuple[str, str, str, str], end_noun: str, nou
 
 def read_tree(text: str) -> CatalanSequence:
     """The code of the tree text  Tree := "." | "(" Tree " " Tree ")"."""
-    return _trusted(CatalanSequence, _read_infix(text, _TREE, "tree text", "tree", "' ' between subtrees"))
+    return _trusted_sequence(_read_infix(text, _TREE, "tree text", "tree", "' ' between subtrees"))
 
 
 def write_tree(s: CatalanSequence) -> str:
@@ -314,7 +316,7 @@ def write_tree(s: CatalanSequence) -> str:
 
 def read_mult(text: str) -> CatalanSequence:
     """The code of the expression  Expr := "a" | "(" Expr "*" Expr ")"."""
-    return _trusted(CatalanSequence, _read_infix(text, _MULT, "expression", "expression", "'*'"))
+    return _trusted_sequence(_read_infix(text, _MULT, "expression", "expression", "'*'"))
 
 
 def write_mult(s: CatalanSequence) -> str:
@@ -323,7 +325,7 @@ def write_mult(s: CatalanSequence) -> str:
 
 def read_rpn(text: str) -> CatalanSequence:
     """The code of the expression behind a postfix word over {'a', '*'}."""
-    return _trusted(CatalanSequence, _edge_pairs(_postfix(text), children=tuple))  # a pair is its children
+    return _trusted_sequence(_edge_pairs(_postfix(text), children=tuple))  # a pair is its children
 
 
 def write_rpn(s: CatalanSequence) -> str:
@@ -333,27 +335,26 @@ def write_rpn(s: CatalanSequence) -> str:
 def rpn_paper_read(text: str) -> CatalanSequence:
     """The rpn-paper code of a postfix word; raises read_rpn's errors."""
     _postfix(text)
-    return _trusted(CatalanSequence, text.translate(_RPN_TO_BITS) + "1")
+    return _trusted_sequence(text.translate(_RPN_TO_BITS) + "1")
 
 
 def rpn_paper_write(s: CatalanSequence) -> str:
-    """The postfix word whose rpn-paper code is ``s``: the rest after the
-    final 1, read as a postfix word.  Raises NotInImageError when that word
-    is not well formed, as for every valid sequence outside the image."""
+    """The postfix word whose rpn-paper code is ``s``: the rest after the final 1.
+    A postfix word keeps its depth ('a' +1, '*' -1) at 1 or more and ends at 1, so
+    the image is the words 0 D 1 with D a Catalan word; NotInImageError for the rest."""
     if not s.bits:
         raise NotInImageError("the empty sequence is outside the rpn-paper image")
-    word = s.bits[:-1].translate(_BITS_TO_RPN)
     try:
-        _postfix(word)
-    except ParseError as exc:
+        CatalanSequence(s.bits[1:-1])
+    except CatalanError as exc:
         raise NotInImageError(f"sequence {s.bits} is outside the rpn-paper image") from exc
-    return word
+    return s.bits[:-1].translate(_BITS_TO_RPN)
 
 
 def rpn_paper_encode(e: ExtendedBinaryTree) -> CatalanSequence:
     """Postfix wire format: operand -> 0, operator -> 1, then one extra 1;
     k factors give semilength k, as operands lead in every proper prefix."""
-    return _trusted(CatalanSequence, write_rpn(encode_expression(e)).translate(_RPN_TO_BITS) + "1")
+    return _trusted_sequence(write_rpn(encode_expression(e)).translate(_RPN_TO_BITS) + "1")
 
 
 def rpn_paper_decode(s: CatalanSequence) -> ExtendedBinaryTree:

@@ -44,6 +44,19 @@ class TestCount:
         code, out, err = run(capsys, "count", "--method", "series", "--n", "-1")
         assert (code, out, err) == (1, "", "catseq: error: Catalan numbers are indexed from 0\n")
 
+    @pytest.mark.parametrize("method", ["closed", "linear"])
+    def test_a_count_past_the_int_string_limit_is_an_error(self, capsys, method):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the default, whatever the environment sets
+        try:
+            expected = f"{catalan_closed(7152)}\n"
+            assert len(expected) == 4301
+            assert run(capsys, "count", "--n", "7152", "--method", method) == (0, expected, "")
+            error = "catseq: error: C_7153 has more than 4300 digits, the int-string limit\n"
+            assert run(capsys, "count", "--n", "7153", "--method", method) == (1, "", error)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestEnumerateValidate:
     def test_enumerate(self, capsys):

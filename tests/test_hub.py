@@ -169,6 +169,14 @@ class TestTranscode:
         with pytest.raises(CatalanError):
             transcode("pm", "path", "++x-")
 
+    @pytest.mark.parametrize("name", FAMILIES)
+    @pytest.mark.parametrize("text", [None, 5, b"01", ["0"]], ids=repr)
+    def test_a_text_that_is_no_str_raises_a_catalan_error(self, name, text):
+        fam = FAMILIES[name]
+        for call in (fam.read, fam.parse, lambda t: transcode(name, "sequence", t)):
+            with pytest.raises(CatalanError, match=f"must be a str, not {type(text).__name__}$"):
+                call(text)
+
     def test_sequence_text_raises_the_validation_errors(self):
         with pytest.raises(PrefixViolationError) as info:
             transcode("sequence", "tree", "0110")

@@ -88,6 +88,7 @@ cases = [(SeriesPrefix, ((2, 1),)), (AltitudeProfile, ((0, 2, 0),)), (ChordDiagr
          (AltitudeProfile, ((0, 1.0, 0),)), (PlusMinusSequence, ((True, -1),)), (Node, (5,)),
          (unrank, (3, 1.5)), (sequence_count, (2.5,)), (catalan_linear, (2.5,)), (SeriesPrefix, ((1.0, 2),))]
 cases += [(FAMILIES[name].read, (text,)) for name, text in MALFORMED.items()]
+cases += [(FAMILIES[name].read, (text,)) for name in FAMILIES for text in (None, 5, b"01", ["0"])]
 cases.append((FAMILIES["rpn-paper"].write, (CatalanSequence("010011"),)))
 cases += [(fn, (3, cap)) for fn in (iter_sequences, enumerate_sequences) for cap, _ in BAD_CAPS]
 cases += [(random_uniform, (3, seed)) for seed, _ in BAD_SEEDS]

@@ -26,7 +26,7 @@ from catseq.trees import (
 from catseq.core import enumerate_sequences
 from catseq.families import FAMILIES
 
-from oracle import cycle_lemma_word, ref_encode_tree
+from oracle import brute_sequences, cycle_lemma_word, ref_encode_tree
 
 parse_tree, render_tree = FAMILIES["tree"].parse, FAMILIES["tree"].render
 parse_mult, render_mult = FAMILIES["mult"].parse, FAMILIES["mult"].render
@@ -274,6 +274,22 @@ class TestRpnPaperCodec:
                 except NotInImageError:
                     decodable = False
                 assert decodable == (s.bits[:1] == "0" and s.bits[-1:] == "1" and inner_valid)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_write_accepts_exactly_0_D_1_for_a_brute_force_D(self, n):
+        image = {f"0{d}1" for d in brute_sequences(n - 1)} if n else set()
+        write = FAMILIES["rpn-paper"].write
+        accepted = 0
+        for s in enumerate_sequences(n):
+            if s.bits in image:
+                assert write(s) == s.bits[:-1].translate(str.maketrans("01", "a*"))
+                accepted += 1
+                continue
+            whole = f"sequence {s.bits}" if n else "the empty sequence"
+            with pytest.raises(NotInImageError) as info:
+                write(s)
+            assert str(info.value) == f"{whole} is outside the rpn-paper image"
+        assert accepted == len(image)
 
     def test_differs_from_the_total_expression_codec(self):
         e = parse_rpn("aaa*a**")
