@@ -3,7 +3,8 @@
 A Catalan sequence is a binary word of length 2n containing n zeros and
 n ones in which no prefix holds more ones than zeros.  Every other object
 family in this package round-trips through this form, so the string of
-'0'/'1' characters doubles as the universal interchange format.
+'0'/'1' characters doubles as the universal interchange format.  One scan
+(_scan), 8 symbols a step, checks the prefix balance of every word type.
 """
 
 from __future__ import annotations
@@ -221,6 +222,35 @@ class _Value:
         return _trusted, (type(self), *self._values())
 
 
+def _steps_table() -> dict[str, tuple[int, int]]:
+    """Every '0'/'1' word of 8 symbols: its end balance and its lowest balance, 0 included."""
+    table = {"0": (1, 0), "1": (-1, -1)}
+    for _ in range(3):  # the words of 2, 4, then 8 symbols, each a pair of the last
+        table = {a + b: (ea + eb, la if la < ea + lb else ea + lb)
+                 for a, (ea, la) in table.items() for b, (eb, lb) in table.items()}
+    return table
+
+
+def _scan(word: str, steps=_steps_table().get, bad=(0, float("-inf"))) -> tuple[int, int]:
+    """(i, balance) for ``word`` read as '0' +1 and '1' -1: i is the 0-based index of the first fault, a
+    symbol but '0'/'1' or a '1' that takes the balance below 0, else len(word) and balance the end balance.
+    It takes 8 symbols a step from a table, and goes symbol by symbol only through a step that fails,
+    as a short last step does."""
+    balance = 0
+    for start in range(0, len(word), 8):
+        end, low = steps(word[start : start + 8], bad)
+        if balance + low < 0:
+            for i in range(start, min(start + 8, len(word))):
+                if word[i] == "0":
+                    balance += 1
+                elif word[i] != "1" or not balance:
+                    return i, balance
+                else:
+                    balance -= 1
+        balance += end
+    return len(word), balance
+
+
 class CatalanSequence(_Value):
     """A validated Catalan sequence.
 
@@ -247,17 +277,10 @@ class CatalanSequence(_Value):
             raise CatalanError(f"bits must be a str, not {type(bits).__name__}")
         if len(bits) % 2:
             raise OddLengthError(f"length {len(bits)} is odd")
-        balance = 0
-        for i, ch in enumerate(bits):
-            if ch == "0":
-                balance += 1
-            elif ch == "1":
-                balance -= 1
-            else:
-                raise InvalidSymbolError(i + 1, ch)
-            if balance < 0:
-                raise PrefixViolationError(i + 1)
-        if balance != 0:
+        i, balance = _scan(bits)
+        if i < len(bits):
+            raise PrefixViolationError(i + 1) if bits[i] == "1" else InvalidSymbolError(i + 1, bits[i])
+        if balance:
             ones = (len(bits) - balance) // 2
             raise CountMismatchError(f"{ones} ones vs {len(bits) - ones} zeros")
         object.__setattr__(self, "bits", bits)

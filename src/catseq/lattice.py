@@ -2,8 +2,9 @@
 
 Both families are letter-for-letter substitutions on the sequence: a
 horizontal step or a +1 vote becomes 0, a vertical step or a -1 vote
-becomes 1.  So their texts are read and written by substitution too, the
-reading after the one check each shares with its value type.  Votes and
+becomes 1.  So their texts are read and written by substitution too, and
+each value type and text is checked on its word by the sequence's scan
+(_checked), which names the first fault in the family's terms.  Votes and
 mountain ranges are these same objects under other names, so they are
 registry aliases rather than separate codecs.
 """
@@ -11,44 +12,36 @@ registry aliases rather than separate codecs.
 from __future__ import annotations
 
 from .core import (
-    CatalanError, CatalanSequence, ParseError, _trusted, _trusted_sequence, _Value, check_text, cut_number, parsed,
+    CatalanError, CatalanSequence, ParseError, _scan, _trusted, _trusted_sequence, _Value, check_text, cut_number,
+    parsed,
 )
 
-_PATH_TO_BITS = str.maketrans("HV", "01")
+_PATH_TO_BITS = str.maketrans("HV01", "0122")  # a literal 0 or 1 stays a bad symbol to the scan
 _BITS_TO_PATH = str.maketrans("01", "HV")
-_PM_TO_BITS = str.maketrans("+-", "01")
+_PM_TO_BITS = str.maketrans("+-01", "0122")
 _BITS_TO_PM = str.maketrans("01", "+-")
+_VOTE_BITS = {1: "0", -1: "1"}
+_STEP_FAULTS = ("invalid step", "path crosses the diagonal at step", "path does not end on the diagonal")
+_VOTE_FAULTS = ("invalid value", "partial sum drops below 0 at position", "values do not sum to 0")
 
 
-def _check_steps(steps) -> None:
-    """GridPath's check of a step word; CatalanError names the first fault."""
+def _checked(values, bits: str, faults: tuple[str, str, str]) -> str:
+    """``bits``, the word of ``values`` with '2' for a bad value; CatalanError names its first fault
+    by ``faults``, the family's terms for a bad value, a drop below 0 and an uneven end."""
+    i, balance = _scan(bits)
+    if i < len(bits):
+        fault = faults[1] if bits[i] == "1" else f"{faults[0]} {cut_number(values[i])} at position"
+        raise CatalanError(f"{fault} {i + 1}")
+    if balance:
+        raise CatalanError(faults[2])
+    return bits
+
+
+def _check_steps(steps) -> str:
+    """GridPath's check of a step word, which returns its bits."""
     if not isinstance(steps, str):  # the codec and the text form translate a str
         raise CatalanError(f"steps must be a str, not {type(steps).__name__}")
-    lead = 0
-    for i, ch in enumerate(steps):
-        if ch == "H":
-            lead += 1
-        elif ch == "V":
-            lead -= 1
-        else:
-            raise CatalanError(f"invalid step {ch!r} at position {i + 1}")
-        if lead < 0:
-            raise CatalanError(f"path crosses the diagonal at step {i + 1}")
-    if lead != 0:
-        raise CatalanError("path does not end on the diagonal")
-
-
-def _check_votes(values) -> None:
-    """PlusMinusSequence's check of ±1 values; CatalanError names the first fault."""
-    total = 0
-    for i, x in enumerate(values):
-        if type(x) is not int or x not in (1, -1):  # a bool or float equals an int but renders apart
-            raise CatalanError(f"invalid value {cut_number(x)} at position {i + 1}")
-        total += x
-        if total < 0:
-            raise CatalanError(f"partial sum drops below 0 at position {i + 1}")
-    if total != 0:
-        raise CatalanError("values do not sum to 0")
+    return _checked(steps, steps.translate(_PATH_TO_BITS), _STEP_FAULTS)
 
 
 class GridPath(_Value):
@@ -80,7 +73,8 @@ class PlusMinusSequence(_Value):
             values = tuple(values)
         except TypeError:
             raise CatalanError(f"values must be iterable, not {type(values).__name__}") from None
-        _check_votes(values)
+        # a bool or float equals an int but renders apart
+        _checked(values, "".join([_VOTE_BITS.get(x, "2") if type(x) is int else "2" for x in values]), _VOTE_FAULTS)
         object.__setattr__(self, "values", values)
 
 
@@ -97,7 +91,7 @@ def decode_path(s: CatalanSequence) -> GridPath:
 def encode_pm(x: PlusMinusSequence) -> CatalanSequence:
     """+1 -> 0 and -1 -> 1 (note the inversion); the partial-sum conditions
     are exactly prefix dominance, so the result is always valid."""
-    return _trusted_sequence("".join("0" if v == 1 else "1" for v in x.values))
+    return _trusted_sequence("".join(map(_VOTE_BITS.__getitem__, x.values)))
 
 
 def decode_pm(s: CatalanSequence) -> PlusMinusSequence:
@@ -106,8 +100,7 @@ def decode_pm(s: CatalanSequence) -> PlusMinusSequence:
 
 
 def read_path(text: str) -> CatalanSequence:
-    parsed(_check_steps, "path text", text)
-    return _trusted_sequence(text.translate(_PATH_TO_BITS))
+    return _trusted_sequence(parsed(_check_steps, "path text", text))
 
 
 def write_path(s: CatalanSequence) -> str:
@@ -119,8 +112,7 @@ def read_pm(text: str) -> CatalanSequence:
     rest = text.lstrip("+-")
     if rest:
         raise ParseError(f"expected '+' or '-', found {rest[0]!r}", len(text) - len(rest) + 1)
-    parsed(_check_votes, "vote text", [1 if ch == "+" else -1 for ch in text])
-    return _trusted_sequence(text.translate(_PM_TO_BITS))
+    return _trusted_sequence(parsed(_checked, "vote text", text, text.translate(_PM_TO_BITS), _VOTE_FAULTS))
 
 
 def write_pm(s: CatalanSequence) -> str:

@@ -15,22 +15,23 @@ codecs: the total one, which is the tree codec on the internal nodes,
 and the append-a-1 postfix wire format whose decode is partial.
 
 Each text is read straight into the code, by the infix grammar or the
-postfix fold (_postfix), and written straight from it by one writer
-(_write), with no nodes; the sequence check alone decides the rpn-paper
-image, the words 0 D 1 with D a Catalan word.  Decoding is the postfix fold
-over the written postfix text.  This module holds the value types, the
-codecs and the read_*/write_* passes; FAMILIES[name].parse and .render in
-catseq.families compose these passes with a codec.  Every traversal uses
-an explicit stack; degenerate chains of 10^4 nodes and more are fine.
+postfix fold (_postfix), and written from its stream of digit pairs by one
+writer (_write), with no nodes.  rpn-paper folds nothing: by the depth rule
+('a' +1, '*' -1) its image is the words 0 D 1 with D a Catalan word, which
+the sequence's scan checks.  Decoding folds the written postfix text.  This
+module holds the value types, the codecs and the read_*/write_* passes;
+FAMILIES[name].parse and .render in catseq.families compose these passes
+with a codec.  Every traversal uses an explicit stack; degenerate chains of
+10^4 nodes and more are fine.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import add, attrgetter
 
-from .core import CatalanError, CatalanSequence, DomainError, ParseError, _trusted_sequence, _Value, check_text
+from .core import CatalanError, CatalanSequence, DomainError, ParseError, _scan, _trusted_sequence, _Value, check_text
 
-_RPN_TO_BITS = str.maketrans("a*", "01")
+_RPN_TO_BITS = str.maketrans("a*01", "0122")  # a literal 0 or 1 stays a bad symbol to the scan
 _BITS_TO_RPN = str.maketrans("01", "a*")
 
 #: a node's text is opener, left, separator, right, closer; an empty subtree is the leaf
@@ -172,61 +173,63 @@ def _edge_pairs(root, children=attrgetter("left", "right")) -> str:
 
 
 def _write(bits: str, tokens: tuple[str, str, str, str]) -> str:
-    """The text of the code ``bits``: a node as opener, left, separator,
-    right, closer, and an empty subtree as the leaf.
-
-    A 01, 10 or 00 writes what precedes its node's first nonempty subtree
-    and pushes what follows it, None for a 00's right subtree.  A 11, like
-    the end, is a childless node; it pops closers down to that None.
-    """
+    """The text of the code ``bits``, read as a stream of digit pairs: a node as opener, left,
+    separator, right, closer, and an empty subtree as the leaf.  A 01, 10 or 00 writes what precedes
+    its node's first nonempty subtree and pushes what follows it, None for a 00's right subtree.
+    A 11, like the end, is a childless node; it pops closers down to that None."""
     opener, leaf, sep, closer = tokens
     if not bits:
         return leaf
     childless = opener + leaf + sep + leaf + closer
+    right_only, left_only = opener + leaf + sep, sep + leaf + closer
     out = []
     closers: list[str | None] = []
-    for i in range(1, len(bits) - 1, 2):
-        pair = bits[i : i + 2]
+    write, push, pop = out.append, closers.append, closers.pop
+    for pair in map(add, bits[1:-1:2], bits[2:-1:2]):
         if pair == "11":
-            out.append(childless)
-            while (tail := closers.pop()) is not None:
-                out.append(tail)
-            out.append(sep)
-            closers.append(closer)
+            write(childless)
+            while (tail := pop()) is not None:
+                write(tail)
+            write(sep)
+            push(closer)
         elif pair == "10":
-            out.append(opener + leaf + sep)
-            closers.append(closer)
+            write(right_only)
+            push(closer)
         else:
-            out.append(opener)
-            closers.append(sep + leaf + closer if pair == "01" else None)
-    out.append(childless)
+            write(opener)
+            push(left_only if pair == "01" else None)
+    write(childless)
     out += reversed(closers)  # a valid code leaves no 00 waiting
     return "".join(out)
 
 
-def _postfix(text: str, make=lambda left, right: (left, right)):
-    """The tree of a postfix word over {'a', '*'}: None per leaf and
-    ``make(left, right)`` per operator.
-
-    Raises StackUnderflowError when an operator lacks two operands and
-    ExcessOperandsError when more than one value remains at the end.
-    """
+def _postfix_bits(text: str) -> str:
+    """The image of a postfix word over {'a', '*'}, 'a' 0 and '*' 1, by the depth rule ('a' +1, '*' -1):
+    after a first 'a' the image of the rest is balanced, so its first fault is the word's.  ParseError names
+    it, StackUnderflowError for an operator without two operands and ExcessOperandsError for values left over."""
     check_text(text, "postfix word")
+    bits = text.translate(_RPN_TO_BITS)
+    i, depth = _scan(bits[1:]) if bits[:1] == "0" else (-1, 0)
+    if i + 1 < len(text):  # the fault is at text[i + 1]
+        if text[i + 1] == "*":
+            raise StackUnderflowError(i + 2)
+        raise ParseError(f"expected 'a' or '*', found {text[i + 1]!r}", i + 2)
+    if depth or not text:
+        raise ExcessOperandsError(depth + 1) if depth else ParseError("empty postfix word", 1)
+    return bits
+
+
+def _postfix(text: str, make=lambda left, right: (left, right)):
+    """The tree of a postfix word over {'a', '*'}, checked by _postfix_bits: None per leaf
+    and ``make(left, right)`` per operator."""
     stack: list = []
-    for i, ch in enumerate(text):
-        if ch == "a":
-            stack.append(None)
-        elif ch == "*":
-            if len(stack) < 2:
-                raise StackUnderflowError(i + 1)
-            right = stack.pop()
-            stack[-1] = make(stack[-1], right)
+    push, pop = stack.append, stack.pop
+    for bit in _postfix_bits(text):
+        if bit == "0":
+            push(None)
         else:
-            raise ParseError(f"expected 'a' or '*', found {ch!r}", i + 1)
-    if not stack:
-        raise ParseError("empty postfix word", 1)
-    if len(stack) > 1:
-        raise ExcessOperandsError(len(stack))
+            right = pop()
+            stack[-1] = make(stack[-1], right)
     return stack[0]
 
 
@@ -333,9 +336,8 @@ def write_rpn(s: CatalanSequence) -> str:
 
 
 def rpn_paper_read(text: str) -> CatalanSequence:
-    """The rpn-paper code of a postfix word; raises read_rpn's errors."""
-    _postfix(text)
-    return _trusted_sequence(text.translate(_RPN_TO_BITS) + "1")
+    """The rpn-paper code of a postfix word, its image and a final 1, with no fold; raises read_rpn's errors."""
+    return _trusted_sequence(_postfix_bits(text) + "1")
 
 
 def rpn_paper_write(s: CatalanSequence) -> str:
@@ -344,10 +346,8 @@ def rpn_paper_write(s: CatalanSequence) -> str:
     the image is the words 0 D 1 with D a Catalan word; NotInImageError for the rest."""
     if not s.bits:
         raise NotInImageError("the empty sequence is outside the rpn-paper image")
-    try:
-        CatalanSequence(s.bits[1:-1])
-    except CatalanError as exc:
-        raise NotInImageError(f"sequence {s.bits} is outside the rpn-paper image") from exc
+    if _scan(s.bits[1:-1])[0] < len(s.bits) - 2:  # D ends balanced as s does, so a drop alone fails it
+        raise NotInImageError(f"sequence {s.bits} is outside the rpn-paper image")
     return s.bits[:-1].translate(_BITS_TO_RPN)
 
 

@@ -21,6 +21,25 @@ def is_catalan_word(word: str) -> bool:
     return balance == 0
 
 
+def first_fault(word: str, up: str = "0", down: str = "1", floor: int = 0) -> tuple[int, int]:
+    """(i, balance) of a walk over ``word``, one symbol at a time: ``up``
+    adds 1 and ``down`` takes 1 away.  i is the 0-based index of the first
+    symbol that is neither or that takes the balance below ``floor``, and
+    balance is the balance before it; with no such symbol, i is len(word)
+    and balance the end balance.  A Catalan word is (len(word), 0) with
+    floor 0; a postfix word over 'a'/'*' is (len(word), 1) with floor 1,
+    since an operator needs two operands on the stack."""
+    balance = 0
+    for i, ch in enumerate(word):
+        if ch == up:
+            balance += 1
+        elif ch == down and balance > floor:
+            balance -= 1
+        else:
+            return i, balance
+    return len(word), balance
+
+
 def brute_sequences(n: int) -> list[str]:
     """All valid words of length 2n by filtering every binary word."""
     return ["".join(w) for w in product("01", repeat=2 * n) if is_catalan_word("".join(w))]

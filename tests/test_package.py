@@ -79,17 +79,25 @@ from catseq.core import AltitudeProfile, CatalanError, CatalanSequence, sequence
 from catseq.core import enumerate_sequences, iter_sequences, random_uniform
 from catseq.counting import SeriesPrefix, catalan_linear
 from catseq.families import FAMILIES
-from catseq.lattice import PlusMinusSequence
+from catseq.lattice import GridPath, PlusMinusSequence
 from catseq.trees import Node
 from test_core import BAD_CAPS, BAD_SEEDS
 MALFORMED = {"sequence": "0110", "tree": "((. .) .", "path": "HVVH", "pm": "+--+", "chords": "1-3,2-4",
              "mult": "(a*a", "rpn": "aa", "rpn-paper": "a*", "polygon": "6;0-2,1-3,0-4"}
+SCANNED = {"sequence": ("01x1", "0110", "0001"), "path": ("H1", "HVVH", "HHHV"), "pm": ("+0", "+--+", "+++-"),
+           "rpn-paper": ("a1", "a**", "aaa*")}
 cases = [(SeriesPrefix, ((2, 1),)), (AltitudeProfile, ((0, 2, 0),)), (ChordDiagram, (2, ((1, 3), (2, 4)))),
          (AltitudeProfile, ((0, 1.0, 0),)), (PlusMinusSequence, ((True, -1),)), (Node, (5,)),
          (unrank, (3, 1.5)), (sequence_count, (2.5,)), (catalan_linear, (2.5,)), (SeriesPrefix, ((1.0, 2),))]
 cases += [(FAMILIES[name].read, (text,)) for name, text in MALFORMED.items()]
 cases += [(FAMILIES[name].read, (text,)) for name in FAMILIES for text in (None, 5, b"01", ["0"])]
 cases.append((FAMILIES["rpn-paper"].write, (CatalanSequence("010011"),)))
+# the scanned checks: a bad symbol, a prefix violation and a count mismatch each
+cases += [(CatalanSequence, (bits,)) for bits in ("0x", "10", "0001")]
+cases += [(GridPath, (steps,)) for steps in ("H0", "VH", "HHHV")]
+cases += [(PlusMinusSequence, (values,)) for values in ((1, 0), (-1, 1), (1, 1, 1, -1))]
+cases += [(FAMILIES[name].read, (text,)) for name, texts in SCANNED.items() for text in texts]
+cases.append((FAMILIES["rpn-paper"].write, (CatalanSequence("0101"),)))
 cases += [(fn, (3, cap)) for fn in (iter_sequences, enumerate_sequences) for cap, _ in BAD_CAPS]
 cases += [(random_uniform, (3, seed)) for seed, _ in BAD_SEEDS]
 for build, args in cases:
