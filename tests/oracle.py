@@ -8,6 +8,7 @@ force, so they stay independent of the code paths under test.
 from __future__ import annotations
 
 from itertools import product
+from math import comb
 from typing import NamedTuple
 
 
@@ -62,6 +63,58 @@ def brute_count(n: int) -> int:
             if balance == 0:
                 total += 1
     return total
+
+
+def ballot(r: int, b: int) -> int:
+    """Walks of r steps of +1/-1 from height b down to 0 that never go below 0.
+
+    Of the comb(r, d) walks from b to 0, d = (r + b) / 2 steps down, those
+    that touch -1 reflect one to one, by their part before the first touch,
+    onto the comb(r, d + 1) walks from -b - 2 to 0 (the reflection principle).
+    """
+    if not 0 <= b <= r or (r - b) % 2:
+        return 0
+    d = (r + b) // 2
+    return comb(r, d) - comb(r, d + 1)
+
+
+def ballot_rows(length: int) -> list[list[int]]:
+    """rows[r][b] = ballot(r, b) for r <= length, b <= r, by the plain recurrence:
+    a walk from b starts with a step up or a step down, and may not go below 0."""
+    rows = [[1]]
+    for r in range(1, length + 1):
+        prev = rows[-1] + [0, 0]
+        rows.append([prev[b + 1] + (prev[b - 1] if b else 0) for b in range(r + 1)])
+    return rows
+
+
+def ranked_word(n: int, k: int) -> str:
+    """The k-th valid word of semilength n in lexicographic order, 0 <= k <
+    ballot(2n, 0): a '0' where fewer than k + 1 words go on with it, else a
+    '1', with those words taken off k."""
+    word, balance = [], 0
+    for r in range(2 * n - 1, -1, -1):  # r symbols follow this one
+        with_zero = ballot(r, balance + 1)
+        if k < with_zero:
+            word.append("0")
+            balance += 1
+        else:
+            k -= with_zero
+            word.append("1")
+            balance -= 1
+    return "".join(word)
+
+
+def word_rank(word: str) -> int:
+    """The k with ``ranked_word(len(word) // 2, k) == word``, for a valid word."""
+    k, balance = 0, 0
+    for i, ch in enumerate(word):
+        if ch == "1":
+            k += ballot(len(word) - i - 1, balance + 1)
+            balance -= 1
+        else:
+            balance += 1
+    return k
 
 
 def first01_pairs(bits: str) -> set[tuple[int, int]]:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catseq.cli import main
-from catseq.core import DomainError, enumerate_sequences, validate
+from catseq.core import RANKING_CAP, DomainError, enumerate_sequences, validate
 from catseq.counting import catalan_closed
 from catseq.families import ALIASES, FAMILIES, resolve
 
@@ -172,6 +172,19 @@ class TestOrderAndRandom:
         assert first[0] == 0
         assert run(capsys, "random", "--n", "6", "--seed", "11") == first
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("random", "--n", str(RANKING_CAP + 1), "--seed", "1"),
+            ("unrank", "--n", str(RANKING_CAP + 1), "--index", "0"),
+            ("rank", "01" * (RANKING_CAP + 1)),
+        ],
+        ids=["random", "unrank", "rank"],
+    )
+    def test_over_the_ranking_cap_exits_1(self, capsys, argv):
+        message = f"catseq: error: semilength {RANKING_CAP + 1} exceeds the ranking cap {RANKING_CAP}\n"
+        assert run(capsys, *argv) == (1, "", message)
+
 
 class TestRender:
     def test_mountain(self, capsys):
@@ -179,6 +192,11 @@ class TestRender:
 
     def test_mountain_empty_prints_nothing(self, capsys):
         assert run(capsys, "render", "--format", "mountain", "") == (0, "", "")
+
+    def test_mountain_over_the_cap_exits_1(self, capsys):
+        message = "catseq: error: a mountain of 1024 rows by 4098 columns exceeds the cap of 4194304 cells\n"
+        word = "0" * 1024 + "1" * 1024 + "01" * 1025
+        assert run(capsys, "render", "--format", "mountain", word) == (1, "", message)
 
     def test_dot(self, capsys):
         code, out, err = run(capsys, "render", "--format", "dot", "01")

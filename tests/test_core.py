@@ -28,7 +28,7 @@ from catseq.core import (
     validate,
 )
 
-from oracle import brute_sequences, is_catalan_word
+from oracle import ballot, ballot_rows, brute_sequences, is_catalan_word, ranked_word, word_rank
 
 PAPER_N3 = ["000111", "001011", "001101", "010011", "010101"]
 
@@ -305,7 +305,8 @@ class TestRandomUniform:
         assert random_uniform(n, seed).bits == expected
 
     def test_lengths_share_one_table(self):
-        # once the longest length is warm, shorter ones build no table of their own
+        # once the table is warm, no length builds a table of its own: past
+        # its 400 rows a draw carries its count in memory linear in n
         random_uniform(266, 1)
         tracemalloc.start()
         try:
@@ -318,7 +319,7 @@ class TestRandomUniform:
         assert peak < 1_000_000
 
     def test_threads_growing_the_table_agree(self, monkeypatch):
-        cases = [(n, seed) for n in range(100, 201, 4) for seed in range(2)]
+        cases = [(n, seed) for n in (*range(100, 201, 4), 202, 266) for seed in range(2)]
         expected = [random_uniform(n, seed).bits for n, seed in cases]
         orders = [random.Random(t).sample(range(len(cases)), len(cases)) for t in range(6)]
 
@@ -335,6 +336,74 @@ class TestRandomUniform:
             sys.setswitchinterval(interval)
         for result in drawn:
             assert [result[i] for i in range(len(cases))] == expected
+        assert len(core._ballot) == core._TABLE_ROWS + 1
+
+
+#: semilengths on both sides of the table's last row, 400 symbols, and far past it
+ACROSS_THE_TABLE = [*range(195, 206), 266, 800]
+
+
+class TestAcrossTheTable:
+    """The table read and the closed-form carry against ``oracle.ballot``, which shares no code with them."""
+
+    def test_the_oracle_ballot_is_the_plain_recurrence(self):
+        rows = ballot_rows(64)
+        assert [[ballot(r, b) for b in range(r + 1)] for r in range(65)] == rows
+        assert [row[0] for row in rows[:13:2]] == [1, 1, 2, 5, 14, 42, 132]
+
+    @pytest.mark.parametrize("n", ACROSS_THE_TABLE)
+    def test_count_unrank_rank_and_draws_match_the_oracle(self, n):
+        total = ballot(2 * n, 0)
+        assert sequence_count(n) == total
+        for k in sorted({0, 1, total - 1, total // 2}):
+            word = ranked_word(n, k)
+            assert unrank(n, k).bits == word
+            assert rank(validate(word)) == k
+        for seed in range(2):
+            word = random_uniform(n, seed).bits
+            assert word == ranked_word(n, random.Random(seed).randrange(total))
+            assert rank(validate(word)) == word_rank(word)
+
+    def test_unrank_far_past_the_table_stays_small(self):
+        sequence_count(200)  # the table, grown in full
+        k = sequence_count(2000) // 3
+        tracemalloc.start()
+        try:
+            s = unrank(2000, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert rank(s) == k
+        assert len(core._ballot) <= core._TABLE_ROWS + 1
+
+    def test_unrank_names_a_total_past_the_int_string_limit_cut(self):
+        # C_7200 has 4,329 digits, past the default limit of 4,300
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(IndexOutOfRangeError) as exc:
+                unrank(7200, -1)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(exc.value) == "index -1 outside [0, 62704112599728573206...) for semilength 7200"
+
+
+#: the functions that rank, each with arguments of semilength RANKING_CAP + 1
+OVER_THE_RANKING_CAP = [
+    (sequence_count, lambda n: (n,)),
+    (unrank, lambda n: (n, 0)),
+    (random_uniform, lambda n: (n, 1)),
+    (rank, lambda n: (validate("01" * n),)),
+]
+
+
+@pytest.mark.parametrize("fn,args", OVER_THE_RANKING_CAP, ids=[fn.__name__ for fn, _ in OVER_THE_RANKING_CAP])
+def test_refuses_a_semilength_over_the_ranking_cap(fn, args):
+    n = core.RANKING_CAP + 1
+    with pytest.raises(CapExceededError) as info:
+        fn(*args(n))
+    assert str(info.value) == f"semilength {n} exceeds the ranking cap {core.RANKING_CAP}"
 
 
 #: (function, arguments, message): a semilength or index that is not a plain

@@ -1,14 +1,16 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catseq import chords, lattice, polygons, trees
+from catseq import chords, lattice, polygons, render, trees
 from catseq.chords import ChordDiagram
 from catseq.core import (
     AltitudeProfile,
+    CapExceededError,
     CatalanError,
     CatalanSequence,
     DomainError,
@@ -112,9 +114,8 @@ class TestTrustedOutputs:
         s = fam.encode(x)
         assert _rebuilt(s) == s and s.bits == word
 
-    # n stays small here: the ballot table behind unrank holds O(n^2) big ints.
     @settings(derandomize=True, database=None, max_examples=50, deadline=None)
-    @given(n=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+    @given(n=st.integers(0, 2000), seed=st.integers(0, 2**32 - 1))
     def test_unrank_and_random_uniform_outputs_pass_the_constructor(self, n, seed):
         k = random.Random(seed).randrange(sequence_count(n))
         for s in (unrank(n, k), random_uniform(n, seed)):
@@ -290,6 +291,26 @@ class TestMountain:
             joined = "".join(lines)
             assert joined.count("/") == n and joined.count("\\") == n
             assert all(len(line) <= 2 * n for line in lines)
+
+    def test_cap_holds_at_its_boundary(self, monkeypatch):
+        s = validate("0000" + "1111" + "01" * 4)  # 4 rows of 16 columns
+        monkeypatch.setattr(render, "MOUNTAIN_CAP", 64)
+        assert len(render_mountain(s)) == 4
+        monkeypatch.setattr(render, "MOUNTAIN_CAP", 63)
+        with pytest.raises(CapExceededError, match="^a mountain of 4 rows by 16 columns exceeds the cap of 63 cells$"):
+            render_mountain(s)
+
+    def test_refuses_a_grid_over_the_cap_before_building_it(self):
+        # 1,024 rows of 4,098 columns: the first grid of that peak past 2^22 cells
+        s = validate("0" * 1024 + "1" * 1024 + "01" * 1025)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="^a mountain of 1024 rows by 4098 columns exceeds"):
+                render_mountain(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # the grid would hold 4 * 10^6 cells
 
 
 class TestDot:
