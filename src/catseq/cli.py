@@ -10,12 +10,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice
+from operator import attrgetter
 
 from . import core
 from .core import CatalanError, DomainError, validate
 
 # each handler imports the modules it runs, so a command loads only those
 _METHODS = ("closed", "convolution", "linear", "series")  # counting.catalan_<method>
+_LINES_PER_WRITE = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,7 +97,10 @@ def _cmd_count(args) -> None:
 
 
 def _cmd_enumerate(args) -> None:
-    sys.stdout.writelines(s.bits + "\n" for s in core.iter_sequences(args.n))  # streams in constant memory
+    # streams in constant memory: one write per _LINES_PER_WRITE words, joined in C
+    words = map(attrgetter("bits"), core.iter_sequences(args.n))
+    while chunk := [*islice(words, _LINES_PER_WRITE)]:
+        sys.stdout.write("\n".join(chunk) + "\n")
 
 
 def _cmd_validate(args) -> None:

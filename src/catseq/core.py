@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import random
 import re
+from collections import deque
 from collections.abc import Iterator
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import comb
 from operator import add
 
@@ -23,7 +24,10 @@ from operator import add
 #: go through rank/unrank, which only need the ballot-number table.
 ENUMERATION_CAP = 16
 #: Length of the closings that end the words of one batch of ``_successors``.
-_BATCH = 10
+#: Each batch costs one successor step and one pass of ``_trusted_sequences``,
+#: so longer closings mean fewer, larger batches: at 14 a batch holds up to
+#: 1,001 words, and the closings table, built on first use, takes 0.5 MB.
+_BATCH = 14
 
 
 class CatalanError(ValueError):
@@ -58,7 +62,7 @@ class InvalidSymbolError(CatalanError):
 
 
 class CapExceededError(CatalanError):
-    """Enumeration was requested above the configured cap."""
+    """A size was requested above one of the package's stated caps."""
 
 
 class IndexOutOfRangeError(CatalanError):
@@ -307,6 +311,15 @@ def _trusted_sequence(bits: str, new=object.__new__, store=CatalanSequence.bits.
     return s
 
 
+def _trusted_sequences(count: int, words: Iterator[str], new=object.__new__, store=CatalanSequence.bits.__set__,
+                       drain=deque(maxlen=0).extend) -> list[CatalanSequence]:
+    """The batch form of ``_trusted_sequence``, for ``count`` words: one allocation pass and one
+    slot-store pass, both run in C, with no Python frame per word.  Enumeration builds through here."""
+    batch = [*map(new, repeat(CatalanSequence, count))]
+    drain(map(store, batch, words))
+    return batch
+
+
 class AltitudeProfile(_Value):
     """Running balance (#0 - #1) along a sequence, one entry per prefix.
 
@@ -368,7 +381,7 @@ def iter_sequences(n: int, cap: int = ENUMERATION_CAP) -> Iterator[CatalanSequen
     check_int(cap, "cap")
     if n > cap:
         raise CapExceededError(f"semilength {n} exceeds the enumeration cap {cap}")
-    return _successors(n)
+    return chain.from_iterable(_successors(n))
 
 
 @cache
@@ -380,9 +393,10 @@ def _closings(m: int) -> list[list[str]]:
     return [["0" + c for c in prev[b + 1]] + ["1" + c for c in prev[b - 1]] for b in range(m + 1)]
 
 
-def _successors(n: int) -> Iterator[CatalanSequence]:
-    """Every word of semilength n in batches: the words whose first 2n - m symbols
-    are q, m = min(2n, _BATCH), are q and each closing of q's balance b.  The next
+def _successors(n: int) -> Iterator[list[CatalanSequence]]:
+    """Every word of semilength n, as a list per batch, built by ``_trusted_sequences``
+    with no Python call per word: the words whose first 2n - m symbols are q,
+    m = min(2n, _BATCH), are q and each closing of q's balance b.  The next
     batch starts at the lexicographic successor (Knuth, TAOCP 4A, 7.2.1.6, Algorithm P)
     of the last, q 1^b (01)^c: p 0 1^(h+1) (01)^k with h >= 1 is followed by
     p 1 0^(k+1) 1^(k+h), and (01)^n, which holds no "11", is the last.  The last "11"
@@ -399,7 +413,7 @@ def _successors(n: int) -> Iterator[CatalanSequence]:
     while True:
         prefix = word[:cut]
         ends = closings[2 * prefix.count("0") - cut]
-        yield from map(_trusted_sequence, map(prefix.__add__, ends))  # valid as each closing is
+        yield _trusted_sequences(len(ends), map(prefix.__add__, ends))  # valid as each closing is
         word = prefix + ends[-1]
         j = word.rfind("11")
         if j < 0:
@@ -531,15 +545,15 @@ def unrank(n: int, k: int) -> CatalanSequence:
     """
     _check_ranked(n)
     check_int(k, "index")
-    total = _count(n)
+    table = _ballot_rows(2 * n)  # read once, for C_n and for the word
+    total = table[2 * n][0] if 2 * n <= _TABLE_ROWS else comb(2 * n, n) // (n + 1)
     if not 0 <= k < total:
         raise IndexOutOfRangeError(f"index {_whole(k)} outside [0, {_whole(total)}) for semilength {n}")
-    return _unrank(n, k, total)
+    return _unrank(n, k, total, table)
 
 
-def _unrank(n: int, k: int, total: int) -> CatalanSequence:
-    """``unrank(n, k)`` for a checked n, ``total`` = C_n and 0 <= k < C_n."""
-    table = _ballot_rows(2 * n)
+def _unrank(n: int, k: int, total: int, table: list[tuple[int, ...]]) -> CatalanSequence:
+    """``unrank(n, k)`` for a checked n, ``total`` = C_n, 0 <= k < C_n and ``table`` = ``_ballot_rows(2 * n)``."""
     bits = []
     balance = 0
     tail = 2 * n  # the symbols read off the table
@@ -574,9 +588,11 @@ def _unrank(n: int, k: int, total: int) -> CatalanSequence:
 def random_uniform(n: int, seed: int) -> CatalanSequence:
     """A uniformly random sequence of semilength n, deterministic in (n, seed): CatalanError for
     a seed of None, which draws from the system, a NaN, or a type ``random.Random`` refuses."""
-    total = sequence_count(n)
+    _check_ranked(n)
     if not isinstance(seed, (int, float, str, bytes, bytearray)):
         raise CatalanError(f"seed must be an int, float, str, bytes or bytearray, not {type(seed).__name__}")
     if seed != seed:
         raise CatalanError("seed must not be NaN")
-    return _unrank(n, random.Random(seed).randrange(total), total)
+    table = _ballot_rows(2 * n)  # read once, for C_n and for the word
+    total = table[2 * n][0] if 2 * n <= _TABLE_ROWS else comb(2 * n, n) // (n + 1)
+    return _unrank(n, random.Random(seed).randrange(total), total, table)

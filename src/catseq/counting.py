@@ -11,7 +11,12 @@ from __future__ import annotations
 
 import math
 
-from .core import CatalanError, _Value, check_int
+from .core import CapExceededError, CatalanError, _Value, check_int
+
+#: Largest Catalan index ``catalan_convolution`` and ``catalan_series`` reach.  Both
+#: sum k + 1 big-integer products for every k below it, so a cold call grows about
+#: 11-fold per doubling of n; at the cap it takes about 1 s.
+CONVOLUTION_CAP = 1400
 
 
 class SeriesPrefix(_Value):
@@ -61,9 +66,10 @@ _conv_cache = [1]
 
 
 def catalan_convolution(n: int) -> int:
-    """C_n by the convolution recurrence C_{k+1} = sum C_i * C_{k-i}."""
+    """C_n by the convolution recurrence C_{k+1} = sum C_i * C_{k-i}; CapExceededError for n > CONVOLUTION_CAP."""
     global _conv_cache
     _check_index(n)
+    _check_convolved(n)
     memo = _conv_cache
     if len(memo) <= n:
         memo = memo.copy()
@@ -92,10 +98,12 @@ def catalan_series(limit: int) -> SeriesPrefix:
     depends on coefficients below k, which an earlier pass already fixed),
     so each pass needs to evaluate just the first not-yet-stable
     coefficient of the square; the prefix is stable after ``limit`` passes.
+    Raises CapExceededError when the prefix would pass C_CONVOLUTION_CAP.
     """
     check_int(limit, "series prefix length")
     if limit < 1:
         raise CatalanError("series prefix length must be at least 1")
+    _check_convolved(limit - 1)  # the prefix ends at C_(limit - 1)
     coeffs = [1]
     while len(coeffs) < limit:
         k = len(coeffs) - 1  # degree-k term of C^2 feeds the z^{k+1} term
@@ -107,3 +115,8 @@ def _check_index(n: int) -> None:
     check_int(n, "Catalan index")
     if n < 0:
         raise CatalanError("Catalan numbers are indexed from 0")
+
+
+def _check_convolved(n: int) -> None:
+    if n > CONVOLUTION_CAP:
+        raise CapExceededError(f"Catalan index {n} exceeds the convolution cap {CONVOLUTION_CAP}")

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from .core import CapExceededError, CatalanSequence, altitude_profile
 
-#: Most cells, rows times columns, the grid of ``render_mountain`` may hold.  A
-#: random word of semilength 2,048 fills about 4 * 10^5; 0^2000 1^2000 would fill
-#: 8 * 10^6, and its rows hold 6 * 10^6 characters.
+#: Most cells, rows times columns, a picture of ``render_mountain`` may span: its
+#: lines hold at most that many characters.  A random word of semilength 2,048
+#: spans about 4 * 10^5; 0^2000 1^2000 would span 8 * 10^6, in 6 * 10^6 characters.
 MOUNTAIN_CAP = 2**22
+_GLYPHS = str.maketrans("01", "/\\")
 
 
 def render_mountain(s: CatalanSequence) -> list[str]:
@@ -15,9 +16,10 @@ def render_mountain(s: CatalanSequence) -> list[str]:
 
     Bit 0 paints '/' in the band above the altitude it starts from, bit 1
     paints '\\' in the band above the altitude it lands on; trailing
-    blanks are trimmed and the empty sequence renders as zero rows.
-    Raises CapExceededError, before the grid is built, when its peak
-    times its length passes MOUNTAIN_CAP.
+    blanks are trimmed and the empty sequence renders as zero rows.  Each
+    row is drawn in a byte buffer as long as the row, from the columns of its
+    band.  Raises CapExceededError, before any row is drawn, when the peak
+    times the length passes MOUNTAIN_CAP.
     """
     heights = altitude_profile(s).heights
     peak = max(heights)
@@ -25,13 +27,17 @@ def render_mountain(s: CatalanSequence) -> list[str]:
         raise CapExceededError(
             f"a mountain of {peak} rows by {len(s.bits)} columns exceeds the cap of {MOUNTAIN_CAP} cells"
         )
-    rows = [[" "] * len(s.bits) for _ in range(peak)]
-    for col, ch in enumerate(s.bits):
-        if ch == "0":
-            rows[heights[col]][col] = "/"
-        else:
-            rows[heights[col + 1]][col] = "\\"
-    return ["".join(rows[level]).rstrip() for level in range(peak - 1, -1, -1)]
+    glyphs = s.bits.translate(_GLYPHS).encode()
+    columns = [[] for _ in range(peak)]  # per band, its glyphs' columns, ascending
+    for col, band in enumerate(map(min, heights, heights[1:])):  # a step's glyph sits in the band it crosses
+        columns[band].append(col)
+    lines = []
+    for cols in reversed(columns):  # every band is crossed, so none is empty
+        row = bytearray(b" ") * (cols[-1] + 1)
+        for col in cols:
+            row[col] = glyphs[col]
+        lines.append(row.decode())
+    return lines
 
 
 # BinaryTree, of catseq.trees, is only named in this lazy annotation: mountains never load that module

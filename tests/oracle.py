@@ -171,6 +171,22 @@ def cycle_lemma_word(n: int, rng) -> str:
     return "".join(rotated[:-1])
 
 
+def grid_mountain(word: str) -> list[str]:
+    """The mountain picture drawn on a full grid, one cell per band and symbol:
+    '/' in the band above a '0''s start, '\\' in the band above a '1''s end,
+    top band first, trailing blanks trimmed."""
+    heights = [0]
+    for ch in word:
+        heights.append(heights[-1] + (1 if ch == "0" else -1))
+    grid = [[" "] * len(word) for _ in range(max(heights))]
+    for col, ch in enumerate(word):
+        if ch == "0":
+            grid[heights[col]][col] = "/"
+        else:
+            grid[heights[col + 1]][col] = "\\"
+    return ["".join(row).rstrip() for row in reversed(grid)]
+
+
 def ref_encode_tree(t) -> str:
     """Recursive reference encoder straight from the edge-pair rules.
 

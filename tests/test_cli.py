@@ -2,17 +2,19 @@ import io
 import json
 import subprocess
 import sys
-import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catseq import counting
 from catseq.cli import main
 from catseq.core import RANKING_CAP, DomainError, enumerate_sequences, validate
 from catseq.counting import catalan_closed
 from catseq.families import ALIASES, FAMILIES, resolve
+
+from test_core import traced_in_a_fresh_process
 
 
 def run(capsys, *argv):
@@ -35,6 +37,12 @@ class TestCount:
             for method in ("closed", "convolution", "linear", "series"):
                 code, out, err = run(capsys, "count", "--n", str(n), "--method", method)
                 assert (code, out, err) == (0, expected, "")
+
+    @pytest.mark.parametrize("method", ["convolution", "series"])
+    def test_over_the_convolution_cap_exits_1(self, capsys, method):
+        n = counting.CONVOLUTION_CAP + 1
+        message = f"catseq: error: Catalan index {n} exceeds the convolution cap {counting.CONVOLUTION_CAP}\n"
+        assert run(capsys, "count", "--n", str(n), "--method", method) == (1, "", message)
 
     def test_negative(self, capsys):
         code, out, err = run(capsys, "count", "--n", "-1")
@@ -78,22 +86,27 @@ class TestEnumerateValidate:
         assert run(capsys, "enumerate", "--n", n) == (1, "", f"catseq: error: {message}\n")
 
     def test_enumerate_streams(self):
-        class ByteCount(io.TextIOBase):
-            count = 0
+        setup = """
+import io
+from contextlib import redirect_stdout
+from catseq.cli import main
 
-            def write(self, text):
-                self.count += len(text)
-                return len(text)
+class ByteCount(io.TextIOBase):
+    count = 0
 
-        sink = ByteCount()
-        tracemalloc.start()
-        try:
-            with redirect_stdout(sink):
-                code = main(["enumerate", "--n", "11"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (code, sink.count) == (0, 58786 * 23)
+    def write(self, text):
+        self.count += len(text)
+        return len(text)
+
+sink = ByteCount()
+"""
+        run = """
+with redirect_stdout(sink):
+    code = main(["enumerate", "--n", "11"])
+count = sink.count if code == 0 else -code
+"""
+        count, peak = traced_in_a_fresh_process(setup, run)
+        assert count == 58786 * 23
         assert peak < 2**20  # the list of 58,786 sequences alone takes several MB
 
     def test_validate_ok(self, capsys):

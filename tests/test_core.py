@@ -194,13 +194,45 @@ class TestEnumerate:
             enumerate_sequences(-1)
 
 
+#: ``count`` and the tracemalloc peak of ``{run}``, after ``{setup}``, in a fresh process,
+#: so that the closings table is first built inside the traced region
+_TRACED = """
+import tracemalloc
+{setup}
+tracemalloc.start()
+{run}
+print(count, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def traced_in_a_fresh_process(setup: str, run: str) -> tuple[int, int]:
+    src = str(Path(core.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", _TRACED.format(setup=setup, run=run)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stderr == ""
+    count, peak = map(int, proc.stdout.split())
+    return count, peak
+
+
 class TestIterSequences:
-    # n <= 4 reads its whole word from the closings table, n = 5 exactly fills
-    # it, and n >= 6 takes a prefix of 2n - 10 symbols: every change of prefix
-    # up to n = 12 is checked against unrank
+    # n <= 6 reads its whole word from the closings table, n = 7 exactly fills
+    # it, and n >= 8 takes a prefix of 2n - 14 symbols: every change of prefix
+    # up to n = 12, where the prefix holds 10 symbols, is checked against unrank
     @pytest.mark.parametrize("n", range(13))
     def test_same_words_as_unranking_every_index(self, n):
         assert [s.bits for s in iter_sequences(n)] == [unrank(n, k).bits for k in range(sequence_count(n))]
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_each_batch_is_every_word_of_one_prefix(self, n):
+        cut = max(0, 2 * n - core._BATCH)
+        batches = [[s.bits for s in batch] for batch in core._successors(n)]
+        assert all(type(batch) is list and {w[:cut] for w in batch} == {batch[0][:cut]} for batch in batches)
+        words = [w for batch in batches for w in batch]
+        prefixes = [batch[0][:cut] for batch in batches]
+        assert prefixes == sorted({w[:cut] for w in words}) and words == [s.bits for s in iter_sequences(n)]
+        # the successor step changes the prefix at every symbol but the first, which stays '0'
+        changed = {next(i for i, (a, b) in enumerate(zip(p, q)) if a != b) for p, q in zip(prefixes, prefixes[1:])}
+        assert changed == set(range(1, cut))
 
     @pytest.mark.parametrize("n", range(9))
     def test_same_words_as_the_brute_force_filter(self, n):
@@ -212,20 +244,20 @@ class TestIterSequences:
             assert rank(s) == i
 
     def test_yields_validated_sequences(self):
-        for s in iter_sequences(7):
-            assert type(s) is CatalanSequence and CatalanSequence(s.bits) == s
-            assert not hasattr(s, "__dict__") and repr(s) == f"CatalanSequence(bits={s.bits!r})"
+        batches = list(core._successors(10))
+        assert len(batches) == 20  # 16,796 words: each batch is a 6-symbol prefix and its closings
+        for batch in batches:
+            for s in batch:
+                bits = CatalanSequence.bits.__get__(s)  # the slot is set
+                assert type(s) is CatalanSequence and CatalanSequence(bits) == s
+                assert not hasattr(s, "__dict__") and repr(s) == f"CatalanSequence(bits={bits!r})"
 
     def test_first_word_comes_at_once_at_the_cap(self):
         assert next(iter_sequences(16)).bits == "0" * 16 + "1" * 16
 
     def test_streams_in_constant_memory(self):
-        tracemalloc.start()
-        try:
-            count = sum(1 for _ in iter_sequences(12))  # keeps no word
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        setup = "from catseq.core import iter_sequences"
+        count, peak = traced_in_a_fresh_process(setup, "count = sum(1 for _ in iter_sequences(12))")  # keeps no word
         assert count == 208012
         assert peak < 2**20  # the list of 208,012 sequences alone takes over 20 MB
 

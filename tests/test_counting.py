@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from catseq import counting
-from catseq.core import CatalanError
+from catseq.core import CapExceededError, CatalanError
 from catseq.counting import (
     SeriesPrefix,
     binomial,
@@ -62,6 +62,23 @@ def test_negative_index_rejected():
     for fn in (catalan_closed, catalan_convolution, catalan_linear):
         with pytest.raises(CatalanError):
             fn(-1)
+
+
+def test_convolution_routes_refuse_one_past_the_cap():
+    message = f"^Catalan index {counting.CONVOLUTION_CAP + 1} exceeds the convolution cap {counting.CONVOLUTION_CAP}$"
+    with pytest.raises(CapExceededError, match=message):
+        catalan_convolution(counting.CONVOLUTION_CAP + 1)
+    with pytest.raises(CapExceededError, match=message):
+        catalan_series(counting.CONVOLUTION_CAP + 2)  # its last term would be C_(cap + 1)
+
+
+def test_convolution_cap_holds_at_its_boundary(monkeypatch):
+    catalan_convolution(8)  # the memo already holds C_6, yet the cap refuses it below
+    monkeypatch.setattr(counting, "CONVOLUTION_CAP", 5)
+    assert catalan_convolution(5) == 42 and catalan_series(6).coefficients[-1] == 42
+    for call in (lambda: catalan_convolution(6), lambda: catalan_series(7)):
+        with pytest.raises(CapExceededError, match="^Catalan index 6 exceeds the convolution cap 5$"):
+            call()
 
 
 def test_cross_method_agreement_to_300():

@@ -29,7 +29,7 @@ from catseq.polygons import Triangulation
 from catseq.render import render_dot, render_mountain
 from catseq.trees import decode_tree
 
-from oracle import brute_sequences, cycle_lemma_word
+from oracle import brute_sequences, cycle_lemma_word, grid_mountain
 
 TOTAL_FAMILIES = [name for name, fam in FAMILIES.items() if fam.total]
 
@@ -299,6 +299,31 @@ class TestMountain:
         monkeypatch.setattr(render, "MOUNTAIN_CAP", 63)
         with pytest.raises(CapExceededError, match="^a mountain of 4 rows by 16 columns exceeds the cap of 63 cells$"):
             render_mountain(s)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_same_lines_as_the_full_grid_every_word(self, n):
+        for s in enumerate_sequences(n):
+            assert render_mountain(s) == grid_mountain(s.bits)
+
+    @pytest.mark.parametrize("n", [64, 500, 2048])
+    def test_same_lines_as_the_full_grid_random_words(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            word = cycle_lemma_word(n, rng)
+            assert render_mountain(validate(word)) == grid_mountain(word)
+
+    def test_draws_the_cap_grid_in_little_memory(self):
+        # 1,024 rows of 4,096 columns, 2^22 cells: the largest grid of that peak the cap lets by
+        word = "0" * 1024 + "1" * 1024 + "01" * 1024
+        s = validate(word)
+        tracemalloc.start()
+        try:
+            lines = render_mountain(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000  # the lines take 1.6 MB; a grid of one-character strings took 35 MB
+        assert lines == grid_mountain(word)
 
     def test_refuses_a_grid_over_the_cap_before_building_it(self):
         # 1,024 rows of 4,098 columns: the first grid of that peak past 2^22 cells
