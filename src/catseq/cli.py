@@ -85,14 +85,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_count(args) -> None:
     from . import counting
-    counting._check_index(args.n)  # catalan_series would object to its prefix length instead
+    n, limit = args.n, sys.get_int_max_str_digits()
+    counting._check_index(n)  # catalan_series would object to its prefix length instead
+    too_long = CatalanError(f"C_{n} has more than {limit} digits, the int-string limit")
+    # C_n >= 4^n / ((2n + 1)(n + 1)) > 4^n / 2^(2b + 2) for n < 2^b, and log10(2) > 0.30102999: past the
+    # limit by this bound, C_n is not computed, and the capped routes name their cap first instead
+    if limit and (2 * n - 2 * n.bit_length() - 2) * 30102999 >= limit * 10**8 and args.method in ("closed", "linear"):
+        raise too_long
     route = getattr(counting, f"catalan_{args.method}")
-    count = route(args.n + 1).coefficients[args.n] if args.method == "series" else route(args.n)
+    count = route(n + 1).coefficients[n] if args.method == "series" else route(n)
     try:
         text = str(count)
     except ValueError:  # a cut number is no answer
-        limit = sys.get_int_max_str_digits()
-        raise CatalanError(f"C_{args.n} has more than {limit} digits, the int-string limit") from None
+        raise too_long from None
     print(text)
 
 

@@ -18,15 +18,15 @@ from itertools import accumulate, chain, repeat
 from math import comb
 from operator import add
 
-#: Largest semilength `iter_sequences` and `enumerate_sequences` accept by
-#: default.  C_16 is about 35 million words: the iterator streams them in
-#: constant memory, but the list holds them all.  Anything above the cap must
-#: go through rank/unrank, which only need the ballot-number table.
+#: Largest semilength `iter_sequences` and `enumerate_sequences` accept.
+#: C_16 is about 35 million words: the iterator streams them in constant
+#: memory, but the list holds them all.  Anything above the cap must go
+#: through rank/unrank, which only need the ballot-number table.
 ENUMERATION_CAP = 16
 #: Length of the closings that end the words of one batch of ``_successors``.
-#: Each batch costs one successor step and one pass of ``_trusted_sequences``,
+#: Each batch costs one leaf of the prefix walk and one pass of ``_trusted_sequences``,
 #: so longer closings mean fewer, larger batches: at 14 a batch holds up to
-#: 1,001 words, and the closings table, built on first use, takes 0.5 MB.
+#: 1,001 words, and the closings table, built on first use, takes 0.24 MB.
 _BATCH = 14
 
 
@@ -169,10 +169,12 @@ def check_int(value, what: str) -> None:
         raise CatalanError(f"{what} must be an int, not {type(value).__name__}")
 
 
-def _check_semilength(n) -> None:
+def _check_semilength(n, cap: int, what: str) -> None:
     check_int(n, "semilength")
     if n < 0:
         raise CatalanError("semilength must be nonnegative")
+    if n > cap:
+        raise CapExceededError(f"semilength {n} exceeds the {what} cap {cap}")
 
 
 def _trusted(cls, *values):
@@ -366,69 +368,55 @@ def altitude_profile(s: CatalanSequence) -> AltitudeProfile:
     return _trusted(AltitudeProfile, tuple(accumulate(steps, initial=0)))  # valid as s is
 
 
-def iter_sequences(n: int, cap: int = ENUMERATION_CAP) -> Iterator[CatalanSequence]:
+def iter_sequences(n: int) -> Iterator[CatalanSequence]:
     """The C_n Catalan sequences of semilength n, lexicographically ascending,
     one at a time, in memory that does not grow with C_n.
 
-    Raises CatalanError unless n and ``cap`` are ints and n >= 0, and
-    CapExceededError for n > ``cap``, when called, before the first word.
+    Raises CatalanError unless n is an int and n >= 0, and CapExceededError
+    for n > ENUMERATION_CAP, when called, before the first word.
 
     >>> it = iter_sequences(3)
     >>> next(it).bits, next(it).bits, [s.bits for s in it]
     ('000111', '001011', ['001101', '010011', '010101'])
     """
-    _check_semilength(n)
-    check_int(cap, "cap")
-    if n > cap:
-        raise CapExceededError(f"semilength {n} exceeds the enumeration cap {cap}")
+    _check_semilength(n, ENUMERATION_CAP, "enumeration")
     return chain.from_iterable(_successors(n))
 
 
 @cache
 def _closings(m: int) -> list[list[str]]:
     """Per balance b, the closings of length m: the words that take b to 0 and no lower, ascending."""
-    if m == 0:
-        return [[""]]
-    prev = _closings(m - 1) + [[], []]  # none from m or m + 1, which prev[-1] reads as -1
-    return [["0" + c for c in prev[b + 1]] + ["1" + c for c in prev[b - 1]] for b in range(m + 1)]
+    table = [[""]]
+    for length in range(1, m + 1):  # in this one call, so the cache keeps length m alone
+        prev = table + [[], []]  # none from length or length + 1, which prev[-1] reads as -1
+        table = [["0" + c for c in prev[b + 1]] + ["1" + c for c in prev[b - 1]] for b in range(length + 1)]
+    return table
 
 
-def _successors(n: int) -> Iterator[list[CatalanSequence]]:
-    """Every word of semilength n, as a list per batch, built by ``_trusted_sequences``
-    with no Python call per word: the words whose first 2n - m symbols are q,
-    m = min(2n, _BATCH), are q and each closing of q's balance b.  The next
-    batch starts at the lexicographic successor (Knuth, TAOCP 4A, 7.2.1.6, Algorithm P)
-    of the last, q 1^b (01)^c: p 0 1^(h+1) (01)^k with h >= 1 is followed by
-    p 1 0^(k+1) 1^(k+h), and (01)^n, which holds no "11", is the last.  The last "11"
-    starts at j = i + h, where i is the changed 0, and j alone fixes k, so
-    ``tails[j][h]`` is all that follows p.
-    """
+def _successors(n: int, prefix: str = "", balance: int = 0) -> Iterator[list[CatalanSequence]]:
+    """Every word of semilength n that starts with ``prefix``, whose balance is ``balance``, as a list
+    per batch, built by ``_trusted_sequences`` with no Python call per word: a batch is one prefix of
+    cut = max(0, 2n - _BATCH) symbols followed by each closing of its balance.  The walk of the prefix
+    tree tries '0' before '1', so the batches come in lexicographic order; it takes '0' only while the
+    rest can still close and '1' only above balance 0, and recurses at most 2 ENUMERATION_CAP - _BATCH deep."""
     cut = max(0, 2 * n - _BATCH)
-    closings = _closings(2 * n - cut)
-    tails = []
-    for j in range(2 * n):
-        k = n - j // 2 - 1  # a "11" at j leaves 2n - j - 2 = 2k symbols after it
-        tails.append(["1" + "0" * (k + 1) + "1" * (k + h) for h in range(j + 1)])
-    word = "0" * n + "1" * n
-    while True:
-        prefix = word[:cut]
-        ends = closings[2 * prefix.count("0") - cut]
+    if len(prefix) == cut:
+        ends = _closings(2 * n - cut)[balance]
         yield _trusted_sequences(len(ends), map(prefix.__add__, ends))  # valid as each closing is
-        word = prefix + ends[-1]
-        j = word.rfind("11")
-        if j < 0:
-            return
-        i = word.rindex("0", 0, j)
-        word = word[:i] + tails[j][j - i]
+        return
+    if balance < 2 * n - len(prefix) - 1:
+        yield from _successors(n, prefix + "0", balance + 1)
+    if balance:
+        yield from _successors(n, prefix + "1", balance - 1)
 
 
-def enumerate_sequences(n: int, cap: int = ENUMERATION_CAP) -> list[CatalanSequence]:
+def enumerate_sequences(n: int) -> list[CatalanSequence]:
     """All C_n Catalan sequences of semilength n, lexicographically ascending.
 
     >>> [s.bits for s in enumerate_sequences(2)]
     ['0011', '0101']
     """
-    return list(iter_sequences(n, cap))
+    return list(iter_sequences(n))
 
 
 #: _ballot[r][b] = number of valid completions with r symbols remaining and a
@@ -456,15 +444,6 @@ _TABLE_ROWS = 400
 RANKING_CAP = 2**15
 
 
-def _check_ranked(n) -> None:
-    """``_check_semilength`` written out, as every draw and unrank runs it, then the ranking cap."""
-    check_int(n, "semilength")
-    if n < 0:
-        raise CatalanError("semilength must be nonnegative")
-    if n > RANKING_CAP:
-        raise CapExceededError(f"semilength {n} exceeds the ranking cap {RANKING_CAP}")
-
-
 def _ballot_rows(length: int) -> list[tuple[int, ...]]:
     """The shared table with at least rows 0..min(length, _TABLE_ROWS)."""
     global _ballot
@@ -480,9 +459,10 @@ def _ballot_rows(length: int) -> list[tuple[int, ...]]:
 
 def _count(n: int) -> int:
     """C_n for a checked n: a table read up to the table's length, the closed form past it."""
-    if 2 * n > _TABLE_ROWS:
-        return comb(2 * n, n) // (n + 1)
-    return _ballot_rows(2 * n)[2 * n][0]
+    rows = _ballot  # a warm read makes no call, as every unrank and draw runs it
+    if 2 * n < len(rows):
+        return rows[2 * n][0]
+    return comb(2 * n, n) // (n + 1) if 2 * n > _TABLE_ROWS else _ballot_rows(2 * n)[2 * n][0]
 
 
 def sequence_count(n: int) -> int:
@@ -492,7 +472,7 @@ def sequence_count(n: int) -> int:
     Raises CatalanError unless n is an int and n >= 0, and CapExceededError
     for n > RANKING_CAP.
     """
-    _check_ranked(n)
+    _check_semilength(n, RANKING_CAP, "ranking")
     return _count(n)
 
 
@@ -505,14 +485,12 @@ def rank(s: CatalanSequence) -> int:
     CapExceededError for a semilength above RANKING_CAP.
     """
     bits = s.bits
-    if len(bits) > 2 * RANKING_CAP:
-        _check_ranked(len(bits) // 2)  # raises CapExceededError
-    table = _ballot_rows(len(bits))
     balance = 0
     position = 0
     if len(bits) > _TABLE_ROWS:
-        head = len(bits) - _TABLE_ROWS
         n = len(bits) // 2
+        _check_semilength(n, RANKING_CAP, "ranking")  # raises CapExceededError past the cap
+        head = len(bits) - _TABLE_ROWS
         z, r, h, j = _count(n), 2 * n - 1, 1, n - 1
         for ch in bits[:head]:
             if ch == "1":
@@ -526,6 +504,7 @@ def rank(s: CatalanSequence) -> int:
             r -= 1
         balance = h - 1
         bits = bits[head:]
+    table = _ballot_rows(len(bits))
     remaining = len(bits)
     for ch in bits:
         if ch == "1":
@@ -543,20 +522,22 @@ def unrank(n: int, k: int) -> CatalanSequence:
     Raises CatalanError unless n and k are ints and n >= 0, CapExceededError
     for n > RANKING_CAP, and IndexOutOfRangeError unless 0 <= k < C_n.
     """
-    _check_ranked(n)
+    _check_semilength(n, RANKING_CAP, "ranking")
     check_int(k, "index")
-    table = _ballot_rows(2 * n)  # read once, for C_n and for the word
-    total = table[2 * n][0] if 2 * n <= _TABLE_ROWS else comb(2 * n, n) // (n + 1)
+    total = _count(n)
     if not 0 <= k < total:
         raise IndexOutOfRangeError(f"index {_whole(k)} outside [0, {_whole(total)}) for semilength {n}")
-    return _unrank(n, k, total, table)
+    return _unrank(n, k, total)
 
 
-def _unrank(n: int, k: int, total: int, table: list[tuple[int, ...]]) -> CatalanSequence:
-    """``unrank(n, k)`` for a checked n, ``total`` = C_n, 0 <= k < C_n and ``table`` = ``_ballot_rows(2 * n)``."""
+def _unrank(n: int, k: int, total: int) -> CatalanSequence:
+    """``unrank(n, k)`` for a checked n, 0 <= k < C_n and ``total`` = ``_count(n)``."""
     bits = []
     balance = 0
     tail = 2 * n  # the symbols read off the table
+    table = _ballot  # as _count(n) left it, unless another thread has since set a shorter copy
+    if len(table) <= tail:
+        table = _ballot_rows(tail)
     if tail > _TABLE_ROWS:
         z, r, h, j = total, 2 * n - 1, 1, n - 1
         for _ in range(tail - _TABLE_ROWS):
@@ -588,11 +569,10 @@ def _unrank(n: int, k: int, total: int, table: list[tuple[int, ...]]) -> Catalan
 def random_uniform(n: int, seed: int) -> CatalanSequence:
     """A uniformly random sequence of semilength n, deterministic in (n, seed): CatalanError for
     a seed of None, which draws from the system, a NaN, or a type ``random.Random`` refuses."""
-    _check_ranked(n)
+    _check_semilength(n, RANKING_CAP, "ranking")
     if not isinstance(seed, (int, float, str, bytes, bytearray)):
         raise CatalanError(f"seed must be an int, float, str, bytes or bytearray, not {type(seed).__name__}")
     if seed != seed:
         raise CatalanError("seed must not be NaN")
-    table = _ballot_rows(2 * n)  # read once, for C_n and for the word
-    total = table[2 * n][0] if 2 * n <= _TABLE_ROWS else comb(2 * n, n) // (n + 1)
-    return _unrank(n, random.Random(seed).randrange(total), total, table)
+    total = _count(n)
+    return _unrank(n, random.Random(seed).randrange(total), total)

@@ -46,6 +46,13 @@ def brute_sequences(n: int) -> list[str]:
     return ["".join(w) for w in product("01", repeat=2 * n) if is_catalan_word("".join(w))]
 
 
+def brute_closings(m: int) -> list[list[str]]:
+    """Per balance b = 0..m, the words w of length m that take b to 0 and no lower,
+    ascending: those for which '0' * b + w is a Catalan word, filtered from every binary word."""
+    words = ["".join(w) for w in product("01", repeat=m)]
+    return [[w for w in words if is_catalan_word("0" * b + w)] for b in range(m + 1)]
+
+
 def brute_count(n: int) -> int:
     """Number of valid words of length 2n, scanning all 2^(2n) candidates."""
     length = 2 * n

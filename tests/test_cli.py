@@ -65,6 +65,34 @@ class TestCount:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    @pytest.mark.parametrize("method", ["closed", "linear"])
+    def test_refuses_a_count_past_the_int_string_limit_before_computing_it(self, capsys, monkeypatch, method):
+        def never(n):
+            raise AssertionError(f"C_{n} was computed")
+
+        monkeypatch.setattr(counting, f"catalan_{method}", never)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            error = "catseq: error: C_100000 has more than 4300 digits, the int-string limit\n"
+            assert run(capsys, "count", "--n", "100000", "--method", method) == (1, "", error)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("method", ["convolution", "series"])
+    def test_names_the_convolution_cap_before_the_int_string_limit(self, capsys, method):
+        message = f"catseq: error: Catalan index 100000 exceeds the convolution cap {counting.CONVOLUTION_CAP}\n"
+        assert run(capsys, "count", "--n", "100000", "--method", method) == (1, "", message)
+
+    def test_no_int_string_limit_prints_any_count(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = f"{catalan_closed(8000)}\n"
+            assert run(capsys, "count", "--n", "8000") == (0, expected, "")
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestEnumerateValidate:
     def test_enumerate(self, capsys):

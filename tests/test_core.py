@@ -28,7 +28,7 @@ from catseq.core import (
     validate,
 )
 
-from oracle import ballot, ballot_rows, brute_sequences, is_catalan_word, ranked_word, word_rank
+from oracle import ballot, ballot_rows, brute_closings, brute_sequences, is_catalan_word, ranked_word, word_rank
 
 PAPER_N3 = ["000111", "001011", "001101", "010011", "010101"]
 
@@ -182,12 +182,13 @@ class TestEnumerate:
             if w:
                 assert w[0] == "0" and w[-1] == "1"
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         with pytest.raises(CapExceededError):
             enumerate_sequences(core.ENUMERATION_CAP + 1)
-        assert len(enumerate_sequences(5, cap=5)) == 42
-        with pytest.raises(CapExceededError):
-            enumerate_sequences(6, cap=5)
+        monkeypatch.setattr(core, "ENUMERATION_CAP", 5)
+        assert len(enumerate_sequences(5)) == 42
+        with pytest.raises(CapExceededError, match="^semilength 6 exceeds the enumeration cap 5$"):
+            enumerate_sequences(6)
 
     def test_negative(self):
         with pytest.raises(core.CatalanError):
@@ -230,7 +231,7 @@ class TestIterSequences:
         words = [w for batch in batches for w in batch]
         prefixes = [batch[0][:cut] for batch in batches]
         assert prefixes == sorted({w[:cut] for w in words}) and words == [s.bits for s in iter_sequences(n)]
-        # the successor step changes the prefix at every symbol but the first, which stays '0'
+        # consecutive prefixes first differ at every symbol but the first, which stays '0'
         changed = {next(i for i, (a, b) in enumerate(zip(p, q)) if a != b) for p, q in zip(prefixes, prefixes[1:])}
         assert changed == set(range(1, cut))
 
@@ -266,11 +267,23 @@ class TestIterSequences:
         with pytest.raises(error):
             iter_sequences(n)  # no next(): the check is not deferred to the first word
 
-    def test_cap_keyword(self):
-        assert len(list(iter_sequences(5, cap=5))) == 42
-        with pytest.raises(CapExceededError):
-            iter_sequences(6, cap=5)
-        assert list(iter_sequences(6, cap=6)) == enumerate_sequences(6, cap=6)
+    def test_cap_holds_at_its_boundary(self, monkeypatch):
+        monkeypatch.setattr(core, "ENUMERATION_CAP", 6)
+        assert [s.bits for s in iter_sequences(6)] == brute_sequences(6)
+        with pytest.raises(CapExceededError, match="^semilength 7 exceeds the enumeration cap 6$"):
+            iter_sequences(7)  # no next(): the check is not deferred to the first word
+
+    @pytest.mark.parametrize("m", range(11))
+    def test_closings_are_the_brute_force_filter(self, m):
+        assert core._closings(m) == brute_closings(m)
+
+    def test_closings_cache_keeps_only_the_length_it_serves(self):
+        core._closings.cache_clear()
+        enumerate_sequences(8)
+        assert core._closings.cache_info().currsize == 1
+        hits = core._closings.cache_info().hits
+        core._closings(core._BATCH)
+        assert core._closings.cache_info().hits == hits + 1
 
 
 class TestRankUnrank:
@@ -307,6 +320,17 @@ class TestRankUnrank:
         for k, s in enumerate(enumerate_sequences(n)):
             assert rank(s) == k
             assert unrank(n, k) == s
+
+    def test_unrank_refuses_an_index_before_growing_the_table(self, monkeypatch):
+        monkeypatch.setattr(core, "_ballot", [(1, 0, 0)])
+        with pytest.raises(IndexOutOfRangeError):
+            unrank(300, -1)  # C_300 by the closed form, past the table's 400 symbols
+        assert len(core._ballot) == 1
+
+    def test_unrank_grows_a_table_set_shorter_after_its_count(self, monkeypatch):
+        total = core._count(10)
+        monkeypatch.setattr(core, "_ballot", [(1, 0, 0)])  # as a thread that grew a shorter copy would
+        assert core._unrank(10, 12345, total).bits == ranked_word(10, 12345)
 
     def test_rank_without_materializing(self):
         # far beyond the enumeration cap
@@ -465,18 +489,20 @@ def test_rejects_a_semilength_or_index_that_is_not_a_plain_int(fn, args, message
     assert (type(info.value), str(info.value)) == (core.CatalanError, message)
 
 
-#: a cap that is not a plain int: each is refused when called, n checked first
-BAD_CAPS = [(None, "NoneType"), ("5", "str"), (2.5, "float"), (True, "bool"), (16.0, "float")]
+#: a semilength that is not a plain int: each is refused when called, before the enumeration cap
+NOT_INTS = [(None, "NoneType"), ("5", "str"), (2.5, "float"), (True, "bool"), (16.0, "float")]
 
 
 @pytest.mark.parametrize("fn", [iter_sequences, enumerate_sequences])
-@pytest.mark.parametrize("cap,name", BAD_CAPS)
-def test_rejects_a_cap_that_is_not_a_plain_int(fn, cap, name):
+@pytest.mark.parametrize("n,name", NOT_INTS)
+def test_checks_the_semilength_before_the_enumeration_cap(monkeypatch, fn, n, name):
+    monkeypatch.setattr(core, "ENUMERATION_CAP", -2)  # every semilength is past it
     with pytest.raises(core.CatalanError) as info:
-        fn(3, cap)
-    assert (type(info.value), str(info.value)) == (core.CatalanError, f"cap must be an int, not {name}")
-    with pytest.raises(core.CatalanError, match="^semilength must be nonnegative$"):
-        fn(-1, cap)
+        fn(n)
+    assert (type(info.value), str(info.value)) == (core.CatalanError, f"semilength must be an int, not {name}")
+    with pytest.raises(core.CatalanError) as info:
+        fn(-1)
+    assert (type(info.value), str(info.value)) == (core.CatalanError, "semilength must be nonnegative")
 
 
 #: seeds of every type random.Random reads, with the words they gave before

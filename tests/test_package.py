@@ -81,7 +81,7 @@ from catseq.counting import SeriesPrefix, catalan_linear
 from catseq.families import FAMILIES
 from catseq.lattice import GridPath, PlusMinusSequence
 from catseq.trees import Node
-from test_core import BAD_CAPS, BAD_SEEDS
+from test_core import BAD_SEEDS, NOT_INTS
 MALFORMED = {"sequence": "0110", "tree": "((. .) .", "path": "HVVH", "pm": "+--+", "chords": "1-3,2-4",
              "mult": "(a*a", "rpn": "aa", "rpn-paper": "a*", "polygon": "6;0-2,1-3,0-4"}
 SCANNED = {"sequence": ("01x1", "0110", "0001"), "path": ("H1", "HVVH", "HHHV"), "pm": ("+0", "+--+", "+++-"),
@@ -98,7 +98,7 @@ cases += [(GridPath, (steps,)) for steps in ("H0", "VH", "HHHV")]
 cases += [(PlusMinusSequence, (values,)) for values in ((1, 0), (-1, 1), (1, 1, 1, -1))]
 cases += [(FAMILIES[name].read, (text,)) for name, texts in SCANNED.items() for text in texts]
 cases.append((FAMILIES["rpn-paper"].write, (CatalanSequence("0101"),)))
-cases += [(fn, (3, cap)) for fn in (iter_sequences, enumerate_sequences) for cap, _ in BAD_CAPS]
+cases += [(fn, (n,)) for fn in (iter_sequences, enumerate_sequences) for n, _ in NOT_INTS]
 cases += [(random_uniform, (3, seed)) for seed, _ in BAD_SEEDS]
 for build, args in cases:
     try:
