@@ -7,30 +7,41 @@ labels.  Each pair so extracted is a 0 and the 1 that matches it as
 parentheses, so decoding here is one pass of stack matching.  A chord
 list is valid exactly when its word is a Catalan word, so the check that
 ChordDiagram shares with read_chords is the pass that writes the word.
+Text and word meet through flat int lists, with no tuple per chord:
+read_chords checks the labels a0, b0, a1, b1, ... that parse_pairs reads,
+two at a time, and write_chords formats the stack matching's labels with
+write_pairs.
 """
 
 from __future__ import annotations
 
-from .core import CatalanError, CatalanSequence, _trusted, _trusted_sequence, _Value, cut_number, parse_pairs, parsed
+from itertools import chain
+
+from .core import (
+    CatalanError, CatalanSequence, _trusted, _trusted_sequence, _Value, cut_number, parse_pairs, parsed, write_pairs,
+)
 
 
-def _chord_bits(n: int, chords) -> str:
-    """The word of ``n`` chords, pairs of int labels either way round.
+def _chord_bits(n: int, labels) -> str:
+    """The word of ``n`` chords from their int labels a0, b0, a1, b1, ... in one
+    flat run, each pair either way round.
 
     A partner array shows that the labels cover 1..2n once each.  Then each
     point writes 0 as its chord opens and 1 as it closes, with a stack of
     open chords: they cross exactly when a closing point's chord (a, b) is
     not the top one (c, d), and then a < c < b < d.
     """
-    partner = [0] * (2 * n + 1)
-    for a, b in chords:
-        if not (0 < a <= 2 * n and 0 < b <= 2 * n) or a == b or partner[a] or partner[b]:
+    points = 2 * n
+    partner = [0] * (points + 1)
+    labels = iter(labels)
+    for a, b in zip(labels, labels):
+        if not (0 < a <= points and 0 < b <= points) or a == b or partner[a] or partner[b]:
             raise CatalanError("chords must pair each of the points 1..2n exactly once")
         partner[a] = b
         partner[b] = a
     bits = []
     open_chords: list[int] = []
-    for p in range(1, 2 * n + 1):
+    for p in range(1, points + 1):
         q = partner[p]
         if q > p:
             open_chords.append(p)
@@ -64,41 +75,43 @@ class ChordDiagram(_Value):
             raise
         except (TypeError, ValueError):
             raise CatalanError("expected an int n and chords that are pairs of int labels") from None
-        _chord_bits(n, normalized)
+        _chord_bits(n, chain.from_iterable(normalized))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "chords", normalized)
 
 
-def _matching(bits: str) -> list[tuple[int, int]]:
-    """The chords of a valid word, each 1 closing one at the latest open 0,
-    sorted by smaller endpoint, as each takes its slot when it opens."""
-    chords: list = []
+def _matching(bits: str) -> list[int]:
+    """The chords of a valid word as flat labels [a0, b0, a1, b1, ...], each 1
+    closing one at the latest open 0, sorted by smaller endpoint, as each
+    takes its two slots when it opens."""
+    labels: list[int] = []
     open_slots: list[int] = []
     for p, bit in enumerate(bits, start=1):
         if bit == "0":
-            open_slots.append(len(chords))
-            chords.append(p)
+            labels.append(p)
+            open_slots.append(len(labels))
+            labels.append(0)
         else:
-            slot = open_slots.pop()
-            chords[slot] = (chords[slot], p)
-    return chords
+            labels[open_slots.pop()] = p
+    return labels
 
 
 def encode_chords(d: ChordDiagram) -> CatalanSequence:
     """Position i gets 0 and position j gets 1 for every chord (i, j)."""
-    return _trusted_sequence(_chord_bits(d.n, d.chords))
+    return _trusted_sequence(_chord_bits(d.n, chain.from_iterable(d.chords)))
 
 
 def decode_chords(s: CatalanSequence) -> ChordDiagram:
     """Inverse of encode_chords: stack matching of the word."""
-    return _trusted(ChordDiagram, s.semilength, tuple(_matching(s.bits)))
+    labels = iter(_matching(s.bits))
+    return _trusted(ChordDiagram, s.semilength, tuple(zip(labels, labels)))
 
 
 def read_chords(text: str) -> CatalanSequence:
     """The word of comma-separated "i-j" pairs, e.g. "1-8,2-7,3-4,5-6"."""
-    pairs = parse_pairs(text, "chord", "i-j")
-    return _trusted_sequence(parsed(_chord_bits, "chord diagram", len(pairs), pairs))
+    labels = parse_pairs(text, "chord", "i-j")
+    return _trusted_sequence(parsed(_chord_bits, "chord diagram", len(labels) // 2, labels))
 
 
 def write_chords(s: CatalanSequence) -> str:
-    return ",".join(f"{i}-{j}" for i, j in _matching(s.bits))
+    return write_pairs(tuple(_matching(s.bits)))

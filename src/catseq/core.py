@@ -114,24 +114,41 @@ def check_text(text, what: str) -> None:
         raise ParseError(f"{what} must be a str, not {type(text).__name__}")
 
 
-def parse_pairs(text: str, noun: str, form: str) -> tuple[tuple[int, int], ...]:
-    """The pairs of a comma-separated "a-b" list, () for ""; ParseError names its first bad part as a ``noun``.
-    A list that fails one regular expression, or int's digit limit, is read part by part to find that part."""
+@cache
+def _json_scan():
+    """json's C scanner, imported at the first pair list read rather than at start-up."""
+    from json import JSONDecoder
+
+    return JSONDecoder().scan_once
+
+
+def parse_pairs(text: str, noun: str, form: str) -> list[int]:
+    """The numbers of a comma-separated "a-b" list, flat as [a0, b0, a1, b1, ...], [] for "";
+    ParseError names its first bad part as a ``noun``.  A list that one regular expression
+    matches is read as a JSON array of its numbers, and one that JSON refuses, by a leading
+    zero or int's digit limit, by ``int``; one that fails both is read part by part to find that part."""
     check_text(text, f"{noun} list")
     if not text:
-        return ()
+        return []
     if _PAIR_LIST.fullmatch(text):
         try:
-            numbers = [*map(int, text.replace(",", "-").split("-"))]
-        except ValueError:  # longer than sys.get_int_max_str_digits()
+            return _json_scan()(f"[{text.replace('-', ',')}]", 0)[0]
+        except ValueError:  # a leading zero, or longer than sys.get_int_max_str_digits()
             pass
-        else:
-            return tuple(zip(numbers[::2], numbers[1::2]))
+        try:
+            return [*map(int, text.replace(",", "-").split("-"))]
+        except ValueError:
+            pass
     for part in text.split(","):
         a, dash, b = part.partition("-")
         if not dash or parse_natural(a) is None or parse_natural(b) is None:
             break
     raise ParseError(f"bad {noun} {quote_prefix(part)}, expected the form {form!r}")
+
+
+def write_pairs(labels: tuple[int, ...]) -> str:
+    """The comma-separated "a-b" list of the flat ints (a0, b0, a1, b1, ...), by one format."""
+    return ("%d-%d," * (len(labels) // 2))[:-1] % labels
 
 
 def parsed(check, what: str, *args):

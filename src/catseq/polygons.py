@@ -9,19 +9,22 @@ are the triangles across its (a, c) / (c, b) edges, apex c on base
 The codec is the tree codec of the dual tree, worked straight on the
 word, and dual_tree and rebuild_triangulation go through it.  A diagonal
 set is valid exactly when it has a dual tree, so the check Triangulation
-shares with read_polygon is the pass that writes the word; decode_polygon
-shares write_polygon's pass over the postfix text of the dual tree.
+shares with read_polygon, on the flat ints parse_pairs reads, is the pass
+that writes the word.  decode_polygon and write_polygon share one pass over
+the code's digit pairs that finds the regions as the dual tree's postfix
+text closes them, with no text written.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import add, itemgetter
 
 from .core import (
     CatalanError, CatalanSequence, ParseError, _trusted, _trusted_sequence, _Value, check_text, cut_number,
-    parse_natural, parse_pairs, parsed,
+    parse_natural, parse_pairs, parsed, write_pairs,
 )
-from .trees import BinaryTree, decode_tree, encode_tree, write_rpn
+from .trees import BinaryTree, decode_tree, encode_tree
 
 
 class MalformedTriangulationError(CatalanError):
@@ -32,15 +35,12 @@ class SizeMismatchError(CatalanError):
     """The tree's node count does not fit the requested polygon."""
 
 
-#: a region's digit pair, by 2 * (its left region is a triangle) + (its right one is)
-_PAIR = ("", "10", "01", "00")
-
-
-def _triangulation_bits(m, diagonals) -> tuple[list[tuple[int, int]], str]:
+def _triangulation_bits(m, diagonals, typed=False) -> tuple[list[tuple[int, int]], str]:
     """The diagonals as (smaller, larger) pairs and the dual tree's word;
     CatalanError names the first fault: a side count that is no int >= 2 or
     vertices that are no ints, a wrong count, a duplicate, the least diagonal
-    out of range or a side, and a crossing.
+    out of range or a side, and a crossing.  ``typed`` skips the type check,
+    for the ints of a parsed text.
 
     Sorted by (a ascending, b descending), the regions come in the dual
     tree's preorder: (a, b) is followed by its left region (a, c), unless
@@ -52,7 +52,7 @@ def _triangulation_bits(m, diagonals) -> tuple[list[tuple[int, int]], str]:
         if m < 2:
             raise CatalanError("a polygon needs at least 2 sides")
         normalized = [(a, b) if a < b else (b, a) for a, b in diagonals]
-        if type(m) is not int or not {type(v) for d in normalized for v in d} <= {int}:
+        if not typed and (type(m) is not int or not {type(v) for d in normalized for v in d} <= {int}):
             raise TypeError  # a bool or float vertex compares as an int but renders apart
     except CatalanError:
         raise
@@ -75,21 +75,25 @@ def _triangulation_bits(m, diagonals) -> tuple[list[tuple[int, int]], str]:
     if m == 2:
         return normalized, ""
     out = ["0"]
-    enclosing = [root]
-    pa, pb = root  # the region before, whose pair waits for its apex
-    for a, b in sorted(sorted(normalized, key=itemgetter(1), reverse=True), key=itemgetter(0)):
-        while enclosing[-1][1] <= a:
-            enclosing.pop()
-        c, d = enclosing[-1]
+    enclosing: list[tuple[int, int]] = []
+    # the innermost enclosing region (c, d), and the region before, whose pair waits for its apex
+    top = c, d = pa, pb = root
+    for region in sorted(sorted(normalized, key=itemgetter(1), reverse=True), key=itemgetter(0)):
+        a, b = region
+        while d <= a:
+            top = enclosing.pop()
+            c, d = top
         if d < b:
             raise CatalanError(f"diagonals {c}-{d} and {a}-{b} cross")
-        apex = b if a == pa else pa + 1
-        out.append(_PAIR[2 * (apex - pa > 1) + (pb - apex > 1)])
+        if a == pa:  # the region before has this one on its left, apex b
+            out.append("01" if pb - b == 1 else "00")
+        elif pb - pa > 2:  # its left is a side, apex pa + 1, and its right a region
+            out.append("10")
         if d == b and a - c > 1:  # a right region whose left sibling is a region too
             out.append("11")
-        enclosing.append((a, b))
-        pa, pb = a, b
-    out.append(_PAIR[pb - pa > 2])  # the last region's apex is pa + 1
+        enclosing.append(top)
+        top = c, d = pa, pb = region
+    out.append("10" if pb - pa > 2 else "")  # the last region's apex is pa + 1
     out.append("1")
     return normalized, "".join(out)
 
@@ -118,21 +122,39 @@ def encode_polygon(tri: Triangulation) -> CatalanSequence:
         raise MalformedTriangulationError(f"malformed triangulation: {exc}") from exc
 
 
-def _diagonals(s: CatalanSequence) -> list[tuple[int, int]]:
-    """The sorted diagonals behind ``s``.  The extended dual tree's leaves
-    are the sides (j, j + 1) in order, so in its postfix text each operator
-    closes the region from its left subtree's start to the leaves so far."""
-    starts: list[int] = []
+def _diagonals(s: CatalanSequence):
+    """The sorted diagonals behind ``s`` as (a, b) pairs.  The extended dual tree's leaves are the sides
+    (j, j + 1) in order, so its postfix text closes each region from its left operand's start to the leaves
+    so far.  The code's digit pairs are read as trees._write reads them for that text, each token acting on
+    the stack of starts as it comes; a region is kept as the int a * m + b, and the ints are sorted."""
+    m = s.semilength + 2
+    if m == 2:
+        return ()
     regions = []
+    starts: list[int] = []
+    closers: list[int | None] = [None]  # the end closes every region down to here, like a 11
     leaves = 0
-    for ch in write_rpn(s):
-        if ch == "a":
+    for pair in chain(map(add, s.bits[1:-1:2], s.bits[2:-1:2]), ("11",)):
+        if pair == "11":  # a childless node, "aa*", then the closers waiting down to a 00's None
+            regions.append(leaves * m + leaves + 2)
+            starts.append(leaves)
+            leaves += 2
+            while (extra := closers.pop()) is not None:  # "*" is 0 and "a*" is 1
+                if extra:
+                    leaves += 1
+                else:
+                    starts.pop()
+                regions.append(starts[-1] * m + leaves)
+            closers.append(0)
+        elif pair == "10":  # "a", and a "*" waits
             starts.append(leaves)
             leaves += 1
-        else:
-            starts.pop()
-            regions.append((starts[-1], leaves))
-    return sorted(regions[:-1])  # the last region is the root side
+            closers.append(0)
+        else:  # an "a*" waits after a lone left subtree, a None after a 00's left subtree
+            closers.append(1 if pair == "01" else None)
+    regions.pop()  # the last region is the root side
+    regions.sort()
+    return map(divmod, regions, repeat(m))
 
 
 def decode_polygon(s: CatalanSequence) -> Triangulation:
@@ -160,9 +182,10 @@ def read_polygon(text: str) -> CatalanSequence:
     m = parse_natural(head)
     if not sep or m is None:
         raise ParseError("expected 'm;diagonals' with a numeric side count")
-    _, bits = parsed(_triangulation_bits, "triangulation", m, parse_pairs(tail, "diagonal", "a-b"))
+    labels = iter(parse_pairs(tail, "diagonal", "a-b"))
+    _, bits = parsed(_triangulation_bits, "triangulation", m, zip(labels, labels), True)
     return _trusted_sequence(bits)
 
 
 def write_polygon(s: CatalanSequence) -> str:
-    return f"{s.semilength + 2};" + ",".join(f"{a}-{b}" for a, b in _diagonals(s))
+    return f"{s.semilength + 2};" + write_pairs(tuple(chain.from_iterable(_diagonals(s))))

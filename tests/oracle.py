@@ -261,3 +261,89 @@ def ref_dual_tree(m: int, diagonals) -> Triangle | None:
         return Triangle(region(a, c), region(c, b))
 
     return region(0, m - 1)
+
+
+# Reference readers and writers of the pair-list texts, with a tuple and an
+# f-string per pair and the polygon's diagonals found by walking the dual
+# tree's written postfix text.  chords' and polygons' flat-int passes must
+# agree with them on every text.
+
+
+def ref_parse_pairs(text: str) -> tuple[tuple[int, int], ...] | None:
+    """The (a, b) pairs of a comma-separated "a-b" list of ASCII digit runs, () for "";
+    None for any other text, or a number past the int-string limit."""
+    pairs = []
+    for part in text.split(",") if text else ():
+        a, dash, b = part.partition("-")
+        if not (dash and a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
+            return None
+        try:
+            pairs.append((int(a), int(b)))
+        except ValueError:
+            return None
+    return tuple(pairs)
+
+
+def ref_chord_pairs(word: str) -> list[tuple[int, int]]:
+    """The chords of a valid word by stack matching, 1-based, sorted by smaller endpoint."""
+    pairs, open_points = [], []
+    for p, bit in enumerate(word, start=1):
+        if bit == "0":
+            open_points.append(p)
+        else:
+            pairs.append((open_points.pop(), p))
+    return sorted(pairs)
+
+
+def ref_chords_text(word: str) -> str:
+    return ",".join(f"{i}-{j}" for i, j in ref_chord_pairs(word))
+
+
+def ref_chord_word(pairs) -> str:
+    """0 at the smaller endpoint and 1 at the larger endpoint of every chord."""
+    word = [""] * (2 * len(pairs))
+    for a, b in pairs:
+        word[min(a, b) - 1], word[max(a, b) - 1] = "0", "1"
+    return "".join(word)
+
+
+def ref_rpn(word: str) -> str:
+    """The postfix text over {'a', '*'} of the binary tree whose edge-pair code is ``word``:
+    the code read as a stream of digit pairs, one stack of closers, None for a waiting 00."""
+    if not word:
+        return "a"
+    out, closers = [], []
+    for k in range(1, len(word) - 1, 2):
+        pair = word[k : k + 2]
+        if pair == "11":
+            out.append("aa*")
+            while (tail := closers.pop()) is not None:
+                out.append(tail)
+            closers.append("*")
+        elif pair == "10":
+            out.append("a")
+            closers.append("*")
+        else:
+            closers.append("a*" if pair == "01" else None)
+    out.append("aa*")
+    out.extend(reversed(closers))
+    return "".join(out)
+
+
+def ref_polygon_diagonals(word: str) -> list[tuple[int, int]]:
+    """The sorted diagonals of the triangulation whose dual tree has code ``word``: the dual tree's
+    leaves are the sides (j, j + 1) in order, so in its postfix text each operator closes the region
+    from its left operand's start to the leaves so far; the last region is the root side."""
+    starts, regions, leaves = [], [], 0
+    for ch in ref_rpn(word):
+        if ch == "a":
+            starts.append(leaves)
+            leaves += 1
+        else:
+            starts.pop()
+            regions.append((starts[-1], leaves))
+    return sorted(regions[:-1])
+
+
+def ref_polygon_text(word: str) -> str:
+    return f"{len(word) // 2 + 2};" + ",".join(f"{a}-{b}" for a, b in ref_polygon_diagonals(word))

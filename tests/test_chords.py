@@ -1,13 +1,18 @@
+import random
 import re
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
-from catseq.chords import ChordDiagram, decode_chords, encode_chords
+from catseq.chords import ChordDiagram, decode_chords, encode_chords, read_chords, write_chords
 from catseq.core import CatalanError, ParseError, enumerate_sequences, validate
 from catseq.families import FAMILIES
 
-from oracle import crosses, first01_pairs, perfect_matchings
+from oracle import (
+    crosses, cycle_lemma_word, first01_pairs, perfect_matchings, ref_chord_pairs, ref_chord_word, ref_chords_text,
+    ref_parse_pairs,
+)
 
 parse_chords, render_chords = FAMILIES["chords"].parse, FAMILIES["chords"].render
 
@@ -124,6 +129,7 @@ class TestTextForm:
     def test_parse(self):
         assert parse_chords("1-8,2-7,3-4,5-6").chords == ((1, 8), (2, 7), (3, 4), (5, 6))
         assert parse_chords("").n == 0
+        assert read_chords("01-04,02-03").bits == "0011"  # leading zeros, which JSON refuses
 
     @pytest.mark.parametrize(
         "text",
@@ -160,3 +166,48 @@ class TestTextForm:
         with pytest.raises(ParseError) as exc:
             parse_chords(text)
         assert str(exc.value) == message
+
+
+def _reordered(pairs, rng) -> str:
+    """The same chords in a shuffled order, each pair either way round."""
+    pairs = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in pairs]
+    rng.shuffle(pairs)
+    return ",".join(f"{a}-{b}" for a, b in pairs)
+
+
+class TestAgainstThePairReference:
+    """read and write agree with the tuple-per-pair reference in oracle.py."""
+
+    @staticmethod
+    def check(s, rng):
+        text = ref_chords_text(s.bits)
+        assert write_chords(s) == text
+        assert decode_chords(s).chords == tuple(ref_chord_pairs(s.bits))
+        assert read_chords(text) == s
+        other = _reordered(ref_parse_pairs(text), rng)
+        assert read_chords(other).bits == ref_chord_word(ref_parse_pairs(other)) == s.bits
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_every_word_up_to_9(self, n):
+        rng = random.Random(n)
+        for s in enumerate_sequences(n):
+            self.check(s, rng)
+
+    @pytest.mark.parametrize("n", [128, 256, 512, 1024, 2048, 10**4])
+    def test_random_words(self, n):
+        rng = random.Random(n)
+        for _ in range(3 if n < 10**4 else 1):
+            self.check(validate(cycle_lemma_word(n, rng)), rng)
+
+
+def test_write_peak_memory_at_1e5_chords():
+    # about 9 MB for a 1.23 MB text: the flat labels, one tuple of them and the text;
+    # a tuple and an f-string per chord peaked at 17.9 MB
+    s = validate(cycle_lemma_word(10**5, random.Random(5)))
+    tracemalloc.start()
+    try:
+        text = write_chords(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 1_200_000 and peak < 13_000_000, peak

@@ -362,10 +362,12 @@ def test_any_argv_exits_0_1_or_2_without_raising(argv):
 # what the codec commands need and nothing else does.
 _CODECS = {"catseq.families", "catseq.trees", "catseq.polygons", "catseq.chords", "catseq.lattice"}
 _SCOPE = """
-import json, sys
+import sys
 from catseq.cli import main
 code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("catseq"))]))
+loaded = sorted(m for m in sys.modules if m.startswith("catseq") or m == "json")
+import json
+print(json.dumps([code, loaded]))
 """
 
 
@@ -394,6 +396,19 @@ def test_core_commands_leave_the_family_modules_unloaded(argv):
     assert not modules & _CODECS, modules & _CODECS
 
 
+@pytest.mark.parametrize(
+    "argv", [("count", "--n", "3"), ("random", "--n", "6", "--seed", "11"), ("rank", "010101")]
+)
+def test_core_commands_leave_json_unloaded(argv):
+    # the pair-list reader imports json at its first list, not catseq.core at its import
+    code, out, modules = _loaded(*argv)
+    assert code == 0 and out and "json" not in modules
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, catseq.core; print('json' in sys.modules)"], capture_output=True, text=True
+    )
+    assert (proc.stdout, proc.stderr) == ("False\n", "")
+
+
 def test_mountain_leaves_the_tree_module_unloaded():
     code, out, modules = _loaded("render", "--format", "mountain", "0011")
     assert (code, out) == (0, [" /\\", "/  \\"])
@@ -403,4 +418,6 @@ def test_mountain_leaves_the_tree_module_unloaded():
 def test_transcode_loads_the_codecs_it_joins():
     code, out, modules = _loaded("transcode", "--from", "mult", "--to", "chords", "--input", "(a*((a*a)*a))")
     assert (code, out) == (0, ["1-2,3-6,4-5"])
-    assert _CODECS <= modules
+    assert _CODECS <= modules and "json" not in modules
+    code, out, modules = _loaded("transcode", "--from", "chords", "--to", "mult", "--input", "1-2,3-6,4-5")
+    assert (code, out) == (0, ["(a*((a*a)*a))"]) and "json" in modules

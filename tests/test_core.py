@@ -559,8 +559,32 @@ def test_catalan_sequence_equality_and_str():
 
 class TestParseHelpers:
     def test_parse_pairs_reads_the_empty_list_and_a_list(self):
-        assert core.parse_pairs("", "chord", "i-j") == ()
-        assert core.parse_pairs("1-2,3-4", "chord", "i-j") == ((1, 2), (3, 4))
+        assert core.parse_pairs("", "chord", "i-j") == []
+        assert core.parse_pairs("1-2,3-4", "chord", "i-j") == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "text,numbers",
+        [
+            ("01-04,02-03", [1, 4, 2, 3]),  # JSON refuses a leading zero; int reads it
+            ("007-1", [7, 1]),
+            ("1-2,0-0", [1, 2, 0, 0]),
+        ],
+    )
+    def test_parse_pairs_reads_leading_zeros(self, text, numbers):
+        assert core.parse_pairs(text, "chord", "i-j") == numbers
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1-" + "1" * 5000, "bad chord '1-111111111111111111'..., expected the form 'i-j'"),
+            ("1-2,03-" + "9" * 5000, "bad chord '03-99999999999999999'..., expected the form 'i-j'"),
+            ("1-\u00b2", "bad chord '1-\u00b2', expected the form 'i-j'"),
+        ],
+    )
+    def test_parse_pairs_names_a_label_int_refuses(self, text, message):
+        with pytest.raises(ParseError) as info:
+            core.parse_pairs(text, "chord", "i-j")
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("text", [",", "1-2,", "1-2,,3-4"])
     def test_parse_pairs_rejects_an_empty_part(self, text):

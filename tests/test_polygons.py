@@ -14,12 +14,17 @@ from catseq.polygons import (
     decode_polygon,
     dual_tree,
     encode_polygon,
+    read_polygon,
     rebuild_triangulation,
+    write_polygon,
 )
 from catseq.families import FAMILIES
 from catseq.trees import Node, node_count
 
-from oracle import crosses, cycle_lemma_word, ref_dual_tree, ref_encode_tree, triangulations
+from oracle import (
+    crosses, cycle_lemma_word, ref_dual_tree, ref_encode_tree, ref_parse_pairs, ref_polygon_diagonals,
+    ref_polygon_text, triangulations,
+)
 
 parse_polygon, render_polygon = FAMILIES["polygon"].parse, FAMILIES["polygon"].render
 
@@ -201,6 +206,35 @@ class TestPolygonCodec:
         assert encode_polygon(tri).bits == word
 
 
+class TestAgainstThePairReference:
+    """read and write agree with the tuple-per-pair reference in oracle.py: its f-string text of
+    the diagonals that the dual tree's postfix text closes, and the dual tree of a parsed list."""
+
+    @staticmethod
+    def check(s, rng):
+        m, text = s.semilength + 2, ref_polygon_text(s.bits)
+        assert write_polygon(s) == text
+        assert decode_polygon(s).diagonals == tuple(ref_polygon_diagonals(s.bits))
+        assert read_polygon(text) == s
+        pairs = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in ref_parse_pairs(text.partition(";")[2])]
+        rng.shuffle(pairs)
+        other = ",".join(f"{a}-{b}" for a, b in pairs)
+        word = ref_encode_tree(ref_dual_tree(m, ref_parse_pairs(other)))
+        assert read_polygon(f"{m};{other}").bits == word == s.bits
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_every_word_up_to_9(self, n):
+        rng = random.Random(n)
+        for s in enumerate_sequences(n):
+            self.check(s, rng)
+
+    @pytest.mark.parametrize("n", [128, 256, 512, 1024, 2048, 10**4])
+    def test_random_words(self, n):
+        rng = random.Random(n)
+        for _ in range(3 if n < 10**4 else 1):
+            self.check(validate(cycle_lemma_word(n, rng)), rng)
+
+
 class TestTextForm:
     def test_render(self):
         assert render_polygon(Triangulation(5, ((0, 2), (0, 3)))) == "5;0-2,0-3"
@@ -210,6 +244,7 @@ class TestTextForm:
     def test_parse(self):
         assert parse_polygon("5;0-2,0-3") == Triangulation(5, ((0, 2), (0, 3)))
         assert parse_polygon("3;") == Triangulation(3, ())
+        assert read_polygon("5;00-2,0-03").bits == "001011"  # leading zeros, which JSON refuses
 
     @pytest.mark.parametrize(
         "text",
@@ -240,6 +275,7 @@ class TestTextForm:
             ("5;0-2,0:3", "bad diagonal '0:3', expected the form 'a-b'"),
             ("5;0-2,0-x", "bad diagonal '0-x', expected the form 'a-b'"),
             ("4;0-\u00b2", "bad diagonal '0-\u00b2', expected the form 'a-b'"),
+            ("\u00b2;", "expected 'm;diagonals' with a numeric side count"),
             ("5;0-2,", "bad diagonal '', expected the form 'a-b'"),
             pytest.param(
                 "4;0-" + "9" * 5000,
