@@ -8,9 +8,9 @@ parentheses, so decoding here is one pass of stack matching.  A chord
 list is valid exactly when its word is a Catalan word, so the check that
 ChordDiagram shares with read_chords is the pass that writes the word.
 Text and word meet through flat int lists, with no tuple per chord:
-read_chords checks the labels a0, b0, a1, b1, ... that parse_pairs reads,
-two at a time, and write_chords formats the stack matching's labels with
-write_pairs.
+read_chords checks, two at a time, the labels a0, b0, a1, b1, ... that
+parse_pairs scans as one JSON array once the separators check, and
+write_chords formats the stack matching's labels with write_pairs.
 """
 
 from __future__ import annotations

@@ -131,15 +131,13 @@ def _cmd_random(args) -> None:
 
 
 def _cmd_render(args) -> None:
+    from .render import render_mountain, write_dot
     s = validate(args.bits)
     if args.format == "mountain":
-        from .render import render_mountain
         for line in render_mountain(s):
             print(line)
     else:
-        from .render import render_dot
-        from .trees import decode_tree
-        print(render_dot(decode_tree(s)))
+        print(write_dot(s))
 
 
 def main(argv: list[str] | None = None) -> int:

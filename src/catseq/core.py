@@ -10,7 +10,6 @@ family in this package round-trips through this form, so the string of
 from __future__ import annotations
 
 import random
-import re
 from collections import deque
 from collections.abc import Iterator
 from functools import cache
@@ -99,7 +98,7 @@ def parse_natural(text: str) -> int | None:
     return None
 
 
-_PAIR_LIST = re.compile(r"[0-9]+-[0-9]+(?:,[0-9]+-[0-9]+)*")
+_DIGITS = str.maketrans("", "", "0123456789")
 
 
 def quote_prefix(text: str) -> str:
@@ -123,27 +122,26 @@ def _json_scan():
 
 
 def parse_pairs(text: str, noun: str, form: str) -> list[int]:
-    """The numbers of a comma-separated "a-b" list, flat as [a0, b0, a1, b1, ...], [] for "";
-    ParseError names its first bad part as a ``noun``.  A list that one regular expression
-    matches is read as a JSON array of its numbers, and one that JSON refuses, by a leading
-    zero or int's digit limit, by ``int``; one that fails both is read part by part to find that part."""
+    """The numbers of a comma-separated "a-b" list, flat as [a0, b0, a1, b1, ...], [] for ""; ParseError
+    names its first bad part as a ``noun``.  A list whose separators, with its ASCII digits deleted, are
+    "-,-,...,-" is read as one JSON array; any other, or one JSON refuses (an empty part, a leading zero
+    or int's digit limit), part by part."""
     check_text(text, f"{noun} list")
     if not text:
         return []
-    if _PAIR_LIST.fullmatch(text):
+    separators = text.translate(_DIGITS)
+    if separators == ("-," * (len(separators) // 2 + 1))[:-1]:
         try:
             return _json_scan()(f"[{text.replace('-', ',')}]", 0)[0]
-        except ValueError:  # a leading zero, or longer than sys.get_int_max_str_digits()
+        except (ValueError, StopIteration):  # StopIteration where no value starts, as in "1-"
             pass
-        try:
-            return [*map(int, text.replace(",", "-").split("-"))]
-        except ValueError:
-            pass
+    labels = []
     for part in text.split(","):
         a, dash, b = part.partition("-")
-        if not dash or parse_natural(a) is None or parse_natural(b) is None:
-            break
-    raise ParseError(f"bad {noun} {quote_prefix(part)}, expected the form {form!r}")
+        if not dash or (a := parse_natural(a)) is None or (b := parse_natural(b)) is None:
+            raise ParseError(f"bad {noun} {quote_prefix(part)}, expected the form {form!r}")
+        labels += a, b
+    return labels
 
 
 def write_pairs(labels: tuple[int, ...]) -> str:

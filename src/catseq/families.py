@@ -81,10 +81,9 @@ def family_ids() -> list[str]:
 
 def resolve(name: str) -> Family:
     """Look up a family by canonical name or alias."""
-    canonical = ALIASES.get(name, name)
     try:
-        return FAMILIES[canonical]
-    except KeyError:
+        return FAMILIES[ALIASES.get(name, name)]
+    except (KeyError, TypeError):  # TypeError: a name no dict can hold, such as a list
         known = ", ".join([*FAMILIES, *ALIASES])
         raise CatalanError(f"unknown family {name!r} (known: {known})") from None
 

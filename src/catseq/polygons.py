@@ -9,10 +9,10 @@ are the triangles across its (a, c) / (c, b) edges, apex c on base
 The codec is the tree codec of the dual tree, worked straight on the
 word, and dual_tree and rebuild_triangulation go through it.  A diagonal
 set is valid exactly when it has a dual tree, so the check Triangulation
-shares with read_polygon, on the flat ints parse_pairs reads, is the pass
-that writes the word.  decode_polygon and write_polygon share one pass over
-the code's digit pairs that finds the regions as the dual tree's postfix
-text closes them, with no text written.
+shares with read_polygon, on the flat ints that parse_pairs scans after the
+';', is the pass that writes the word.  decode_polygon and write_polygon
+share one pass over the code's digit pairs that finds the regions as the
+dual tree's postfix text closes them, with no text written.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from itertools import chain, repeat
 from operator import add, itemgetter
 
 from .core import (
-    CatalanError, CatalanSequence, ParseError, _trusted, _trusted_sequence, _Value, check_text, cut_number,
-    parse_natural, parse_pairs, parsed, write_pairs,
+    CatalanError, CatalanSequence, ParseError, _trusted, _trusted_sequence, _Value, check_int, check_text,
+    cut_number, parse_natural, parse_pairs, parsed, write_pairs,
 )
 from .trees import BinaryTree, decode_tree, encode_tree
 
@@ -168,7 +168,8 @@ def dual_tree(tri: Triangulation) -> BinaryTree:
 
 
 def rebuild_triangulation(t: BinaryTree, m: int) -> Triangulation:
-    """Inverse of dual_tree for a tree of m - 2 nodes."""
+    """Inverse of dual_tree for a tree of m - 2 nodes; CatalanError unless m is a plain int."""
+    check_int(m, "side count")
     s = encode_tree(t)
     if s.semilength != m - 2:
         raise SizeMismatchError(f"tree has {s.semilength} nodes, a {m}-gon dual needs {m - 2}")

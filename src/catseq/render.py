@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import add
+
 from .core import CapExceededError, CatalanSequence, altitude_profile
 
 #: Most cells, rows times columns, a picture of ``render_mountain`` may span: its
@@ -40,22 +42,23 @@ def render_mountain(s: CatalanSequence) -> list[str]:
     return lines
 
 
+def write_dot(s: CatalanSequence) -> str:
+    """Deterministic DOT text of the binary tree coded by ``s``: nodes v0, v1, ... in preorder, edges tagged
+    L/R, from one pass over the code's digit pairs.  Each pair is the edge into the next node: a 01 (L) or 10 (R)
+    from the node before it, a 00 (L) too, which holds that node for the R edge of its matching 11."""
+    bits = s.bits
+    edges = []
+    held = []  # the nodes of the 00s whose 11 is still to come
+    for child, pair in enumerate(map(add, bits[1:-1:2], bits[2:-1:2]), 1):
+        parent = held.pop() if pair == "11" else child - 1
+        if pair == "00":
+            held.append(parent)
+        edges.append(f"  v{parent} -> v{child} [label={'L' if pair < '10' else 'R'}];")
+    return "\n".join(["digraph tree {", *map("  v%d;".__mod__, range(len(bits) // 2)), *edges, "}"])
+
+
 # BinaryTree, of catseq.trees, is only named in this lazy annotation: mountains never load that module
 def render_dot(t: BinaryTree) -> str:
-    """Deterministic DOT text: nodes v0, v1, ... in preorder, edges tagged L/R."""
-    declarations = []
-    edges = []
-    stack = [(t, None, "")]
-    counter = 0
-    while stack:
-        node, parent, label = stack.pop()
-        if node is None:
-            continue
-        name = f"v{counter}"
-        counter += 1
-        declarations.append(f"  {name};")
-        if parent is not None:
-            edges.append(f"  {parent} -> {name} [label={label}];")
-        stack.append((node.right, name, "R"))
-        stack.append((node.left, name, "L"))
-    return "\n".join(["digraph tree {", *declarations, *edges, "}"])
+    """Deterministic DOT text: nodes v0, v1, ... in preorder, edges tagged L/R; write_dot of the tree's code."""
+    from .trees import encode_tree
+    return write_dot(encode_tree(t))

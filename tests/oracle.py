@@ -7,6 +7,7 @@ force, so they stay independent of the code paths under test.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from math import comb
 from typing import NamedTuple
@@ -41,8 +42,9 @@ def first_fault(word: str, up: str = "0", down: str = "1", floor: int = 0) -> tu
     return len(word), balance
 
 
+@cache
 def brute_sequences(n: int) -> list[str]:
-    """All valid words of length 2n by filtering every binary word."""
+    """All valid words of length 2n by filtering every binary word; cached, so callers only read it."""
     return ["".join(w) for w in product("01", repeat=2 * n) if is_catalan_word("".join(w))]
 
 
@@ -347,3 +349,21 @@ def ref_polygon_diagonals(word: str) -> list[tuple[int, int]]:
 
 def ref_polygon_text(word: str) -> str:
     return f"{len(word) // 2 + 2};" + ",".join(f"{a}-{b}" for a, b in ref_polygon_diagonals(word))
+
+
+def ref_render_dot(t) -> str:
+    """DOT text of a tree of nodes with ``left`` / ``right`` slots, None for an empty one: nodes
+    v0, v1, ... in preorder and their edges tagged L/R, by a walk of the objects."""
+    declarations, edges = [], []
+    stack = [(t, None, "")]
+    while stack:
+        node, parent, label = stack.pop()
+        if node is None:
+            continue
+        name = f"v{len(declarations)}"
+        declarations.append(f"  {name};")
+        if parent is not None:
+            edges.append(f"  {parent} -> {name} [label={label}];")
+        stack.append((node.right, name, "R"))
+        stack.append((node.left, name, "L"))
+    return "\n".join(["digraph tree {", *declarations, *edges, "}"])

@@ -211,3 +211,17 @@ def test_write_peak_memory_at_1e5_chords():
     finally:
         tracemalloc.stop()
     assert len(text) > 1_200_000 and peak < 13_000_000, peak
+
+
+def test_read_peak_memory_at_1e5_chords():
+    # about 10.6 MB for a 1.29 MB text: its separators, the JSON text and the flat labels;
+    # a regular expression over the whole list first peaked at 20.4 MB
+    s = validate(cycle_lemma_word(10**5, random.Random(5)))
+    text = write_chords(s)
+    tracemalloc.start()
+    try:
+        word = read_chords(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert word == s and peak < 13_000_000, peak

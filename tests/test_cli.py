@@ -415,6 +415,13 @@ def test_mountain_leaves_the_tree_module_unloaded():
     assert "catseq.render" in modules and "catseq.trees" not in modules
 
 
+def test_dot_is_written_from_the_word_with_no_tree_module():
+    code, out, modules = _loaded("render", "--format", "dot", "001101")
+    edges = ["  v0 -> v1 [label=L];", "  v1 -> v2 [label=R];"]
+    assert (code, out) == (0, ["digraph tree {", "  v0;", "  v1;", "  v2;", *edges, "}"])
+    assert "catseq.render" in modules and "catseq.trees" not in modules
+
+
 def test_transcode_loads_the_codecs_it_joins():
     code, out, modules = _loaded("transcode", "--from", "mult", "--to", "chords", "--input", "(a*((a*a)*a))")
     assert (code, out) == (0, ["1-2,3-6,4-5"])

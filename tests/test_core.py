@@ -7,6 +7,8 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catseq import core
 from catseq.core import (
@@ -28,7 +30,9 @@ from catseq.core import (
     validate,
 )
 
-from oracle import ballot, ballot_rows, brute_closings, brute_sequences, is_catalan_word, ranked_word, word_rank
+from oracle import (
+    ballot, ballot_rows, brute_closings, brute_sequences, is_catalan_word, ranked_word, ref_parse_pairs, word_rank,
+)
 
 PAPER_N3 = ["000111", "001011", "001101", "010011", "010101"]
 
@@ -396,7 +400,7 @@ class TestRandomUniform:
 
 
 #: semilengths on both sides of the table's last row, 400 symbols, and far past it
-ACROSS_THE_TABLE = [*range(195, 206), 266, 800]
+ACROSS_THE_TABLE = [*range(195, 206), 266, 800, 1000]
 
 
 class TestAcrossTheTable:
@@ -419,6 +423,11 @@ class TestAcrossTheTable:
             word = random_uniform(n, seed).bits
             assert word == ranked_word(n, random.Random(seed).randrange(total))
             assert rank(validate(word)) == word_rank(word)
+
+    def test_rank_inverts_unrank_at_the_ranking_cap(self):
+        # both carries over 65,136 symbols past the table, each pinned against the other
+        k = sequence_count(core.RANKING_CAP) // 3
+        assert rank(unrank(core.RANKING_CAP, k)) == k
 
     def test_unrank_far_past_the_table_stays_small(self):
         sequence_count(200)  # the table, grown in full
@@ -590,6 +599,33 @@ class TestParseHelpers:
     def test_parse_pairs_rejects_an_empty_part(self, text):
         with pytest.raises(ParseError, match=r"^bad chord '', expected the form 'i-j'$"):
             core.parse_pairs(text, "chord", "i-j")
+
+    @pytest.mark.parametrize(
+        "text,part",
+        [("-", "'-'"), ("1-", "'1-'"), (",", "''"), ("25052", "'25052'"), ("1-2, 3-4", "' 3-4'"), ("1-2],[3-4", "'1-2]'")],
+    )
+    def test_parse_pairs_names_the_first_bad_part(self, text, part):
+        # "-", "1-" and "," pass the separator check, and JSON finds no value to start
+        with pytest.raises(ParseError) as info:
+            core.parse_pairs(text, "chord", "i-j")
+        assert str(info.value) == f"bad chord {part}, expected the form 'i-j'"
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        text=st.one_of(
+            st.text(st.sampled_from([*"0123456789-,-, .e+[]\"trueNa\u00b2\u0661\n"])),
+            st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 10**4))).map(
+                lambda pairs: ",".join(f"{a}-{b}" for a, b in pairs)
+            ),
+        )
+    )
+    def test_parse_pairs_is_the_reference(self, text):
+        pairs = ref_parse_pairs(text)
+        if pairs is None:
+            with pytest.raises(ParseError):
+                core.parse_pairs(text, "chord", "i-j")
+        else:
+            assert core.parse_pairs(text, "chord", "i-j") == [v for pair in pairs for v in pair]
 
     def test_parsed_raises_a_constructor_error_as_a_parse_error(self):
         assert core.parsed(CatalanSequence, "word", "01") == CatalanSequence("01")

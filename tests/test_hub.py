@@ -1,6 +1,9 @@
+import importlib.util
 import random
+import re
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +30,21 @@ from catseq.families import FAMILIES, Family, family_ids, resolve, transcode
 from catseq.lattice import GridPath, PlusMinusSequence
 from catseq.polygons import Triangulation
 from catseq.render import render_dot, render_mountain
-from catseq.trees import decode_tree
+from catseq.trees import NotInImageError, decode_expression, decode_tree
 
-from oracle import brute_sequences, cycle_lemma_word, grid_mountain
+from oracle import brute_sequences, cycle_lemma_word, grid_mountain, ref_render_dot
+
+
+def _bench_reference():
+    """bench/reference.py, loaded by its path: the benchmark's own text of every family, built
+    without catseq."""
+    spec = importlib.util.spec_from_file_location("reference", Path(__file__).parents[1] / "bench" / "reference.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = _bench_reference()
 
 TOTAL_FAMILIES = [name for name, fam in FAMILIES.items() if fam.total]
 
@@ -151,6 +166,14 @@ class TestRegistry:
         with pytest.raises(CatalanError):
             resolve("frieze")
 
+    @pytest.mark.parametrize("name", [None, [], {}])
+    def test_a_name_that_is_no_str_is_an_unknown_family(self, name):
+        message = f"^unknown family {re.escape(repr(name))} \\(known: sequence, tree, "
+        with pytest.raises(CatalanError, match=message):
+            resolve(name)
+        with pytest.raises(CatalanError, match=message):
+            transcode(name, "tree", "x")
+
     def test_only_the_paper_wire_format_is_partial(self):
         assert [name for name, fam in FAMILIES.items() if not fam.total] == ["rpn-paper"]
 
@@ -263,6 +286,26 @@ class TestTranscode:
                 assert fam.encode(fam.decode(s)) == s
 
 
+class TestAgainstTheBenchReference:
+    """The paper's equivalences, word by word: every family's text of every word with n <= 9 is the one
+    bench/reference.py builds without catseq, and reads back to the word.  transcode is one read and one
+    write, so this covers all 81 pairs."""
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_every_word_in_every_family(self, n):
+        for bits in brute_sequences(n):
+            s = validate(bits)
+            for name, family in FAMILIES.items():
+                try:
+                    text = family.write(s)
+                except NotInImageError:
+                    text = None
+                if reference.expects_domain_error(name, bits):
+                    assert text is None, (name, bits)
+                else:
+                    assert text == reference.family_text(name, bits) and family.read(text) == s, (name, bits)
+
+
 class TestMountain:
     def test_single_peak(self):
         assert render_mountain(validate("01")) == ["/\\"]
@@ -366,3 +409,16 @@ class TestDot:
     def test_deterministic(self):
         s = validate("00010111")
         assert render_dot(decode_tree(s)) == render_dot(decode_tree(s))
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_the_word_writer_is_the_object_walk(self, n):
+        for bits in brute_sequences(n):
+            s = validate(bits)
+            tree, expression = decode_tree(s), decode_expression(s)
+            assert render.write_dot(s) == ref_render_dot(tree) == ref_render_dot(expression)
+            assert render_dot(tree) == render_dot(expression) == render.write_dot(s)
+
+    @pytest.mark.parametrize("n", [128, 2048, 10**4])
+    def test_the_word_writer_is_the_object_walk_at_large_n(self, n):
+        s = validate(cycle_lemma_word(n, random.Random(n)))
+        assert render.write_dot(s) == ref_render_dot(decode_tree(s))

@@ -159,6 +159,13 @@ class TestRebuild:
         with pytest.raises(SizeMismatchError):
             rebuild_triangulation(None, 3)
 
+    @pytest.mark.parametrize("m,kind", [("x", "str"), (3.0, "float"), (True, "bool")])
+    def test_a_side_count_that_is_no_int_is_refused(self, m, kind):
+        # a float or a bool compares as an int, but Triangulation refuses both too
+        for tree in (None, Node()):
+            with pytest.raises(CatalanError, match=f"^side count must be an int, not {kind}$"):
+                rebuild_triangulation(tree, m)
+
 
 class TestPolygonCodec:
     def test_examples(self):
