@@ -18,7 +18,8 @@ from __future__ import annotations
 from itertools import chain
 
 from .core import (
-    CatalanError, CatalanSequence, _trusted, _trusted_sequence, _Value, cut_number, parse_pairs, parsed, write_pairs,
+    CatalanError, CatalanSequence, _trusted, _trusted_sequence, _Value, check_type, cut_number, parse_pairs, parsed,
+    write_pairs,
 )
 
 
@@ -98,6 +99,7 @@ def _matching(bits: str) -> list[int]:
 
 def encode_chords(d: ChordDiagram) -> CatalanSequence:
     """Position i gets 0 and position j gets 1 for every chord (i, j)."""
+    check_type(d, ChordDiagram, "chord diagram")
     return _trusted_sequence(_chord_bits(d.n, chain.from_iterable(d.chords)))
 
 

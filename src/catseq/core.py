@@ -115,7 +115,7 @@ def check_text(text, what: str) -> None:
 
 @cache
 def _json_scan():
-    """json's C scanner, imported at the first pair list read rather than at start-up."""
+    """json's C scanner, imported at the first pair list, tree or mult text read rather than at start-up."""
     from json import JSONDecoder
 
     return JSONDecoder().scan_once
@@ -182,6 +182,12 @@ def check_int(value, what: str) -> None:
     """CatalanError unless ``value`` is a plain int: a bool or float equals an int but is refused."""
     if type(value) is not int:
         raise CatalanError(f"{what} must be an int, not {type(value).__name__}")
+
+
+def check_type(value, cls: type, what: str) -> None:
+    """CatalanError unless ``value`` is a ``cls``, the value type whose fields an encoder reads."""
+    if not isinstance(value, cls):
+        raise CatalanError(f"{what} must be a {cls.__name__}, not {type(value).__name__}")
 
 
 def _check_semilength(n, cap: int, what: str) -> None:

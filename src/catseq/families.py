@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from . import chords, lattice, polygons, trees
-from .core import CatalanError, CatalanSequence, _Value, validate
+from .core import CatalanError, CatalanSequence, _Value, check_type, validate
 
 
 class Family(_Value):
@@ -44,6 +44,7 @@ class Family(_Value):
 
 
 def _identity(s: CatalanSequence) -> CatalanSequence:
+    check_type(s, CatalanSequence, "sequence")
     return s
 
 

@@ -12,8 +12,8 @@ registry aliases rather than separate codecs.
 from __future__ import annotations
 
 from .core import (
-    CatalanError, CatalanSequence, ParseError, _scan, _trusted, _trusted_sequence, _Value, check_text, cut_number,
-    parsed,
+    CatalanError, CatalanSequence, ParseError, _scan, _trusted, _trusted_sequence, _Value, check_text, check_type,
+    cut_number, parsed,
 )
 
 _PATH_TO_BITS = str.maketrans("HV01", "0122")  # a literal 0 or 1 stays a bad symbol to the scan
@@ -80,6 +80,7 @@ class PlusMinusSequence(_Value):
 
 def encode_path(p: GridPath) -> CatalanSequence:
     """H -> 0, V -> 1; valid because the path stays under the diagonal."""
+    check_type(p, GridPath, "path")
     return _trusted_sequence(p.steps.translate(_PATH_TO_BITS))
 
 
@@ -91,6 +92,7 @@ def decode_path(s: CatalanSequence) -> GridPath:
 def encode_pm(x: PlusMinusSequence) -> CatalanSequence:
     """+1 -> 0 and -1 -> 1 (note the inversion); the partial-sum conditions
     are exactly prefix dominance, so the result is always valid."""
+    check_type(x, PlusMinusSequence, "vote sequence")
     return _trusted_sequence("".join(map(_VOTE_BITS.__getitem__, x.values)))
 
 

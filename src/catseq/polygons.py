@@ -22,7 +22,7 @@ from operator import add, itemgetter
 
 from .core import (
     CatalanError, CatalanSequence, ParseError, _trusted, _trusted_sequence, _Value, check_int, check_text,
-    cut_number, parse_natural, parse_pairs, parsed, write_pairs,
+    check_type, cut_number, parse_natural, parse_pairs, parsed, write_pairs,
 )
 from .trees import BinaryTree, decode_tree, encode_tree
 
@@ -116,6 +116,7 @@ class Triangulation(_Value):
 
 def encode_polygon(tri: Triangulation) -> CatalanSequence:
     """The edge-pair code of the dual tree, semilength m - 2, as the check writes it."""
+    check_type(tri, Triangulation, "triangulation")
     try:
         return _trusted_sequence(_triangulation_bits(tri.m, tri.diagonals)[1])
     except CatalanError as exc:

@@ -16,10 +16,12 @@ and the append-a-1 postfix wire format whose decode is partial.
 
 Each text is read straight into the code, by the infix grammar or the
 postfix fold (_postfix), and written from its stream of digit pairs by one
-writer (_write), with no nodes.  rpn-paper folds nothing: by the depth rule
-('a' +1, '*' -1) its image is the words 0 D 1 with D a Catalan word, which
-the sequence's scan checks.  Decoding folds the written postfix text.  This
-module holds the value types, the codecs and the read_*/write_* passes;
+writer (_write), with no nodes.  An infix text is first read as nested JSON
+lists by json's C scanner, and by the grammar's own pass where that scan
+refuses it.  rpn-paper folds nothing: by the depth rule ('a' +1, '*' -1)
+its image is the words 0 D 1 with D a Catalan word, which the sequence's
+scan checks.  Decoding folds the written postfix text.  This module holds
+the value types, the codecs and the read_*/write_* passes;
 FAMILIES[name].parse and .render in catseq.families compose these passes
 with a codec.  Every traversal uses an explicit stack; degenerate chains of
 10^4 nodes and more are fine.
@@ -29,7 +31,9 @@ from __future__ import annotations
 
 from operator import add, attrgetter
 
-from .core import CatalanError, CatalanSequence, DomainError, ParseError, _scan, _trusted_sequence, _Value, check_text
+from .core import (
+    CatalanError, CatalanSequence, DomainError, ParseError, _json_scan, _scan, _trusted_sequence, _Value, check_text,
+)
 
 _RPN_TO_BITS = str.maketrans("a*01", "0122")  # a literal 0 or 1 stays a bad symbol to the scan
 _BITS_TO_RPN = str.maketrans("01", "a*")
@@ -38,6 +42,8 @@ _BITS_TO_RPN = str.maketrans("01", "a*")
 _TREE = ("(", ".", " ", ")")
 _MULT = ("(", "a", "*", ")")
 _RPN = ("", "a", "", "*")
+#: either infix family's tokens as JSON, a node a list of two and a leaf null, for a text of one family's alone
+_INFIX_TO_JSON = str.maketrans("(. a*)", "[n,n,]")
 
 
 class _BinaryNode(_Value):
@@ -138,7 +144,10 @@ def encode_tree(t: BinaryTree | ExtendedBinaryTree) -> CatalanSequence:
 
     The wrapper 0...1 is applied only to nonempty trees, so semilength
     always equals node_count and the single-node tree alone claims "01".
+    CatalanError for a value that is neither None nor a Node or Internal.
     """
+    if t is not None and not isinstance(t, _BinaryNode):
+        raise CatalanError(f"tree must be a Node, an Internal or None, not {type(t).__name__}")
     return _trusted_sequence(_edge_pairs(t))
 
 
@@ -266,8 +275,20 @@ def _read_infix(text: str, tokens: tuple[str, str, str, str], end_noun: str, nou
     Each "(" reserves a slot for its node's pair and its separator one for
     its 11; its ")" fills both, knowing now which subtrees are nodes.
     ParseError gives the 1-based position; the strings name parts in it.
+
+    A text of the four tokens alone is first scanned by json's C scanner as
+    nested lists; a list that is no pair, a scan that stops short and one
+    nested past the recursion limit leave it to the pass below.
     """
     check_text(text, end_noun)
+    if not text.strip("".join(tokens)):  # JSON would also skip whitespace
+        nested = text.translate(_INFIX_TO_JSON).replace("n", "null")
+        try:
+            root, end = _json_scan()(nested, 0)
+            if end == len(nested):
+                return _edge_pairs(root, children=tuple)
+        except (ValueError, StopIteration, RecursionError):
+            pass
     leaf, sep = tokens[1:3]
     slots = ["0"]
     frames: list[int] = []  # per open "(": its pair's slot, then its 11's slot, or -1 past an empty left

@@ -423,7 +423,11 @@ def test_dot_is_written_from_the_word_with_no_tree_module():
 
 
 def test_transcode_loads_the_codecs_it_joins():
+    # a mult text is scanned as nested JSON lists; the postfix fold of the same expression scans none
     code, out, modules = _loaded("transcode", "--from", "mult", "--to", "chords", "--input", "(a*((a*a)*a))")
+    assert (code, out) == (0, ["1-2,3-6,4-5"])
+    assert _CODECS <= modules and "json" in modules
+    code, out, modules = _loaded("transcode", "--from", "rpn", "--to", "chords", "--input", "aaa*a**")
     assert (code, out) == (0, ["1-2,3-6,4-5"])
     assert _CODECS <= modules and "json" not in modules
     code, out, modules = _loaded("transcode", "--from", "chords", "--to", "mult", "--input", "1-2,3-6,4-5")

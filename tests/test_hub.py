@@ -3,6 +3,7 @@ import random
 import re
 import time
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,13 @@ class TestTranscode:
             with pytest.raises(CatalanError, match=f"must be a str, not {type(text).__name__}$"):
                 call(text)
 
+    @pytest.mark.parametrize("name", FAMILIES)
+    @pytest.mark.parametrize("value", [5, "HV"], ids=repr)
+    def test_render_of_a_value_of_another_type_raises_a_catalan_error(self, name, value):
+        # the encoders read their value's fields: an int or a str has none of them
+        with pytest.raises(CatalanError, match=f" must be a .*, not {type(value).__name__}$"):
+            FAMILIES[name].render(value)
+
     def test_sequence_text_raises_the_validation_errors(self):
         with pytest.raises(PrefixViolationError) as info:
             transcode("sequence", "tree", "0110")
@@ -304,6 +312,21 @@ class TestAgainstTheBenchReference:
                     assert text is None, (name, bits)
                 else:
                     assert text == reference.family_text(name, bits) and family.read(text) == s, (name, bits)
+
+    @pytest.mark.parametrize("name", ["tree", "mult"])
+    def test_infix_readers_take_exactly_the_reference_texts(self, name):
+        # every text of up to 7 symbols over the four tokens and a whitespace that JSON would skip
+        leaf, sep, blank = {"tree": ". \n", "mult": "a* "}[name]
+        read = FAMILIES[name].read
+        for length in range(8):
+            for symbols in product(f"({leaf}{sep}){blank}", repeat=length):
+                text = "".join(symbols)
+                tree = reference.parse_infix(text, leaf, sep)
+                if tree is False:
+                    with pytest.raises(ParseError):
+                        read(text)
+                else:
+                    assert read(text).bits == reference.tree_to_word(tree), text
 
 
 class TestMountain:
@@ -409,6 +432,12 @@ class TestDot:
     def test_deterministic(self):
         s = validate("00010111")
         assert render_dot(decode_tree(s)) == render_dot(decode_tree(s))
+
+    def test_a_value_that_is_no_tree_raises_a_catalan_error(self):
+        for call, value in ((trees.encode_tree, 5), (render_dot, "x")):
+            message = f"^tree must be a Node, an Internal or None, not {type(value).__name__}$"
+            with pytest.raises(CatalanError, match=message):
+                call(value)
 
     @pytest.mark.parametrize("n", range(9))
     def test_the_word_writer_is_the_object_walk(self, n):

@@ -1,4 +1,7 @@
 import random
+import sys
+import tracemalloc
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -368,14 +371,18 @@ class TestDeepChains:
         assert t == decode_tree(s)
         assert hash(t) == hash(decode_tree(s))
 
-    def test_extend_strip_and_text_forms_on_a_chain(self):
-        t = decode_tree(validate(self.chain_bits("01")))
+    @pytest.mark.parametrize("pair", ["01", "10"])
+    def test_extend_strip_and_text_forms_on_a_chain(self, pair):
+        # a chain nests its infix text past the recursion limit, so the scan refuses it and the pass reads it
+        limit = sys.getrecursionlimit()
+        t = decode_tree(validate(self.chain_bits(pair)))
         e = extend_tree(t)
         assert strip_leaves(e) == t
         assert parse_tree(render_tree(t)) == t
         assert parse_mult(render_mult(e)) == e
         assert parse_rpn(render_rpn(e)) == e
         assert rpn_paper_decode(rpn_paper_encode(e)) == e
+        assert sys.getrecursionlimit() == limit
 
 
 def test_structural_equality_and_hash():
@@ -405,3 +412,32 @@ def test_children_must_be_nodes_of_the_same_type(kind, children, message):
     with pytest.raises(CatalanError) as info:
         kind(*children)
     assert str(info.value) == message
+
+
+def balanced_text(n, tokens):
+    """The infix text of the balanced tree of n nodes, whose left subtree takes half of the rest."""
+    opener, leaf, sep, closer = tokens
+    if not n:
+        return leaf
+    left = (n - 1) // 2
+    return opener + balanced_text(left, tokens) + sep + balanced_text(n - 1 - left, tokens) + closer
+
+
+@pytest.mark.parametrize("name", ["tree", "mult"])
+@pytest.mark.parametrize("shape", ["balanced", "deep"])
+def test_read_peak_memory_at_1e5_nodes(name, shape):
+    # the JSON scan of a balanced text holds its nested lists, about 10.5 MB; a text nested past the
+    # recursion limit goes on to the per-character pass, which holds about 2.8 MB
+    family = FAMILIES[name]
+    if shape == "balanced":
+        text = balanced_text(10**5, {"tree": "(. )", "mult": "(a*)"}[name])
+    else:
+        text = family.write(validate(cycle_lemma_word(10**5, random.Random(2))))
+        assert max(accumulate(1 if ch == "(" else -1 if ch == ")" else 0 for ch in text)) > sys.getrecursionlimit()
+    tracemalloc.start()
+    try:
+        s = family.read(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert family.write(s) == text and len(s.bits) == 2 * 10**5 and peak < 16_000_000, peak
