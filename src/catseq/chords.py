@@ -19,7 +19,7 @@ from itertools import chain
 
 from .core import (
     CatalanError, CatalanSequence, _trusted, _trusted_sequence, _Value, check_type, cut_number, parse_pairs, parsed,
-    write_pairs,
+    sequence_bits, write_pairs,
 )
 
 
@@ -105,7 +105,7 @@ def encode_chords(d: ChordDiagram) -> CatalanSequence:
 
 def decode_chords(s: CatalanSequence) -> ChordDiagram:
     """Inverse of encode_chords: stack matching of the word."""
-    labels = iter(_matching(s.bits))
+    labels = iter(_matching(sequence_bits(s)))
     return _trusted(ChordDiagram, s.semilength, tuple(zip(labels, labels)))
 
 
@@ -116,4 +116,4 @@ def read_chords(text: str) -> CatalanSequence:
 
 
 def write_chords(s: CatalanSequence) -> str:
-    return write_pairs(tuple(_matching(s.bits)))
+    return write_pairs(tuple(_matching(sequence_bits(s))))

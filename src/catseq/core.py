@@ -190,6 +190,12 @@ def check_type(value, cls: type, what: str) -> None:
         raise CatalanError(f"{what} must be a {cls.__name__}, not {type(value).__name__}")
 
 
+def sequence_bits(s: CatalanSequence) -> str:
+    """The bits of ``s``; CatalanError unless it is a CatalanSequence, for every pass that reads one."""
+    check_type(s, CatalanSequence, "sequence")
+    return s.bits
+
+
 def _check_semilength(n, cap: int, what: str) -> None:
     check_int(n, "semilength")
     if n < 0:
@@ -385,7 +391,7 @@ def altitude_profile(s: CatalanSequence) -> AltitudeProfile:
     >>> altitude_profile(CatalanSequence("0011")).heights
     (0, 1, 2, 1, 0)
     """
-    steps = (1 if ch == "0" else -1 for ch in s.bits)
+    steps = (1 if ch == "0" else -1 for ch in sequence_bits(s))
     return _trusted(AltitudeProfile, tuple(accumulate(steps, initial=0)))  # valid as s is
 
 
@@ -505,7 +511,7 @@ def rank(s: CatalanSequence) -> int:
     last 400 symbols, read off the ballot table for those.  Raises
     CapExceededError for a semilength above RANKING_CAP.
     """
-    bits = s.bits
+    bits = sequence_bits(s)
     balance = 0
     position = 0
     if len(bits) > _TABLE_ROWS:

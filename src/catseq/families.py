@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from . import chords, lattice, polygons, trees
-from .core import CatalanError, CatalanSequence, _Value, check_type, validate
+from .core import CatalanError, CatalanSequence, _Value, check_type, sequence_bits, validate
 
 
 class Family(_Value):
@@ -51,7 +51,7 @@ def _identity(s: CatalanSequence) -> CatalanSequence:
 FAMILIES: dict[str, Family] = {
     f.name: f
     for f in (
-        Family("sequence", validate, str, _identity, _identity),
+        Family("sequence", validate, sequence_bits, _identity, _identity),
         Family("tree", trees.read_tree, trees.write_tree, trees.encode_tree, trees.decode_tree),
         Family("path", lattice.read_path, lattice.write_path, lattice.encode_path, lattice.decode_path),
         Family("pm", lattice.read_pm, lattice.write_pm, lattice.encode_pm, lattice.decode_pm),

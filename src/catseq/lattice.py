@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .core import (
     CatalanError, CatalanSequence, ParseError, _scan, _trusted, _trusted_sequence, _Value, check_text, check_type,
-    cut_number, parsed,
+    cut_number, parsed, sequence_bits,
 )
 
 _PATH_TO_BITS = str.maketrans("HV01", "0122")  # a literal 0 or 1 stays a bad symbol to the scan
@@ -98,7 +98,7 @@ def encode_pm(x: PlusMinusSequence) -> CatalanSequence:
 
 def decode_pm(s: CatalanSequence) -> PlusMinusSequence:
     """0 -> +1, 1 -> -1; inverse of encode_pm."""
-    return _trusted(PlusMinusSequence, tuple(1 if ch == "0" else -1 for ch in s.bits))
+    return _trusted(PlusMinusSequence, tuple(1 if ch == "0" else -1 for ch in sequence_bits(s)))
 
 
 def read_path(text: str) -> CatalanSequence:
@@ -106,7 +106,7 @@ def read_path(text: str) -> CatalanSequence:
 
 
 def write_path(s: CatalanSequence) -> str:
-    return s.bits.translate(_BITS_TO_PATH)
+    return sequence_bits(s).translate(_BITS_TO_PATH)
 
 
 def read_pm(text: str) -> CatalanSequence:
@@ -118,4 +118,4 @@ def read_pm(text: str) -> CatalanSequence:
 
 
 def write_pm(s: CatalanSequence) -> str:
-    return s.bits.translate(_BITS_TO_PM)
+    return sequence_bits(s).translate(_BITS_TO_PM)

@@ -160,6 +160,7 @@ def _diagonals(s: CatalanSequence):
 
 def decode_polygon(s: CatalanSequence) -> Triangulation:
     """The (semilength + 2)-gon triangulation behind the sequence."""
+    check_type(s, CatalanSequence, "sequence")
     return _trusted(Triangulation, s.semilength + 2, tuple(_diagonals(s)))
 
 
@@ -190,4 +191,5 @@ def read_polygon(text: str) -> CatalanSequence:
 
 
 def write_polygon(s: CatalanSequence) -> str:
+    check_type(s, CatalanSequence, "sequence")
     return f"{s.semilength + 2};" + write_pairs(tuple(chain.from_iterable(_diagonals(s))))

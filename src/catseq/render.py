@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .core import CapExceededError, CatalanSequence, altitude_profile
+from .core import CapExceededError, CatalanSequence, altitude_profile, sequence_bits
 
 #: Most cells, rows times columns, a picture of ``render_mountain`` may span: its
 #: lines hold at most that many characters.  A random word of semilength 2,048
@@ -46,7 +46,7 @@ def write_dot(s: CatalanSequence) -> str:
     """Deterministic DOT text of the binary tree coded by ``s``: nodes v0, v1, ... in preorder, edges tagged
     L/R, from one pass over the code's digit pairs.  Each pair is the edge into the next node: a 01 (L) or 10 (R)
     from the node before it, a 00 (L) too, which holds that node for the R edge of its matching 11."""
-    bits = s.bits
+    bits = sequence_bits(s)
     edges = []
     held = []  # the nodes of the 00s whose 11 is still to come
     for child, pair in enumerate(map(add, bits[1:-1:2], bits[2:-1:2]), 1):

@@ -33,6 +33,7 @@ from operator import add, attrgetter
 
 from .core import (
     CatalanError, CatalanSequence, DomainError, ParseError, _json_scan, _scan, _trusted_sequence, _Value, check_text,
+    sequence_bits,
 )
 
 _RPN_TO_BITS = str.maketrans("a*01", "0122")  # a literal 0 or 1 stays a bad symbol to the scan
@@ -129,7 +130,7 @@ class NotInImageError(DomainError):
 def node_count(t: BinaryTree | ExtendedBinaryTree) -> int:
     """Number of nodes, the semilength of the edge-pair code; for an
     expression, its Internal nodes, i.e. multiplications (a bare leaf has 0)."""
-    return len(_edge_pairs(t)) // 2
+    return encode_tree(t).semilength
 
 
 internal_count = node_count
@@ -258,10 +259,7 @@ def strip_leaves(e: ExtendedBinaryTree) -> BinaryTree:
     return decode_tree(encode_expression(e))
 
 
-def encode_expression(e: ExtendedBinaryTree) -> CatalanSequence:
-    """Total expression codec: the tree codec on the internal nodes, i.e.
-    encode_tree(strip_leaves(e)).  n multiplications yield semilength n."""
-    return encode_tree(e)
+encode_expression = encode_tree  # the total expression codec: n multiplications yield semilength n
 
 
 def decode_expression(s: CatalanSequence) -> ExtendedBinaryTree:
@@ -335,7 +333,7 @@ def read_tree(text: str) -> CatalanSequence:
 
 
 def write_tree(s: CatalanSequence) -> str:
-    return _write(s.bits, _TREE)
+    return _write(sequence_bits(s), _TREE)
 
 
 def read_mult(text: str) -> CatalanSequence:
@@ -344,7 +342,7 @@ def read_mult(text: str) -> CatalanSequence:
 
 
 def write_mult(s: CatalanSequence) -> str:
-    return _write(s.bits, _MULT)
+    return _write(sequence_bits(s), _MULT)
 
 
 def read_rpn(text: str) -> CatalanSequence:
@@ -353,7 +351,7 @@ def read_rpn(text: str) -> CatalanSequence:
 
 
 def write_rpn(s: CatalanSequence) -> str:
-    return _write(s.bits, _RPN)
+    return _write(sequence_bits(s), _RPN)
 
 
 def rpn_paper_read(text: str) -> CatalanSequence:
@@ -365,11 +363,12 @@ def rpn_paper_write(s: CatalanSequence) -> str:
     """The postfix word whose rpn-paper code is ``s``: the rest after the final 1.
     A postfix word keeps its depth ('a' +1, '*' -1) at 1 or more and ends at 1, so
     the image is the words 0 D 1 with D a Catalan word; NotInImageError for the rest."""
-    if not s.bits:
+    bits = sequence_bits(s)
+    if not bits:
         raise NotInImageError("the empty sequence is outside the rpn-paper image")
-    if _scan(s.bits[1:-1])[0] < len(s.bits) - 2:  # D ends balanced as s does, so a drop alone fails it
-        raise NotInImageError(f"sequence {s.bits} is outside the rpn-paper image")
-    return s.bits[:-1].translate(_BITS_TO_RPN)
+    if _scan(bits[1:-1])[0] < len(bits) - 2:  # D ends balanced as s does, so a drop alone fails it
+        raise NotInImageError(f"sequence {bits} is outside the rpn-paper image")
+    return bits[:-1].translate(_BITS_TO_RPN)
 
 
 def rpn_paper_encode(e: ExtendedBinaryTree) -> CatalanSequence:

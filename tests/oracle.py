@@ -1,26 +1,27 @@
 """Independent oracles the tests check the library against.
 
-Nothing here calls into catseq: predicates and reference constructions
-are written directly from the defining conditions, mostly by brute
-force, so they stay independent of the code paths under test.
+Nothing here calls into catseq.  ``reference`` is bench/reference.py, loaded
+by its path: the one construction of every family's text built without
+catseq, which the benchmark checks its outputs against too; its
+``cycle_lemma_word`` draws the tests' random words.  What it lacks is here:
+predicates and constructions written directly from the defining
+conditions, mostly by brute force, so they stay independent of the code
+paths under test.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from functools import cache
 from itertools import product
 from math import comb
-from typing import NamedTuple
+from pathlib import Path
 
+_spec = importlib.util.spec_from_file_location("reference", Path(__file__).parents[1] / "bench" / "reference.py")
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
-def is_catalan_word(word: str) -> bool:
-    """Equal 0/1 totals and no prefix with more 1s than 0s."""
-    balance = 0
-    for ch in word:
-        balance += 1 if ch == "0" else -1
-        if balance < 0:
-            return False
-    return balance == 0
+cycle_lemma_word = reference.cycle_lemma_word
 
 
 def first_fault(word: str, up: str = "0", down: str = "1", floor: int = 0) -> tuple[int, int]:
@@ -45,14 +46,14 @@ def first_fault(word: str, up: str = "0", down: str = "1", floor: int = 0) -> tu
 @cache
 def brute_sequences(n: int) -> list[str]:
     """All valid words of length 2n by filtering every binary word; cached, so callers only read it."""
-    return ["".join(w) for w in product("01", repeat=2 * n) if is_catalan_word("".join(w))]
+    return ["".join(w) for w in product("01", repeat=2 * n) if reference.is_dyck("".join(w))]
 
 
 def brute_closings(m: int) -> list[list[str]]:
     """Per balance b = 0..m, the words w of length m that take b to 0 and no lower,
     ascending: those for which '0' * b + w is a Catalan word, filtered from every binary word."""
     words = ["".join(w) for w in product("01", repeat=m)]
-    return [[w for w in words if is_catalan_word("0" * b + w)] for b in range(m + 1)]
+    return [[w for w in words if reference.is_dyck("0" * b + w)] for b in range(m + 1)]
 
 
 def brute_count(n: int) -> int:
@@ -160,26 +161,6 @@ def crosses(first: tuple[int, int], second: tuple[int, int]) -> bool:
     return a < c < b < d or c < a < d < b
 
 
-def cycle_lemma_word(n: int, rng) -> str:
-    """A uniform random valid word of semilength n, in O(n) time.
-
-    Shuffle n '0's and n + 1 '1's.  Exactly one of the 2n + 1 rotations
-    keeps every proper prefix from holding more 1s than 0s: the one that
-    starts just after the first lowest point of the walk (the cycle
-    lemma).  Its last symbol is a '1'; dropping it leaves a valid word,
-    and each valid word arises from exactly 2n + 1 shuffles.
-    """
-    steps = ["0"] * n + ["1"] * (n + 1)
-    rng.shuffle(steps)
-    balance, lowest, cut = 0, 0, 0
-    for pos, ch in enumerate(steps, start=1):
-        balance += 1 if ch == "0" else -1
-        if balance < lowest:
-            lowest, cut = balance, pos
-    rotated = steps[cut:] + steps[:cut]
-    return "".join(rotated[:-1])
-
-
 def grid_mountain(word: str) -> list[str]:
     """The mountain picture drawn on a full grid, one cell per band and symbol:
     '/' in the band above a '0''s start, '\\' in the band above a '1''s end,
@@ -238,37 +219,9 @@ def triangulations(m: int):
     yield from region(0, m - 1)
 
 
-class Triangle(NamedTuple):
-    """A dual-tree node: the triangles across the (a, c) and (c, b) edges."""
-
-    left: Triangle | None
-    right: Triangle | None
-
-
-def ref_dual_tree(m: int, diagonals) -> Triangle | None:
-    """Dual binary tree of a triangulation, straight from its definition.
-
-    The triangle on the root side (0, m-1) is the root.  The triangle on a
-    base (a, b) is the one whose apex c lies between them with both (a, c)
-    and (c, b) edges; its children are the triangles across (a, c) and
-    (c, b), and a polygon side has none.  Recursive, so the depth is the
-    tree's height.
-    """
-    edges = {(a, a + 1) for a in range(m - 1)} | {tuple(sorted(d)) for d in diagonals}
-
-    def region(a: int, b: int) -> Triangle | None:
-        if b - a < 2:
-            return None
-        (c,) = [c for c in range(a + 1, b) if (a, c) in edges and (c, b) in edges]
-        return Triangle(region(a, c), region(c, b))
-
-    return region(0, m - 1)
-
-
-# Reference readers and writers of the pair-list texts, with a tuple and an
-# f-string per pair and the polygon's diagonals found by walking the dual
-# tree's written postfix text.  chords' and polygons' flat-int passes must
-# agree with them on every text.
+# A reader of the pair lists with a tuple per pair, and the chord word of pairs
+# in any order: chords' and polygons' flat-int readers must agree with them on
+# every text, whatever its order.
 
 
 def ref_parse_pairs(text: str) -> tuple[tuple[int, int], ...] | None:
@@ -286,69 +239,12 @@ def ref_parse_pairs(text: str) -> tuple[tuple[int, int], ...] | None:
     return tuple(pairs)
 
 
-def ref_chord_pairs(word: str) -> list[tuple[int, int]]:
-    """The chords of a valid word by stack matching, 1-based, sorted by smaller endpoint."""
-    pairs, open_points = [], []
-    for p, bit in enumerate(word, start=1):
-        if bit == "0":
-            open_points.append(p)
-        else:
-            pairs.append((open_points.pop(), p))
-    return sorted(pairs)
-
-
-def ref_chords_text(word: str) -> str:
-    return ",".join(f"{i}-{j}" for i, j in ref_chord_pairs(word))
-
-
 def ref_chord_word(pairs) -> str:
     """0 at the smaller endpoint and 1 at the larger endpoint of every chord."""
     word = [""] * (2 * len(pairs))
     for a, b in pairs:
         word[min(a, b) - 1], word[max(a, b) - 1] = "0", "1"
     return "".join(word)
-
-
-def ref_rpn(word: str) -> str:
-    """The postfix text over {'a', '*'} of the binary tree whose edge-pair code is ``word``:
-    the code read as a stream of digit pairs, one stack of closers, None for a waiting 00."""
-    if not word:
-        return "a"
-    out, closers = [], []
-    for k in range(1, len(word) - 1, 2):
-        pair = word[k : k + 2]
-        if pair == "11":
-            out.append("aa*")
-            while (tail := closers.pop()) is not None:
-                out.append(tail)
-            closers.append("*")
-        elif pair == "10":
-            out.append("a")
-            closers.append("*")
-        else:
-            closers.append("a*" if pair == "01" else None)
-    out.append("aa*")
-    out.extend(reversed(closers))
-    return "".join(out)
-
-
-def ref_polygon_diagonals(word: str) -> list[tuple[int, int]]:
-    """The sorted diagonals of the triangulation whose dual tree has code ``word``: the dual tree's
-    leaves are the sides (j, j + 1) in order, so in its postfix text each operator closes the region
-    from its left operand's start to the leaves so far; the last region is the root side."""
-    starts, regions, leaves = [], [], 0
-    for ch in ref_rpn(word):
-        if ch == "a":
-            starts.append(leaves)
-            leaves += 1
-        else:
-            starts.pop()
-            regions.append((starts[-1], leaves))
-    return sorted(regions[:-1])
-
-
-def ref_polygon_text(word: str) -> str:
-    return f"{len(word) // 2 + 2};" + ",".join(f"{a}-{b}" for a, b in ref_polygon_diagonals(word))
 
 
 def ref_render_dot(t) -> str:

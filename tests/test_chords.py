@@ -10,8 +10,7 @@ from catseq.core import CatalanError, ParseError, enumerate_sequences, validate
 from catseq.families import FAMILIES
 
 from oracle import (
-    crosses, cycle_lemma_word, first01_pairs, perfect_matchings, ref_chord_pairs, ref_chord_word, ref_chords_text,
-    ref_parse_pairs,
+    crosses, cycle_lemma_word, first01_pairs, perfect_matchings, ref_chord_word, ref_parse_pairs, reference,
 )
 
 parse_chords, render_chords = FAMILIES["chords"].parse, FAMILIES["chords"].render
@@ -176,15 +175,14 @@ def _reordered(pairs, rng) -> str:
 
 
 class TestAgainstThePairReference:
-    """read and write agree with the tuple-per-pair reference in oracle.py."""
+    """decode gives the reference's matching, and read takes its chords in any order and either way
+    round; test_hub.py checks write and read of the canonical text for every n <= 9."""
 
     @staticmethod
     def check(s, rng):
-        text = ref_chords_text(s.bits)
-        assert write_chords(s) == text
-        assert decode_chords(s).chords == tuple(ref_chord_pairs(s.bits))
-        assert read_chords(text) == s
-        other = _reordered(ref_parse_pairs(text), rng)
+        pairs = reference.matching(s.bits)
+        assert decode_chords(s).chords == tuple(pairs)
+        other = _reordered(pairs, rng)
         assert read_chords(other).bits == ref_chord_word(ref_parse_pairs(other)) == s.bits
 
     @pytest.mark.parametrize("n", range(10))
@@ -197,7 +195,10 @@ class TestAgainstThePairReference:
     def test_random_words(self, n):
         rng = random.Random(n)
         for _ in range(3 if n < 10**4 else 1):
-            self.check(validate(cycle_lemma_word(n, rng)), rng)
+            s = validate(cycle_lemma_word(n, rng))
+            text = reference.family_text("chords", s.bits)
+            assert write_chords(s) == text and read_chords(text) == s
+            self.check(s, rng)
 
 
 def test_write_peak_memory_at_1e5_chords():

@@ -31,7 +31,7 @@ from catseq.core import (
 )
 
 from oracle import (
-    ballot, ballot_rows, brute_closings, brute_sequences, is_catalan_word, ranked_word, ref_parse_pairs, word_rank,
+    ballot, ballot_rows, brute_closings, brute_sequences, ranked_word, ref_parse_pairs, reference, word_rank,
 )
 
 PAPER_N3 = ["000111", "001011", "001101", "010011", "010101"]
@@ -99,7 +99,7 @@ class TestValidate:
         from itertools import product
 
         for word in ("".join(w) for w in product("01", repeat=2 * n)):
-            if is_catalan_word(word):
+            if reference.is_dyck(word):
                 assert validate(word).bits == word
             else:
                 with pytest.raises(core.CatalanError):

@@ -1,10 +1,8 @@
-import importlib.util
 import random
 import re
 import time
 import tracemalloc
 from itertools import product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +10,7 @@ from hypothesis import strategies as st
 
 from catseq import chords, lattice, polygons, render, trees
 from catseq.chords import ChordDiagram
+from catseq.cli import main
 from catseq.core import (
     AltitudeProfile,
     CapExceededError,
@@ -23,6 +22,7 @@ from catseq.core import (
     altitude_profile,
     enumerate_sequences,
     random_uniform,
+    rank,
     sequence_count,
     unrank,
     validate,
@@ -31,23 +31,16 @@ from catseq.families import FAMILIES, Family, family_ids, resolve, transcode
 from catseq.lattice import GridPath, PlusMinusSequence
 from catseq.polygons import Triangulation
 from catseq.render import render_dot, render_mountain
-from catseq.trees import NotInImageError, decode_expression, decode_tree
+from catseq.trees import NotInImageError, decode_expression, decode_tree, leaf_count, node_count
 
-from oracle import brute_sequences, cycle_lemma_word, grid_mountain, ref_render_dot
-
-
-def _bench_reference():
-    """bench/reference.py, loaded by its path: the benchmark's own text of every family, built
-    without catseq."""
-    spec = importlib.util.spec_from_file_location("reference", Path(__file__).parents[1] / "bench" / "reference.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-reference = _bench_reference()
+from oracle import brute_sequences, cycle_lemma_word, grid_mountain, ref_render_dot, reference
 
 TOTAL_FAMILIES = [name for name, fam in FAMILIES.items() if fam.total]
+
+#: by family, its object API and its write and decode; by name, every other pass that reads a typed value
+TYPED_CALLS = {name: (fam.render, fam.write, fam.decode) for name, fam in FAMILIES.items()} | {
+    f.__name__: (f,) for f in (rank, altitude_profile, render_mountain, render.write_dot, node_count, leaf_count)
+}
 
 #: every value type and every object codec, by the module that defines it
 OBJECT_API = {
@@ -202,12 +195,13 @@ class TestTranscode:
             with pytest.raises(CatalanError, match=f"must be a str, not {type(text).__name__}$"):
                 call(text)
 
-    @pytest.mark.parametrize("name", FAMILIES)
+    @pytest.mark.parametrize("name", TYPED_CALLS)
     @pytest.mark.parametrize("value", [5, "HV"], ids=repr)
     def test_render_of_a_value_of_another_type_raises_a_catalan_error(self, name, value):
-        # the encoders read their value's fields: an int or a str has none of them
-        with pytest.raises(CatalanError, match=f" must be a .*, not {type(value).__name__}$"):
-            FAMILIES[name].render(value)
+        # each pass reads its value's fields: an int or a str has none of them
+        for call in TYPED_CALLS[name]:
+            with pytest.raises(CatalanError, match=f" must be a .*, not {type(value).__name__}$"):
+                call(value)
 
     def test_sequence_text_raises_the_validation_errors(self):
         with pytest.raises(PrefixViolationError) as info:
@@ -312,6 +306,36 @@ class TestAgainstTheBenchReference:
                     assert text is None, (name, bits)
                 else:
                     assert text == reference.family_text(name, bits) and family.read(text) == s, (name, bits)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        src=st.sampled_from(family_ids()),
+        dst=st.sampled_from(family_ids()),
+        n=st.integers(0, 2000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_transcode_of_random_words(self, src, dst, n, seed):
+        word = cycle_lemma_word(n, random.Random(seed))
+        word = f"0{word}1" if src == "rpn-paper" else word  # its image, 0·u·1
+        text = reference.family_text(src, word)
+        if reference.expects_domain_error(dst, word):
+            with pytest.raises(NotInImageError):
+                transcode(src, dst, text)
+        else:
+            assert transcode(src, dst, text) == reference.family_text(dst, word)
+
+    @pytest.mark.parametrize("src", family_ids())
+    def test_malformed_texts_are_refused_by_the_hub_and_the_cli(self, src, capsys):
+        rng = random.Random(src)
+        for _ in range(60):
+            word = cycle_lemma_word(rng.randrange(40), rng)
+            word = f"0{word}1" if src == "rpn-paper" else word
+            text, dst = reference.malformed_text(src, word, rng), rng.choice(family_ids())
+            with pytest.raises(CatalanError):
+                transcode(src, dst, text)
+            code = main(["transcode", "--from", src, "--to", dst, f"--input={text}"])
+            err = capsys.readouterr().err
+            assert code == 1 and err.startswith("catseq: error: ") and "Traceback" not in err, (text, err)
 
     @pytest.mark.parametrize("name", ["tree", "mult"])
     def test_infix_readers_take_exactly_the_reference_texts(self, name):

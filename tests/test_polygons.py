@@ -21,12 +21,14 @@ from catseq.polygons import (
 from catseq.families import FAMILIES
 from catseq.trees import Node, node_count
 
-from oracle import (
-    crosses, cycle_lemma_word, ref_dual_tree, ref_encode_tree, ref_parse_pairs, ref_polygon_diagonals,
-    ref_polygon_text, triangulations,
-)
+from oracle import crosses, cycle_lemma_word, ref_parse_pairs, reference, triangulations
 
 parse_polygon, render_polygon = FAMILIES["polygon"].parse, FAMILIES["polygon"].render
+
+
+def dual_word(m: int, diagonals) -> str:
+    """The code of the reference's dual tree of a triangulation, its diagonals in any order and either way round."""
+    return reference.tree_to_word(reference.diagonals_to_tree(m, [tuple(sorted(d)) for d in diagonals]))
 
 
 class TestConstructor:
@@ -197,7 +199,7 @@ class TestPolygonCodec:
     def test_matches_the_dual_tree_on_every_triangulation(self, n):
         words = set()
         for diagonals in triangulations(n + 2):
-            word = ref_encode_tree(ref_dual_tree(n + 2, diagonals))
+            word = dual_word(n + 2, diagonals)
             tri = Triangulation(n + 2, tuple(diagonals))
             assert encode_polygon(tri).bits == word
             assert decode_polygon(validate(word)) == tri
@@ -209,25 +211,24 @@ class TestPolygonCodec:
     def test_matches_the_dual_tree_on_random_words(self, n, seed):
         word = cycle_lemma_word(n, random.Random(seed))
         tri = decode_polygon(validate(word))
-        assert ref_encode_tree(ref_dual_tree(tri.m, tri.diagonals)) == word
+        assert dual_word(tri.m, tri.diagonals) == word
         assert encode_polygon(tri).bits == word
 
 
 class TestAgainstThePairReference:
-    """read and write agree with the tuple-per-pair reference in oracle.py: its f-string text of
-    the diagonals that the dual tree's postfix text closes, and the dual tree of a parsed list."""
+    """decode gives the reference's diagonals, and read takes them in any order and either way round,
+    as the reference's dual tree does; test_hub.py checks write and read of the canonical text for
+    every n <= 9."""
 
     @staticmethod
     def check(s, rng):
-        m, text = s.semilength + 2, ref_polygon_text(s.bits)
-        assert write_polygon(s) == text
-        assert decode_polygon(s).diagonals == tuple(ref_polygon_diagonals(s.bits))
-        assert read_polygon(text) == s
-        pairs = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in ref_parse_pairs(text.partition(";")[2])]
+        m = s.semilength + 2
+        diagonals = reference.tree_to_diagonals(reference.word_to_tree(s.bits), m)
+        assert decode_polygon(s).diagonals == tuple(diagonals)
+        pairs = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in diagonals]
         rng.shuffle(pairs)
         other = ",".join(f"{a}-{b}" for a, b in pairs)
-        word = ref_encode_tree(ref_dual_tree(m, ref_parse_pairs(other)))
-        assert read_polygon(f"{m};{other}").bits == word == s.bits
+        assert read_polygon(f"{m};{other}").bits == dual_word(m, ref_parse_pairs(other)) == s.bits
 
     @pytest.mark.parametrize("n", range(10))
     def test_every_word_up_to_9(self, n):
@@ -239,7 +240,10 @@ class TestAgainstThePairReference:
     def test_random_words(self, n):
         rng = random.Random(n)
         for _ in range(3 if n < 10**4 else 1):
-            self.check(validate(cycle_lemma_word(n, rng)), rng)
+            s = validate(cycle_lemma_word(n, rng))
+            text = reference.family_text("polygon", s.bits)
+            assert write_polygon(s) == text and read_polygon(text) == s
+            self.check(s, rng)
 
 
 class TestTextForm:
