@@ -18,7 +18,7 @@ dual tree's postfix text closes them, with no text written.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .core import (
     CatalanError, CatalanSequence, ParseError, _trusted, _trusted_sequence, _Value, check_int, check_text,
@@ -126,8 +126,9 @@ def encode_polygon(tri: Triangulation) -> CatalanSequence:
 def _diagonals(s: CatalanSequence):
     """The sorted diagonals behind ``s`` as (a, b) pairs.  The extended dual tree's leaves are the sides
     (j, j + 1) in order, so its postfix text closes each region from its left operand's start to the leaves
-    so far.  The code's digit pairs are read as trees._write reads them for that text, each token acting on
-    the stack of starts as it comes; a region is kept as the int a * m + b, and the ints are sorted."""
+    so far.  The code's digit pairs are read as trees._write reads them for that text, as their first and second
+    characters, with a last 11 for the end; each token acts on the stack of starts as it comes, a region is kept
+    as the int a * m + b, and the ints are sorted."""
     m = s.semilength + 2
     if m == 2:
         return ()
@@ -135,8 +136,10 @@ def _diagonals(s: CatalanSequence):
     starts: list[int] = []
     closers: list[int | None] = [None]  # the end closes every region down to here, like a 11
     leaves = 0
-    for pair in chain(map(add, s.bits[1:-1:2], s.bits[2:-1:2]), ("11",)):
-        if pair == "11":  # a childless node, "aa*", then the closers waiting down to a 00's None
+    for first, second in zip(s.bits[1:-1:2] + "1", s.bits[2:-1:2] + "1"):
+        if first == "0":  # an "a*" waits after a lone left subtree, a None after a 00's left subtree
+            closers.append(1 if second == "1" else None)
+        elif second == "1":  # a childless node, "aa*", then the closers waiting down to a 00's None
             regions.append(leaves * m + leaves + 2)
             starts.append(leaves)
             leaves += 2
@@ -147,12 +150,10 @@ def _diagonals(s: CatalanSequence):
                     starts.pop()
                 regions.append(starts[-1] * m + leaves)
             closers.append(0)
-        elif pair == "10":  # "a", and a "*" waits
+        else:  # a 10: "a", and a "*" waits
             starts.append(leaves)
             leaves += 1
             closers.append(0)
-        else:  # an "a*" waits after a lone left subtree, a None after a 00's left subtree
-            closers.append(1 if pair == "01" else None)
     regions.pop()  # the last region is the root side
     regions.sort()
     return map(divmod, regions, repeat(m))

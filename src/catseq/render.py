@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from operator import add
-
 from .core import CapExceededError, CatalanSequence, altitude_profile, sequence_bits
 
 #: Most cells, rows times columns, a picture of ``render_mountain`` may span: its
@@ -49,11 +47,13 @@ def write_dot(s: CatalanSequence) -> str:
     bits = sequence_bits(s)
     edges = []
     held = []  # the nodes of the 00s whose 11 is still to come
-    for child, pair in enumerate(map(add, bits[1:-1:2], bits[2:-1:2]), 1):
-        parent = held.pop() if pair == "11" else child - 1
-        if pair == "00":
-            held.append(parent)
-        edges.append(f"  v{parent} -> v{child} [label={'L' if pair < '10' else 'R'}];")
+    for child, (first, second) in enumerate(zip(bits[1:-1:2], bits[2:-1:2]), 1):
+        if first == "0":
+            if second == "0":
+                held.append(child - 1)
+            edges.append(f"  v{child - 1} -> v{child} [label=L];")
+        else:
+            edges.append(f"  v{held.pop() if second == '1' else child - 1} -> v{child} [label=R];")
     return "\n".join(["digraph tree {", *map("  v%d;".__mod__, range(len(bits) // 2)), *edges, "}"])
 
 

@@ -16,20 +16,22 @@ and the append-a-1 postfix wire format whose decode is partial.
 
 Each text is read straight into the code, by the infix grammar or the
 postfix fold (_postfix), and written from its stream of digit pairs by one
-writer (_write), with no nodes.  An infix text is first read as nested JSON
-lists by json's C scanner, and by the grammar's own pass where that scan
-refuses it.  rpn-paper folds nothing: by the depth rule ('a' +1, '*' -1)
-its image is the words 0 D 1 with D a Catalan word, which the sequence's
-scan checks.  Decoding folds the written postfix text.  This module holds
-the value types, the codecs and the read_*/write_* passes;
-FAMILIES[name].parse and .render in catseq.families compose these passes
-with a codec.  Every traversal uses an explicit stack; degenerate chains of
-10^4 nodes and more are fine.
+writer (_write), with no nodes.  The writer takes each pair as its two
+characters, and the pair walk (_edge_pairs) unpacks a folded tuple or a
+scanned list as its own (left, right), with no call per node.  An infix
+text is first read as nested JSON lists by json's C scanner, and by the
+grammar's own pass where that scan refuses it.  rpn-paper folds nothing: by
+the depth rule ('a' +1, '*' -1) its image is the words 0 D 1 with D a
+Catalan word, which the sequence's scan checks.  Decoding folds the written
+postfix text.  This module holds the value types, the codecs and the
+read_*/write_* passes; FAMILIES[name].parse and .render in catseq.families
+compose these passes with a codec.  Every traversal uses an explicit stack;
+degenerate chains of 10^4 nodes and more are fine.
 """
 
 from __future__ import annotations
 
-from operator import add, attrgetter
+from operator import attrgetter
 
 from .core import (
     CatalanError, CatalanSequence, DomainError, ParseError, _json_scan, _scan, _trusted_sequence, _Value, check_text,
@@ -45,6 +47,9 @@ _MULT = ("(", "a", "*", ")")
 _RPN = ("", "a", "", "*")
 #: either infix family's tokens as JSON, a node a list of two and a leaf null, for a text of one family's alone
 _INFIX_TO_JSON = str.maketrans("(. a*)", "[n,n,]")
+#: per infix token set, the table that deletes its tokens: a text of those alone translates to ""
+_DROP_TOKENS = {tokens: str.maketrans("", "", "".join(tokens)) for tokens in (_TREE, _MULT)}
+_CHILDREN = attrgetter("left", "right")  # a Node's or an Internal's (left, right), for _edge_pairs
 
 
 class _BinaryNode(_Value):
@@ -71,16 +76,16 @@ class _BinaryNode(_Value):
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return _edge_pairs(self) == _edge_pairs(other)
+        return _edge_pairs(self, _CHILDREN) == _edge_pairs(other, _CHILDREN)
 
     def __hash__(self):
-        return hash((type(self), _edge_pairs(self)))
+        return hash((type(self), _edge_pairs(self, _CHILDREN)))
 
     def __repr__(self):
-        return f"{type(self).__name__}[{_write(_edge_pairs(self), self._TOKENS)}]"
+        return f"{type(self).__name__}[{_write(_edge_pairs(self, _CHILDREN), self._TOKENS)}]"
 
     def __reduce__(self):
-        return _postfix, (_write(_edge_pairs(self), _RPN), type(self))
+        return _postfix, (_write(_edge_pairs(self, _CHILDREN), _RPN), type(self))
 
 
 class Node(_BinaryNode):
@@ -149,11 +154,12 @@ def encode_tree(t: BinaryTree | ExtendedBinaryTree) -> CatalanSequence:
     """
     if t is not None and not isinstance(t, _BinaryNode):
         raise CatalanError(f"tree must be a Node, an Internal or None, not {type(t).__name__}")
-    return _trusted_sequence(_edge_pairs(t))
+    return _trusted_sequence(_edge_pairs(t, _CHILDREN))
 
 
-def _edge_pairs(root, children=attrgetter("left", "right")) -> str:
-    """The bits of encode_tree(root); ``children(node)`` is its (left, right).
+def _edge_pairs(root, children=None) -> str:
+    """The bits of encode_tree(root); ``children(node)`` is its (left, right), or with ``children``
+    None the node itself is, a folded tuple or a scanned list; a list that is no pair raises ValueError.
 
     The stack holds the nodes still to walk and None for a 11 still to
     write, so the word is valid whatever the nodes hold.
@@ -167,7 +173,7 @@ def _edge_pairs(root, children=attrgetter("left", "right")) -> str:
         if item is None:
             out.append("11")
             continue
-        left, right = children(item)
+        left, right = item if children is None else children(item)
         if right is None:
             if left is not None:
                 out.append("01")
@@ -183,10 +189,10 @@ def _edge_pairs(root, children=attrgetter("left", "right")) -> str:
 
 
 def _write(bits: str, tokens: tuple[str, str, str, str]) -> str:
-    """The text of the code ``bits``, read as a stream of digit pairs: a node as opener, left,
-    separator, right, closer, and an empty subtree as the leaf.  A 01, 10 or 00 writes what precedes
-    its node's first nonempty subtree and pushes what follows it, None for a 00's right subtree.
-    A 11, like the end, is a childless node; it pops closers down to that None."""
+    """The text of the code ``bits``, read as a stream of digit pairs, each as its first character, then
+    its second: a node as opener, left, separator, right, closer, and an empty subtree as the leaf.  A 01,
+    10 or 00 writes what precedes its node's first nonempty subtree and pushes what follows it, None for a
+    00's right subtree.  A 11, like the end, is a childless node; it pops closers down to that None."""
     opener, leaf, sep, closer = tokens
     if not bits:
         return leaf
@@ -195,19 +201,19 @@ def _write(bits: str, tokens: tuple[str, str, str, str]) -> str:
     out = []
     closers: list[str | None] = []
     write, push, pop = out.append, closers.append, closers.pop
-    for pair in map(add, bits[1:-1:2], bits[2:-1:2]):
-        if pair == "11":
+    for first, second in zip(bits[1:-1:2], bits[2:-1:2]):
+        if first == "0":
+            write(opener)
+            push(left_only if second == "1" else None)
+        elif second == "1":
             write(childless)
             while (tail := pop()) is not None:
                 write(tail)
             write(sep)
             push(closer)
-        elif pair == "10":
+        else:
             write(right_only)
             push(closer)
-        else:
-            write(opener)
-            push(left_only if pair == "01" else None)
     write(childless)
     out += reversed(closers)  # a valid code leaves no 00 waiting
     return "".join(out)
@@ -229,9 +235,9 @@ def _postfix_bits(text: str) -> str:
     return bits
 
 
-def _postfix(text: str, make=lambda left, right: (left, right)):
+def _postfix(text: str, make=None):
     """The tree of a postfix word over {'a', '*'}, checked by _postfix_bits: None per leaf
-    and ``make(left, right)`` per operator."""
+    and ``make(left, right)`` per operator, or with ``make`` None the tuple (left, right)."""
     stack: list = []
     push, pop = stack.append, stack.pop
     for bit in _postfix_bits(text):
@@ -239,7 +245,7 @@ def _postfix(text: str, make=lambda left, right: (left, right)):
             push(None)
         else:
             right = pop()
-            stack[-1] = make(stack[-1], right)
+            stack[-1] = (stack[-1], right) if make is None else make(stack[-1], right)
     return stack[0]
 
 
@@ -279,12 +285,12 @@ def _read_infix(text: str, tokens: tuple[str, str, str, str], end_noun: str, nou
     nested past the recursion limit leave it to the pass below.
     """
     check_text(text, end_noun)
-    if not text.strip("".join(tokens)):  # JSON would also skip whitespace
+    if not text.translate(_DROP_TOKENS[tokens]):  # JSON would also skip whitespace
         nested = text.translate(_INFIX_TO_JSON).replace("n", "null")
         try:
             root, end = _json_scan()(nested, 0)
             if end == len(nested):
-                return _edge_pairs(root, children=tuple)
+                return _edge_pairs(root)
         except (ValueError, StopIteration, RecursionError):
             pass
     leaf, sep = tokens[1:3]
@@ -347,7 +353,7 @@ def write_mult(s: CatalanSequence) -> str:
 
 def read_rpn(text: str) -> CatalanSequence:
     """The code of the expression behind a postfix word over {'a', '*'}."""
-    return _trusted_sequence(_edge_pairs(_postfix(text), children=tuple))  # a pair is its children
+    return _trusted_sequence(_edge_pairs(_postfix(text)))
 
 
 def write_rpn(s: CatalanSequence) -> str:

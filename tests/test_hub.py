@@ -352,6 +352,20 @@ class TestAgainstTheBenchReference:
                 else:
                     assert read(text).bits == reference.tree_to_word(tree), text
 
+    @pytest.mark.parametrize("name", ["tree", "mult"])
+    def test_infix_readers_refuse_a_blank_at_every_position(self, name):
+        # "\t" and "\r" are whitespace the JSON scan would skip, "\x0c" and "\u3000" blanks it would not
+        leaf, sep = {"tree": ". ", "mult": "a*"}[name]
+        read = FAMILIES[name].read
+        for n in range(5):
+            for bits in brute_sequences(n):
+                text = reference.family_text(name, bits)
+                for blank, i in product("\t\r\x0c\u3000", range(len(text) + 1)):
+                    bad = text[:i] + blank + text[i:]
+                    assert reference.parse_infix(bad, leaf, sep) is False, bad
+                    with pytest.raises(ParseError):
+                        read(bad)
+
 
 class TestMountain:
     def test_single_peak(self):
