@@ -4,8 +4,8 @@ The package centers on one interchange form, the Catalan sequence (a
 balanced binary word whose prefixes never hold more ones than zeros),
 with codecs to and from binary trees, multiplication expressions in two
 syntaxes, grid paths, ±1 ballot sequences, non-crossing chord diagrams,
-and polygon triangulations, plus Catalan numbers by four routes and a
-CLI (``catseq`` or ``python -m catseq``).
+and polygon triangulations, plus Catalan numbers by four routes over
+three computations, and a CLI (``catseq`` or ``python -m catseq``).
 
 Every public name is listed once, in ``_PUBLIC``, under the submodule
 that defines it.  Names load on first use: ``catseq.transcode`` imports

@@ -10,15 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice
-from operator import attrgetter
 
 from . import core
 from .core import CatalanError, DomainError, validate
 
 # each handler imports the modules it runs, so a command loads only those
 _METHODS = ("closed", "convolution", "linear", "series")  # counting.catalan_<method>
-_LINES_PER_WRITE = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,10 +99,10 @@ def _cmd_count(args) -> None:
 
 
 def _cmd_enumerate(args) -> None:
-    # streams in constant memory: one write per _LINES_PER_WRITE words, joined in C
-    words = map(attrgetter("bits"), core.iter_sequences(args.n))
-    while chunk := [*islice(words, _LINES_PER_WRITE)]:
-        sys.stdout.write("\n".join(chunk) + "\n")
+    # streams in constant memory: one write per batch of the prefix walk, joined in C, with no sequence built
+    core._check_semilength(args.n, core.ENUMERATION_CAP, "enumeration")
+    for prefix, ends in core._successors(args.n):
+        sys.stdout.write(prefix + ("\n" + prefix).join(ends) + "\n")
 
 
 def _cmd_validate(args) -> None:

@@ -13,7 +13,7 @@ import random
 from collections import deque
 from collections.abc import Iterator
 from functools import cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, repeat, starmap
 from math import comb
 from operator import add
 
@@ -23,9 +23,10 @@ from operator import add
 #: through rank/unrank, which only need the ballot-number table.
 ENUMERATION_CAP = 16
 #: Length of the closings that end the words of one batch of ``_successors``.
-#: Each batch costs one leaf of the prefix walk and one pass of ``_trusted_sequences``,
-#: so longer closings mean fewer, larger batches: at 14 a batch holds up to
-#: 1,001 words, and the closings table, built on first use, takes 0.24 MB.
+#: Each batch costs one leaf of the prefix walk and one pass of ``_trusted_sequences``
+#: (the CLI joins it into lines and builds no sequence), so longer closings mean
+#: fewer, larger batches: at 14 a batch holds up to 1,001 words, and the closings
+#: table, built on first use, takes 0.24 MB.
 _BATCH = 14
 
 
@@ -340,12 +341,12 @@ def _trusted_sequence(bits: str, new=object.__new__, store=CatalanSequence.bits.
     return s
 
 
-def _trusted_sequences(count: int, words: Iterator[str], new=object.__new__, store=CatalanSequence.bits.__set__,
+def _trusted_sequences(prefix: str, ends: list[str], new=object.__new__, store=CatalanSequence.bits.__set__,
                        drain=deque(maxlen=0).extend) -> list[CatalanSequence]:
-    """The batch form of ``_trusted_sequence``, for ``count`` words: one allocation pass and one
-    slot-store pass, both run in C, with no Python frame per word.  Enumeration builds through here."""
-    batch = [*map(new, repeat(CatalanSequence, count))]
-    drain(map(store, batch, words))
+    """The batch form of ``_trusted_sequence``, for the words ``prefix + end``: one allocation pass and
+    one slot-store pass, both run in C, with no Python frame per word.  Enumeration builds through here."""
+    batch = [*map(new, repeat(CatalanSequence, len(ends)))]
+    drain(map(store, batch, map(prefix.__add__, ends)))
     return batch
 
 
@@ -407,7 +408,7 @@ def iter_sequences(n: int) -> Iterator[CatalanSequence]:
     ('000111', '001011', ['001101', '010011', '010101'])
     """
     _check_semilength(n, ENUMERATION_CAP, "enumeration")
-    return chain.from_iterable(_successors(n))
+    return chain.from_iterable(starmap(_trusted_sequences, _successors(n)))  # valid as each closing is
 
 
 @cache
@@ -420,16 +421,15 @@ def _closings(m: int) -> list[list[str]]:
     return table
 
 
-def _successors(n: int, prefix: str = "", balance: int = 0) -> Iterator[list[CatalanSequence]]:
-    """Every word of semilength n that starts with ``prefix``, whose balance is ``balance``, as a list
-    per batch, built by ``_trusted_sequences`` with no Python call per word: a batch is one prefix of
-    cut = max(0, 2n - _BATCH) symbols followed by each closing of its balance.  The walk of the prefix
-    tree tries '0' before '1', so the batches come in lexicographic order; it takes '0' only while the
+def _successors(n: int, prefix: str = "", balance: int = 0) -> Iterator[tuple[str, list[str]]]:
+    """Every word of semilength n that starts with ``prefix``, whose balance is ``balance``, as one
+    (prefix, closings) pair per batch with nothing built: the prefix has cut = max(0, 2n - _BATCH) symbols,
+    and the closings of its balance, a list of the shared table that no reader may change, end its words.
+    The walk tries '0' before '1', so the batches come in lexicographic order; it takes '0' only while the
     rest can still close and '1' only above balance 0, and recurses at most 2 ENUMERATION_CAP - _BATCH deep."""
     cut = max(0, 2 * n - _BATCH)
     if len(prefix) == cut:
-        ends = _closings(2 * n - cut)[balance]
-        yield _trusted_sequences(len(ends), map(prefix.__add__, ends))  # valid as each closing is
+        yield prefix, _closings(2 * n - cut)[balance]
         return
     if balance < 2 * n - len(prefix) - 1:
         yield from _successors(n, prefix + "0", balance + 1)

@@ -1,21 +1,21 @@
-"""Catalan numbers by four independent routes, all in exact integers.
+"""Catalan numbers by four routes and three computations, all in exact integers.
 
 C_n = binom(2n, n) / (n + 1), the convolution recurrence
 C_{n+1} = C_0 C_n + ... + C_n C_0, the linear recurrence
-(n + 2) C_{n+1} = (4n + 2) C_n, and the power-series fixed point of
-z C(z)^2 = C(z) - 1 with C(0) = 1.  Catalan numbers are plain Python
-ints (arbitrary precision); no floating point is used anywhere here.
+(n + 2) C_{n+1} = (4n + 2) C_n, and the power series solving
+z C(z)^2 = C(z) - 1, C(0) = 1: the convolution's memo read as a series.
+Plain Python ints throughout; no floating point is used anywhere here.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import CapExceededError, CatalanError, _Value, check_int
+from .core import CapExceededError, CatalanError, _trusted, _Value, check_int
 
-#: Largest Catalan index ``catalan_convolution`` and ``catalan_series`` reach.  Both
-#: sum k + 1 big-integer products for every k below it, so a cold call grows about
-#: 11-fold per doubling of n; at the cap it takes about 1 s.
+#: Largest Catalan index ``catalan_convolution`` and ``catalan_series`` reach.  Their
+#: one memo sums k + 1 big-integer products for every k below it, so a cold call grows
+#: about 11-fold per doubling of n; at the cap it takes about 1 s.
 CONVOLUTION_CAP = 1400
 
 
@@ -65,18 +65,24 @@ def catalan_closed(n: int) -> int:
 _conv_cache = [1]
 
 
-def catalan_convolution(n: int) -> int:
-    """C_n by the convolution recurrence C_{k+1} = sum C_i * C_{k-i}; CapExceededError for n > CONVOLUTION_CAP."""
+def _convolved(n: int) -> list[int]:
+    """The shared memo, holding at least C_0..C_n; CapExceededError for n > CONVOLUTION_CAP."""
     global _conv_cache
-    _check_index(n)
-    _check_convolved(n)
+    if n > CONVOLUTION_CAP:
+        raise CapExceededError(f"Catalan index {n} exceeds the convolution cap {CONVOLUTION_CAP}")
     memo = _conv_cache
     if len(memo) <= n:
         memo = memo.copy()
         for k in range(len(memo) - 1, n):  # C_0..C_k known, extend by C_{k+1}
             memo.append(sum(memo[i] * memo[k - i] for i in range(k + 1)))
         _conv_cache = memo
-    return memo[n]
+    return memo
+
+
+def catalan_convolution(n: int) -> int:
+    """C_n by the convolution recurrence C_{k+1} = sum C_i * C_{k-i}; CapExceededError for n > CONVOLUTION_CAP."""
+    _check_index(n)
+    return _convolved(n)[n]
 
 
 def catalan_linear(n: int) -> int:
@@ -93,30 +99,18 @@ def catalan_linear(n: int) -> int:
 def catalan_series(limit: int) -> SeriesPrefix:
     """First ``limit`` coefficients of the series solving C = 1 + z*C^2, C(0) = 1.
 
-    Fixed-point iteration of C <- 1 + z*C^2 truncated to ``limit`` terms
-    pins one more coefficient per pass (coefficient k of the iterate only
-    depends on coefficients below k, which an earlier pass already fixed),
-    so each pass needs to evaluate just the first not-yet-stable
-    coefficient of the square; the prefix is stable after ``limit`` passes.
-    Raises CapExceededError when the prefix would pass C_CONVOLUTION_CAP.
+    Coefficient k + 1 of 1 + z*C^2 is the degree-k term of C^2, the sum
+    C_0 C_k + ... + C_k C_0 of the convolution recurrence, so the prefix is
+    the convolution's memo C_0..C_(limit - 1), read as a series.  Raises
+    CapExceededError when the prefix would pass C_CONVOLUTION_CAP.
     """
     check_int(limit, "series prefix length")
     if limit < 1:
         raise CatalanError("series prefix length must be at least 1")
-    _check_convolved(limit - 1)  # the prefix ends at C_(limit - 1)
-    coeffs = [1]
-    while len(coeffs) < limit:
-        k = len(coeffs) - 1  # degree-k term of C^2 feeds the z^{k+1} term
-        coeffs.append(sum(coeffs[i] * coeffs[k - i] for i in range(k + 1)))
-    return SeriesPrefix(tuple(coeffs))
+    return _trusted(SeriesPrefix, tuple(_convolved(limit - 1)[:limit]))  # plain ints from C_0 = 1
 
 
 def _check_index(n: int) -> None:
     check_int(n, "Catalan index")
     if n < 0:
         raise CatalanError("Catalan numbers are indexed from 0")
-
-
-def _check_convolved(n: int) -> None:
-    if n > CONVOLUTION_CAP:
-        raise CapExceededError(f"Catalan index {n} exceeds the convolution cap {CONVOLUTION_CAP}")

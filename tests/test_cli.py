@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catseq import counting
+from catseq import core, counting
 from catseq.cli import main
-from catseq.core import RANKING_CAP, DomainError, enumerate_sequences, validate
+from catseq.core import RANKING_CAP, CatalanSequence, DomainError, enumerate_sequences, validate
 from catseq.counting import catalan_closed
 from catseq.families import ALIASES, FAMILIES, resolve
 
+import golden
 from test_core import traced_in_a_fresh_process
 
 
@@ -105,6 +107,27 @@ class TestEnumerateValidate:
     def test_enumerate_prints_the_listed_words(self, capsys, n):
         lines = "".join(f"{s.bits}\n" for s in enumerate_sequences(n))
         assert run(capsys, "enumerate", "--n", str(n)) == (0, lines, "")
+
+    def test_enumerate_matches_the_golden_enumeration_digest(self, capsys, monkeypatch):
+        def cli_cases():  # golden's enumeration cases, each word list read from the CLI's stdout
+            for n in range(13):
+                code, out, err = run(capsys, "enumerate", "--n", str(n))
+                assert (code, err) == (0, "")
+                words = out.splitlines()
+                yield [n, len(words), words[0], words[-1], hashlib.sha256(out.encode()).hexdigest()]
+
+        monkeypatch.setitem(golden.SECTIONS, "enumeration", cli_cases)
+        assert golden.check("enumeration", json.loads(golden.GOLDEN.read_text())["enumeration"]) is None
+
+    def test_enumerate_builds_no_sequence(self, capsys, monkeypatch):
+        lines = "".join(f"{s.bits}\n" for s in enumerate_sequences(9))
+
+        def refuse(*args):
+            raise AssertionError("a sequence was built")
+
+        monkeypatch.setattr(core, "_trusted_sequences", refuse)
+        monkeypatch.setattr(CatalanSequence, "__init__", refuse)
+        assert run(capsys, "enumerate", "--n", "9") == (0, lines, "")
 
     @pytest.mark.parametrize(
         "n,message",

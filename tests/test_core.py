@@ -230,10 +230,10 @@ class TestIterSequences:
     @pytest.mark.parametrize("n", range(13))
     def test_each_batch_is_every_word_of_one_prefix(self, n):
         cut = max(0, 2 * n - core._BATCH)
-        batches = [[s.bits for s in batch] for batch in core._successors(n)]
-        assert all(type(batch) is list and {w[:cut] for w in batch} == {batch[0][:cut]} for batch in batches)
-        words = [w for batch in batches for w in batch]
-        prefixes = [batch[0][:cut] for batch in batches]
+        batches = list(core._successors(n))  # (prefix, closings) pairs: the walk builds no sequence
+        assert all(type(prefix) is str and len(prefix) == cut and type(ends) is list for prefix, ends in batches)
+        words = [prefix + end for prefix, ends in batches for end in ends]
+        prefixes = [prefix for prefix, _ in batches]
         assert prefixes == sorted({w[:cut] for w in words}) and words == [s.bits for s in iter_sequences(n)]
         # consecutive prefixes first differ at every symbol but the first, which stays '0'
         changed = {next(i for i, (a, b) in enumerate(zip(p, q)) if a != b) for p, q in zip(prefixes, prefixes[1:])}
@@ -251,10 +251,12 @@ class TestIterSequences:
     def test_yields_validated_sequences(self):
         batches = list(core._successors(10))
         assert len(batches) == 20  # 16,796 words: each batch is a 6-symbol prefix and its closings
-        for batch in batches:
-            for s in batch:
+        for prefix, ends in batches:
+            batch = core._trusted_sequences(prefix, ends)
+            assert type(batch) is list and len(batch) == len(ends)
+            for s, end in zip(batch, ends):
                 bits = CatalanSequence.bits.__get__(s)  # the slot is set
-                assert type(s) is CatalanSequence and CatalanSequence(bits) == s
+                assert bits == prefix + end and type(s) is CatalanSequence and CatalanSequence(bits) == s
                 assert not hasattr(s, "__dict__") and repr(s) == f"CatalanSequence(bits={bits!r})"
 
     def test_first_word_comes_at_once_at_the_cap(self):

@@ -90,6 +90,14 @@ def test_cross_method_agreement_to_300():
         assert closed == series[n]
 
 
+def test_the_series_reads_the_convolution_memo(monkeypatch):
+    monkeypatch.setattr(counting, "_conv_cache", [1])
+    catalan_series(60)
+    memo = counting._conv_cache
+    assert memo == [catalan_closed(n) for n in range(60)]
+    assert catalan_convolution(59) == memo[59] and counting._conv_cache is memo and len(memo) == 60
+
+
 def test_series_satisfies_the_convolution_identity():
     coeffs = catalan_series(40).coefficients
     for k in range(39):
