@@ -462,9 +462,9 @@ def enumerate_sequences(n: int) -> list[CatalanSequence]:
 #: z h (r+1-j) / (r (h+1)), as h falls by 1; r falls by 1 either way.  Both
 #: divides are exact.  The table serves the last _TABLE_ROWS symbols.
 _ballot: list[tuple[int, ...]] = [(1, 0, 0)]
-#: The last row of the table.  A whole word read off the table takes 1.8 to
-#: 3.1 times less than one carried at n = 25..200; past here the rows would
-#: grow as the square of the length.
+#: The last row of the table.  A whole word read off the table, a digit pair a
+#: step, takes 2.0 to 3.8 times less than one carried a symbol a step at
+#: n = 25..200; past here the rows would grow as the square of the length.
 _TABLE_ROWS = 400
 #: Largest semilength ``sequence_count``, ``rank``, ``unrank`` and
 #: ``random_uniform`` accept: the carry costs a word O(n^2) digit operations.
@@ -507,12 +507,13 @@ def rank(s: CatalanSequence) -> int:
     """0-based position of ``s`` within ``enumerate_sequences(s.semilength)``.
 
     Every '1' is charged with the count of valid words that branch off with
-    a '0' at that position: carried by the closed form through all but the
-    last 400 symbols, read off the ballot table for those.  Raises
-    CapExceededError for a semilength above RANKING_CAP.
+    a '0' at that position: carried by the closed form a symbol a step
+    through all but the last 400 symbols, read off the ballot table a digit
+    pair a step for those.  Raises CapExceededError for a semilength above
+    RANKING_CAP.
     """
     bits = sequence_bits(s)
-    balance = 0
+    b = 1  # the balance + 1
     position = 0
     if len(bits) > _TABLE_ROWS:
         n = len(bits) // 2
@@ -529,17 +530,22 @@ def rank(s: CatalanSequence) -> int:
                 h += 1
                 j -= 1
             r -= 1
-        balance = h - 1
+        b = h
         bits = bits[head:]
     table = _ballot_rows(len(bits))
     remaining = len(bits)
-    for ch in bits:
-        if ch == "1":
-            position += table[remaining - 1][balance + 1]
-            balance -= 1
+    it = iter(bits)
+    for first, second in zip(it, it):  # remaining - 1 symbols follow the first
+        if first == "1":
+            position += table[remaining - 1][b]
+            if second == "1":
+                position += table[remaining - 2][b - 1]
+                b -= 2
+        elif second == "1":
+            position += table[remaining - 2][b + 1]
         else:
-            balance += 1
-        remaining -= 1
+            b += 2
+        remaining -= 2
     return position
 
 
@@ -558,9 +564,10 @@ def unrank(n: int, k: int) -> CatalanSequence:
 
 
 def _unrank(n: int, k: int, total: int) -> CatalanSequence:
-    """``unrank(n, k)`` for a checked n, 0 <= k < C_n and ``total`` = ``_count(n)``."""
+    """``unrank(n, k)`` for a checked n, 0 <= k < C_n and ``total`` = ``_count(n)``: the
+    carry picks a symbol a step, the table a digit pair from at most two reads."""
     bits = []
-    balance = 0
+    b = 1  # the balance + 1
     tail = 2 * n  # the symbols read off the table
     table = _ballot  # as _count(n) left it, unless another thread has since set a shorter copy
     if len(table) <= tail:
@@ -579,17 +586,25 @@ def _unrank(n: int, k: int, total: int) -> CatalanSequence:
                 z = z * (h * (r + 1 - j)) // (r * (h + 1))
                 h -= 1
             r -= 1
-        balance = h - 1
+        b = h
         tail = _TABLE_ROWS
-    for row in reversed(table[:tail]):  # row r: r symbols follow this one
-        with_zero = row[balance + 1]
-        if k < with_zero:
-            bits.append("0")
-            balance += 1
+    rows = reversed(table[:tail])  # row r: r symbols follow this one
+    for first, second in zip(rows, rows):
+        if k < first[b]:
+            if k < second[b + 1]:
+                bits.append("00")
+                b += 2
+            else:
+                k -= second[b + 1]
+                bits.append("01")
         else:
-            k -= with_zero
-            bits.append("1")
-            balance -= 1
+            k -= first[b]
+            if k < second[b - 1]:
+                bits.append("10")
+            else:
+                k -= second[b - 1]
+                bits.append("11")
+                b -= 2
     return _trusted_sequence("".join(bits))
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catseq import core
@@ -425,6 +425,21 @@ class TestAcrossTheTable:
             word = random_uniform(n, seed).bits
             assert word == ranked_word(n, random.Random(seed).randrange(total))
             assert rank(validate(word)) == word_rank(word)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        pick=st.integers(0, 450).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, ballot(2 * n, 0) - 1))),
+        seed=st.integers(0, 2**30),
+    )
+    @example(pick=(200, ballot(400, 0) // 3), seed=1)
+    @example(pick=(201, ballot(402, 0) * 2 // 3), seed=2)
+    def test_random_index_on_either_side_of_the_seam(self, pick, seed):
+        # the table reads the last 400 symbols a digit pair a step; n = 201 carries its first two
+        n, k = pick
+        word = ranked_word(n, k)
+        assert unrank(n, k).bits == word
+        assert rank(validate(word)) == k
+        assert random_uniform(n, seed).bits == ranked_word(n, random.Random(seed).randrange(ballot(2 * n, 0)))
 
     def test_rank_inverts_unrank_at_the_ranking_cap(self):
         # both carries over 65,136 symbols past the table, each pinned against the other

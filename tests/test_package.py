@@ -49,6 +49,15 @@ def test_star_import_and_dir_list_every_name():
     assert set(MODULE_OF) <= set(dir(catseq))
 
 
+def test_the_python_floor_has_the_int_string_limit():
+    """``catseq count`` reads sys.get_int_max_str_digits, which CPython added in 3.10.7."""
+    tomllib = pytest.importorskip("tomllib")  # 3.11 and later
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+        spec = tomllib.load(f)["project"]["requires-python"]
+    assert spec.startswith(">=")
+    assert tuple(int(part) for part in spec[2:].split(".")) >= (3, 10, 7)
+
+
 def test_unknown_attribute_is_an_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="no_such_codec"):
         catseq.no_such_codec  # noqa: B018
