@@ -31,7 +31,12 @@ _BATCH = 14
 
 
 class CatalanError(ValueError):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package, each built as ``cls(message, position=None)``, with
+    ``position`` 1-based or None; ``args`` holds the message alone, so pickle and copy keep message and position."""
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message)
+        self.position = position
 
 
 class OddLengthError(CatalanError):
@@ -39,14 +44,7 @@ class OddLengthError(CatalanError):
 
 
 class PrefixViolationError(CatalanError):
-    """Some prefix holds more ones than zeros.
-
-    ``position`` is the 1-based length of the first offending prefix.
-    """
-
-    def __init__(self, position: int):
-        super().__init__(f"ones exceed zeros in the prefix of length {position}")
-        self.position = position
+    """Some prefix holds more ones than zeros; ``position`` is the length of the first."""
 
 
 class CountMismatchError(CatalanError):
@@ -55,10 +53,6 @@ class CountMismatchError(CatalanError):
 
 class InvalidSymbolError(CatalanError):
     """The word contains a character other than '0' or '1'."""
-
-    def __init__(self, position: int, symbol: str):
-        super().__init__(f"invalid symbol {symbol!r} at position {position}")
-        self.position = position
 
 
 class CapExceededError(CatalanError):
@@ -70,13 +64,10 @@ class IndexOutOfRangeError(CatalanError):
 
 
 class ParseError(CatalanError):
-    """A family text form failed to parse.  ``position`` is 1-based."""
+    """A family text form failed to parse; a position is also named as a " (position N)" suffix."""
 
     def __init__(self, message: str, position: int | None = None):
-        if position is not None:
-            message = f"{message} (position {position})"
-        super().__init__(message)
-        self.position = position
+        super().__init__(message if position is None else f"{message} (position {position})", position)
 
 
 class DomainError(CatalanError):
@@ -314,7 +305,8 @@ class CatalanSequence(_Value):
             raise OddLengthError(f"length {len(bits)} is odd")
         i, balance = _scan(bits)
         if i < len(bits):
-            raise PrefixViolationError(i + 1) if bits[i] == "1" else InvalidSymbolError(i + 1, bits[i])
+            raise (PrefixViolationError(f"ones exceed zeros in the prefix of length {i + 1}", i + 1) if bits[i] == "1"
+                   else InvalidSymbolError(f"invalid symbol {bits[i]!r} at position {i + 1}", i + 1))
         if balance:
             ones = (len(bits) - balance) // 2
             raise CountMismatchError(f"{ones} ones vs {len(bits) - ones} zeros")
@@ -485,16 +477,14 @@ def _ballot_rows(length: int) -> list[tuple[int, ...]]:
 
 
 def _count(n: int) -> int:
-    """C_n for a checked n: a table read up to the table's length, the closed form past it."""
+    """C_n for a checked n, growing no table: read off it where it holds row 2n, else C(2n, n) / (n + 1)."""
     rows = _ballot  # a warm read makes no call, as every unrank and draw runs it
-    if 2 * n < len(rows):
-        return rows[2 * n][0]
-    return comb(2 * n, n) // (n + 1) if 2 * n > _TABLE_ROWS else _ballot_rows(2 * n)[2 * n][0]
+    return rows[2 * n][0] if 2 * n < len(rows) else comb(2 * n, n) // (n + 1)
 
 
 def sequence_count(n: int) -> int:
-    """C_n, the number of Catalan sequences of semilength n, with no list
-    built: read off the ballot table for 2n <= 400, C(2n, n) / (n + 1) above.
+    """C_n, the number of Catalan sequences of semilength n, with no list or
+    table built: read off the ballot table once grown that far, else C(2n, n) / (n + 1).
 
     Raises CatalanError unless n is an int and n >= 0, and CapExceededError
     for n > RANKING_CAP.
@@ -569,7 +559,7 @@ def _unrank(n: int, k: int, total: int) -> CatalanSequence:
     bits = []
     b = 1  # the balance + 1
     tail = 2 * n  # the symbols read off the table
-    table = _ballot  # as _count(n) left it, unless another thread has since set a shorter copy
+    table = _ballot  # a warm read makes no call; a cold one grows the table here
     if len(table) <= tail:
         table = _ballot_rows(tail)
     if tail > _TABLE_ROWS:

@@ -117,15 +117,9 @@ ExtendedBinaryTree = Internal | None
 class StackUnderflowError(ParseError):
     """A postfix operator arrived with fewer than two values on the stack."""
 
-    def __init__(self, position: int):
-        super().__init__("operator lacks two operands", position)
-
 
 class ExcessOperandsError(ParseError):
     """A postfix word left more than one value on the stack."""
-
-    def __init__(self, leftover: int):
-        super().__init__(f"{leftover} values remain after the last token")
 
 
 class NotInImageError(DomainError):
@@ -228,10 +222,12 @@ def _postfix_bits(text: str) -> str:
     i, depth = _scan(bits[1:]) if bits[:1] == "0" else (-1, 0)
     if i + 1 < len(text):  # the fault is at text[i + 1]
         if text[i + 1] == "*":
-            raise StackUnderflowError(i + 2)
+            raise StackUnderflowError("operator lacks two operands", i + 2)
         raise ParseError(f"expected 'a' or '*', found {text[i + 1]!r}", i + 2)
-    if depth or not text:
-        raise ExcessOperandsError(depth + 1) if depth else ParseError("empty postfix word", 1)
+    if depth:
+        raise ExcessOperandsError(f"{depth + 1} values remain after the last token")
+    if not text:
+        raise ParseError("empty postfix word", 1)
     return bits
 
 

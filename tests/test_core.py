@@ -327,10 +327,16 @@ class TestRankUnrank:
             assert rank(s) == k
             assert unrank(n, k) == s
 
-    def test_unrank_refuses_an_index_before_growing_the_table(self, monkeypatch):
+    @pytest.mark.parametrize("n", [150, 200, 300])
+    def test_unrank_refuses_an_index_before_growing_the_table(self, monkeypatch, n):
         monkeypatch.setattr(core, "_ballot", [(1, 0, 0)])
         with pytest.raises(IndexOutOfRangeError):
-            unrank(300, -1)  # C_300 by the closed form, past the table's 400 symbols
+            unrank(n, -1)  # C_n by the closed form, within the table's 400 symbols or past them
+        assert len(core._ballot) == 1
+
+    def test_a_cold_count_grows_no_table(self, monkeypatch):
+        monkeypatch.setattr(core, "_ballot", [(1, 0, 0)])
+        assert sequence_count(200) == ballot(400, 0)
         assert len(core._ballot) == 1
 
     def test_unrank_grows_a_table_set_shorter_after_its_count(self, monkeypatch):
@@ -447,7 +453,7 @@ class TestAcrossTheTable:
         assert rank(unrank(core.RANKING_CAP, k)) == k
 
     def test_unrank_far_past_the_table_stays_small(self):
-        sequence_count(200)  # the table, grown in full
+        unrank(200, 0)  # the table, grown in full
         k = sequence_count(2000) // 3
         tracemalloc.start()
         try:

@@ -1,5 +1,6 @@
 """The value types: immutable, without a per-instance ``__dict__``, and
-equal to themselves after pickling and copying."""
+equal to themselves after pickling and copying; the errors keep their
+message and position through the same."""
 
 import copy
 import pickle
@@ -9,12 +10,13 @@ from pathlib import Path
 
 import pytest
 
+import catseq
 from catseq.chords import ChordDiagram
-from catseq.core import AltitudeProfile, CatalanSequence
+from catseq.core import AltitudeProfile, CatalanSequence, enumerate_sequences, unrank, validate
 from catseq.counting import SeriesPrefix
-from catseq.families import FAMILIES
+from catseq.families import FAMILIES, transcode
 from catseq.lattice import GridPath, PlusMinusSequence
-from catseq.polygons import Triangulation
+from catseq.polygons import Triangulation, dual_tree, rebuild_triangulation
 from catseq.trees import Internal, Node
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -42,8 +44,11 @@ def _fields(value):
     return type(value).__match_args__
 
 
+CLONES = [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))]
+
+
 @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
-@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))])
+@pytest.mark.parametrize("clone", CLONES)
 def test_pickle_and_copy_give_an_equal_value(value, clone):
     twin = clone(value)
     assert type(twin) is type(value)
@@ -51,6 +56,60 @@ def test_pickle_and_copy_give_an_equal_value(value, clone):
     assert hash(twin) == hash(value)
     assert repr(twin) == repr(value)
     assert [getattr(twin, name) for name in _fields(value)] == [getattr(value, name) for name in _fields(value)]
+
+
+def _corrupted_dual_tree():
+    tri = Triangulation(5, ((0, 2), (0, 3)))
+    object.__setattr__(tri, "diagonals", ((0, 2), (1, 3)))  # crossing, set past the check
+    return dual_tree(tri)
+
+
+#: per error class, a call that raises it; DomainError is raised only as its subclass NotInImageError
+RAISERS = {
+    "CatalanError": lambda: unrank(3, 1.0),
+    "OddLengthError": lambda: validate("0"),
+    "PrefixViolationError": lambda: validate("0110"),
+    "CountMismatchError": lambda: validate("0001"),
+    "InvalidSymbolError": lambda: validate("01x1"),
+    "CapExceededError": lambda: enumerate_sequences(17),
+    "IndexOutOfRangeError": lambda: unrank(3, 5),
+    "ParseError": lambda: transcode("tree", "sequence", "(. x)"),
+    "StackUnderflowError": lambda: transcode("rpn", "sequence", "a*"),
+    "ExcessOperandsError": lambda: transcode("rpn", "sequence", "aa"),
+    "NotInImageError": lambda: transcode("sequence", "rpn-paper", "0101"),
+    "MalformedTriangulationError": _corrupted_dual_tree,
+    "SizeMismatchError": lambda: rebuild_triangulation(None, 5),
+}
+
+#: every error class of the public names
+ERRORS = [name for name in catseq.__all__ if name.endswith("Error")]
+
+
+def _same_error(twin, exc):
+    """Whether ``twin`` has the type, message, args and position of ``exc``."""
+    return [type(twin), str(twin), twin.args, getattr(twin, "position", None)] == [
+        type(exc), str(exc), exc.args, getattr(exc, "position", None)]
+
+
+@pytest.mark.parametrize("name", RAISERS)
+@pytest.mark.parametrize("clone", CLONES)
+def test_pickle_and_copy_keep_a_raised_error(name, clone):
+    with pytest.raises(getattr(catseq, name)) as info:
+        RAISERS[name]()
+    exc = info.value
+    assert type(exc).__name__ == name
+    assert _same_error(clone(exc), exc)
+
+
+@pytest.mark.parametrize("name", ERRORS)
+@pytest.mark.parametrize("clone", CLONES)
+def test_every_error_is_built_from_a_message_and_a_position(name, clone):
+    cls = getattr(catseq, name)
+    assert issubclass(cls, catseq.CatalanError)
+    at, nowhere = cls("message", 7), cls("message")
+    assert (at.position, nowhere.position, str(nowhere)) == (7, None, "message")
+    assert _same_error(clone(at), at)
+    assert _same_error(clone(nowhere), nowhere)
 
 
 def test_a_deep_chain_pickles_and_copies():
