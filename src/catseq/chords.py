@@ -18,8 +18,8 @@ from __future__ import annotations
 from itertools import chain
 
 from .core import (
-    CatalanError, CatalanSequence, _trusted, _trusted_sequence, _Value, check_type, cut_number, parse_pairs, parsed,
-    sequence_bits, write_pairs,
+    CatalanError, CatalanSequence, _trusted, _trusted_sequence, _Value, check_text, check_type, cut_number, parse_pairs,
+    parsed, sequence_bits, write_pairs,
 )
 
 
@@ -111,6 +111,7 @@ def decode_chords(s: CatalanSequence) -> ChordDiagram:
 
 def read_chords(text: str) -> CatalanSequence:
     """The word of comma-separated "i-j" pairs, e.g. "1-8,2-7,3-4,5-6"."""
+    check_text(text, "chord list")
     labels = parse_pairs(text, "chord", "i-j")
     return _trusted_sequence(parsed(_chord_bits, "chord diagram", len(labels) // 2, labels))
 

@@ -5,6 +5,7 @@ n ones in which no prefix holds more ones than zeros.  Every other object
 family in this package round-trips through this form, so the string of
 '0'/'1' characters doubles as the universal interchange format.  One scan
 (_scan), 8 symbols a step, checks the prefix balance of every word type.
+``validate`` is another name for the CatalanSequence constructor.
 """
 
 from __future__ import annotations
@@ -115,10 +116,9 @@ def _json_scan():
 
 def parse_pairs(text: str, noun: str, form: str) -> list[int]:
     """The numbers of a comma-separated "a-b" list, flat as [a0, b0, a1, b1, ...], [] for ""; ParseError
-    names its first bad part as a ``noun``.  A list whose separators, with its ASCII digits deleted, are
-    "-,-,...,-" is read as one JSON array; any other, or one JSON refuses (an empty part, a leading zero
-    or int's digit limit), part by part."""
-    check_text(text, f"{noun} list")
+    names its first bad part as a ``noun``.  ``text`` is a str its caller has checked.  A list whose
+    separators, with its ASCII digits deleted, are "-,-,...,-" is read as one JSON array; any other, or one
+    JSON refuses (an empty part, a leading zero or int's digit limit), part by part."""
     if not text:
         return []
     separators = text.translate(_DIGITS)
@@ -193,7 +193,7 @@ def _check_semilength(n, cap: int, what: str) -> None:
     if n < 0:
         raise CatalanError("semilength must be nonnegative")
     if n > cap:
-        raise CapExceededError(f"semilength {n} exceeds the {what} cap {cap}")
+        raise CapExceededError(f"semilength {_whole(n)} exceeds the {what} cap {cap}")
 
 
 def _trusted(cls, *values):
@@ -288,6 +288,10 @@ class CatalanSequence(_Value):
     value it has proved valid builds it unchecked, a word through the
     private ``_trusted_sequence`` and any other value through ``_trusted``.
 
+    Raises OddLengthError, PrefixViolationError (with the 1-based index
+    of the first offending prefix), CountMismatchError, InvalidSymbolError
+    for characters outside '0'/'1', or CatalanError if ``bits`` is no str.
+
     >>> CatalanSequence("001011").semilength
     3
     >>> CatalanSequence("0110")
@@ -299,8 +303,7 @@ class CatalanSequence(_Value):
     __slots__ = ("bits",)
 
     def __init__(self, bits: str):
-        if not isinstance(bits, str):  # every codec and text form reads a str
-            raise CatalanError(f"bits must be a str, not {type(bits).__name__}")
+        check_type(bits, str, "bits")  # every codec and text form reads a str
         if len(bits) % 2:
             raise OddLengthError(f"length {len(bits)} is odd")
         i, balance = _scan(bits)
@@ -324,7 +327,6 @@ class CatalanSequence(_Value):
 
     def __iter__(self):
         return iter(self.bits)
-
 
 def _trusted_sequence(bits: str, new=object.__new__, store=CatalanSequence.bits.__set__) -> CatalanSequence:
     """The one trusted builder of a word: ``bits`` unchecked, by one allocation and one slot store."""
@@ -368,14 +370,7 @@ class AltitudeProfile(_Value):
         return max(self.heights)
 
 
-def validate(bits: str) -> CatalanSequence:
-    """Check both Catalan conditions and return the validated sequence.
-
-    Raises OddLengthError, PrefixViolationError (with the 1-based index
-    of the first offending prefix), CountMismatchError, InvalidSymbolError
-    for characters outside '0'/'1', or CatalanError if ``bits`` is no str.
-    """
-    return CatalanSequence(bits)
+validate = CatalanSequence  # checks both Catalan conditions and returns the validated sequence
 
 
 def altitude_profile(s: CatalanSequence) -> AltitudeProfile:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .core import CapExceededError, CatalanError, _trusted, _Value, check_int
+from .core import CapExceededError, CatalanError, _trusted, _Value, _whole, check_int
 
 #: Largest Catalan index ``catalan_convolution`` and ``catalan_series`` reach.  Their
 #: one memo sums k + 1 big-integer products for every k below it, so a cold call grows
@@ -69,7 +69,7 @@ def _convolved(n: int) -> list[int]:
     """The shared memo, holding at least C_0..C_n; CapExceededError for n > CONVOLUTION_CAP."""
     global _conv_cache
     if n > CONVOLUTION_CAP:
-        raise CapExceededError(f"Catalan index {n} exceeds the convolution cap {CONVOLUTION_CAP}")
+        raise CapExceededError(f"Catalan index {_whole(n)} exceeds the convolution cap {CONVOLUTION_CAP}")
     memo = _conv_cache
     if len(memo) <= n:
         memo = memo.copy()

@@ -18,7 +18,7 @@ from .core import (
 
 _PATH_TO_BITS = str.maketrans("HV01", "0122")  # a literal 0 or 1 stays a bad symbol to the scan
 _BITS_TO_PATH = str.maketrans("01", "HV")
-_PM_TO_BITS = str.maketrans("+-01", "0122")
+_PM_TO_BITS = str.maketrans("+-", "01")  # read_pm refuses any other character first
 _BITS_TO_PM = str.maketrans("01", "+-")
 _VOTE_BITS = {1: "0", -1: "1"}
 _STEP_FAULTS = ("invalid step", "path crosses the diagonal at step", "path does not end on the diagonal")
@@ -39,8 +39,7 @@ def _checked(values, bits: str, faults: tuple[str, str, str]) -> str:
 
 def _check_steps(steps) -> str:
     """GridPath's check of a step word, which returns its bits."""
-    if not isinstance(steps, str):  # the codec and the text form translate a str
-        raise CatalanError(f"steps must be a str, not {type(steps).__name__}")
+    check_type(steps, str, "steps")  # the codec and the text form translate a str
     return _checked(steps, steps.translate(_PATH_TO_BITS), _STEP_FAULTS)
 
 

@@ -21,8 +21,8 @@ from itertools import chain, repeat
 from operator import itemgetter
 
 from .core import (
-    CatalanError, CatalanSequence, ParseError, _trusted, _trusted_sequence, _Value, check_int, check_text,
-    check_type, cut_number, parse_natural, parse_pairs, parsed, write_pairs,
+    CatalanError, CatalanSequence, ParseError, _trusted, _trusted_sequence, _Value, _whole, check_int, check_text,
+    check_type, cut_number, parse_natural, parse_pairs, parsed, sequence_bits, write_pairs,
 )
 from .trees import BinaryTree, decode_tree, encode_tree
 
@@ -123,20 +123,20 @@ def encode_polygon(tri: Triangulation) -> CatalanSequence:
         raise MalformedTriangulationError(f"malformed triangulation: {exc}") from exc
 
 
-def _diagonals(s: CatalanSequence):
-    """The sorted diagonals behind ``s`` as (a, b) pairs.  The extended dual tree's leaves are the sides
+def _diagonals(bits: str):
+    """The sorted diagonals behind the word ``bits`` as (a, b) pairs.  The extended dual tree's leaves are the sides
     (j, j + 1) in order, so its postfix text closes each region from its left operand's start to the leaves
     so far.  The code's digit pairs are read as trees._write reads them for that text, as their first and second
     characters, with a last 11 for the end; each token acts on the stack of starts as it comes, a region is kept
     as the int a * m + b, and the ints are sorted."""
-    m = s.semilength + 2
+    m = len(bits) // 2 + 2
     if m == 2:
         return ()
     regions = []
     starts: list[int] = []
     closers: list[int | None] = [None]  # the end closes every region down to here, like a 11
     leaves = 0
-    for first, second in zip(s.bits[1:-1:2] + "1", s.bits[2:-1:2] + "1"):
+    for first, second in zip(bits[1:-1:2] + "1", bits[2:-1:2] + "1"):
         if first == "0":  # an "a*" waits after a lone left subtree, a None after a 00's left subtree
             closers.append(1 if second == "1" else None)
         elif second == "1":  # a childless node, "aa*", then the closers waiting down to a 00's None
@@ -161,8 +161,8 @@ def _diagonals(s: CatalanSequence):
 
 def decode_polygon(s: CatalanSequence) -> Triangulation:
     """The (semilength + 2)-gon triangulation behind the sequence."""
-    check_type(s, CatalanSequence, "sequence")
-    return _trusted(Triangulation, s.semilength + 2, tuple(_diagonals(s)))
+    bits = sequence_bits(s)
+    return _trusted(Triangulation, len(bits) // 2 + 2, tuple(_diagonals(bits)))
 
 
 def dual_tree(tri: Triangulation) -> BinaryTree:
@@ -175,7 +175,7 @@ def rebuild_triangulation(t: BinaryTree, m: int) -> Triangulation:
     check_int(m, "side count")
     s = encode_tree(t)
     if s.semilength != m - 2:
-        raise SizeMismatchError(f"tree has {s.semilength} nodes, a {m}-gon dual needs {m - 2}")
+        raise SizeMismatchError(f"tree has {s.semilength} nodes, a {_whole(m)}-gon dual needs {_whole(m - 2)}")
     return decode_polygon(s)
 
 
@@ -192,5 +192,5 @@ def read_polygon(text: str) -> CatalanSequence:
 
 
 def write_polygon(s: CatalanSequence) -> str:
-    check_type(s, CatalanSequence, "sequence")
-    return f"{s.semilength + 2};" + write_pairs(tuple(chain.from_iterable(_diagonals(s))))
+    bits = sequence_bits(s)
+    return f"{len(bits) // 2 + 2};" + write_pairs(tuple(chain.from_iterable(_diagonals(bits))))

@@ -21,8 +21,8 @@ def render_mountain(s: CatalanSequence) -> list[str]:
     band.  Raises CapExceededError, before any row is drawn, when the peak
     times the length passes MOUNTAIN_CAP.
     """
-    heights = altitude_profile(s).heights
-    peak = max(heights)
+    profile = altitude_profile(s)
+    heights, peak = profile.heights, profile.peak
     if peak * len(s.bits) > MOUNTAIN_CAP:
         raise CapExceededError(
             f"a mountain of {peak} rows by {len(s.bits)} columns exceeds the cap of {MOUNTAIN_CAP} cells"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catseq import core
+from catseq import core, counting, polygons
 from catseq.core import (
     CapExceededError,
     CatalanSequence,
@@ -64,6 +64,9 @@ PINNED_SAMPLES = {
 
 
 class TestValidate:
+    def test_is_the_constructor(self):
+        assert validate is CatalanSequence
+
     def test_paper_example(self):
         assert validate("000111").semilength == 3
 
@@ -140,6 +143,15 @@ class TestAltitudeProfile:
     def test_stores_any_iterable_as_a_tuple(self, heights):
         profile = core.AltitudeProfile(heights)
         assert type(profile.heights) is tuple and hash(profile) == hash(core.AltitudeProfile(tuple(profile.heights)))
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_peak_is_the_highest_height_and_the_mountain_rows(self, n):
+        from catseq.render import render_mountain
+
+        for s in enumerate_sequences(n):
+            profile = altitude_profile(s)
+            assert profile.peak == max(profile.heights)
+            assert len(render_mountain(s)) == profile.peak
 
     @pytest.mark.parametrize("heights", [5, None])
     def test_rejects_a_non_iterable(self, heights):
@@ -492,6 +504,47 @@ def test_refuses_a_semilength_over_the_ranking_cap(fn, args):
     with pytest.raises(CapExceededError) as info:
         fn(*args(n))
     assert str(info.value) == f"semilength {n} exceeds the ranking cap {core.RANKING_CAP}"
+
+
+#: (function, arguments, error, the number its message names): the public calls that print a caller's
+#: number in a refusal, each given one past the int-string limit, where ``str`` of it fails
+PAST_THE_LIMIT = [
+    (sequence_count, (10**5000,), CapExceededError, "10000000000000000000..."),
+    (unrank, (10**5000, 0), CapExceededError, "10000000000000000000..."),
+    (random_uniform, (10**5000, 1), CapExceededError, "10000000000000000000..."),
+    (iter_sequences, (10**5000,), CapExceededError, "10000000000000000000..."),
+    (enumerate_sequences, (10**5000,), CapExceededError, "10000000000000000000..."),
+    (counting.catalan_convolution, (10**5000,), CapExceededError, "10000000000000000000..."),
+    (counting.catalan_series, (10**5000,), CapExceededError, "99999999999999999999..."),  # its last index
+    (polygons.rebuild_triangulation, (None, 10**5000), polygons.SizeMismatchError, "10000000000000000000..."),
+    (polygons.rebuild_triangulation, (None, -(10**5000)), polygons.SizeMismatchError, "-1000000000000000000..."),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,args,error,number", PAST_THE_LIMIT, ids=[f"{fn.__name__}-{i}" for i, (fn, *_) in enumerate(PAST_THE_LIMIT)]
+)
+def test_names_a_number_past_the_int_string_limit_cut(fn, args, error, number):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(error) as info:
+            fn(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(str(info.value)) < 200 and number in str(info.value)
+
+
+def test_names_a_number_at_the_int_string_limit_in_full():
+    n = 10**4299  # 4,300 digits, the most the default limit prints
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(CapExceededError) as info:
+            sequence_count(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(info.value) == f"semilength 1{'0' * 4299} exceeds the ranking cap {core.RANKING_CAP}"
 
 
 #: (function, arguments, message): a semilength or index that is not a plain
