@@ -27,7 +27,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="catseq", description=__doc__)
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = commands.add_parser("count", help="print the n-th Catalan number")
     p.add_argument("--n", type=int, required=True)

@@ -154,20 +154,21 @@ def cut_number(k: int) -> str:
     error message naming a number stays short.  The low digits go first,
     by division, so a number past the int-string limit never meets ``str``:
     0.30102999 < log10(2), so 29 or more digits stay, far below the limit.
-    Any value but an int is shown as its ``repr``."""
+    Any value but an int is shown by ``_whole``."""
     if type(k) is not int:
-        return repr(k)
+        return _whole(k)
     drop = max(0, abs(k).bit_length() * 30102999 // 10**8 - 30)
     text = ("-" if k < 0 else "") + str(abs(k) // 10**drop)
     return text if len(text) <= 20 else f"{text[:20]}..."
 
 
-def _whole(k: int) -> str:
-    """``str(k)``, or ``cut_number(k)`` past the int-string limit, where ``str`` fails."""
+def _whole(value) -> str:
+    """``repr(value)``, which is ``str`` for an int.  Past the int-string limit, where ``repr`` fails on an
+    int or on a value holding one: ``cut_number`` for an int, ``<type name>(...)`` for any other value."""
     try:
-        return str(k)
-    except ValueError:  # longer than sys.get_int_max_str_digits()
-        return cut_number(k)
+        return repr(value)
+    except ValueError:  # an int longer than sys.get_int_max_str_digits()
+        return cut_number(value) if type(value) is int else f"{type(value).__name__}(...)"
 
 
 def check_int(value, what: str) -> None:

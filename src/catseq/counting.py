@@ -46,7 +46,10 @@ def binomial(a: int, b: int) -> int:
     check_int(b, "binomial argument")
     if a < 0 or b < 0:
         raise CatalanError("binomial arguments must be nonnegative")
-    return math.comb(a, b)
+    try:
+        return math.comb(a, b)
+    except OverflowError:  # math.comb refuses min(b, a - b) >= 2**63 at once
+        raise CapExceededError(f"binomial({_whole(a)}, {_whole(b)}) is too large to compute") from None
 
 
 def catalan_closed(n: int) -> int:

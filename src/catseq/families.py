@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from . import chords, lattice, polygons, trees
-from .core import CatalanError, CatalanSequence, _Value, check_type, sequence_bits, validate
+from .core import CatalanError, CatalanSequence, _Value, _whole, check_type, sequence_bits, validate
 
 
 class Family(_Value):
@@ -86,7 +86,7 @@ def resolve(name: str) -> Family:
         return FAMILIES[ALIASES.get(name, name)]
     except (KeyError, TypeError):  # TypeError: a name no dict can hold, such as a list
         known = ", ".join([*FAMILIES, *ALIASES])
-        raise CatalanError(f"unknown family {name!r} (known: {known})") from None
+        raise CatalanError(f"unknown family {_whole(name)} (known: {known})") from None
 
 
 def transcode(source: str, target: str, text: str) -> str:

@@ -20,13 +20,14 @@ writer (_write), with no nodes.  The writer takes each pair as its two
 characters, and the pair walk (_edge_pairs) unpacks a folded tuple or a
 scanned list as its own (left, right), with no call per node.  An infix
 text is first read as nested JSON lists by json's C scanner, and by the
-grammar's own pass where that scan refuses it.  rpn-paper folds nothing: by
-the depth rule ('a' +1, '*' -1) its image is the words 0 D 1 with D a
-Catalan word, which the sequence's scan checks.  Decoding folds the written
-postfix text.  This module holds the value types, the codecs and the
-read_*/write_* passes; FAMILIES[name].parse and .render in catseq.families
-compose these passes with a codec.  Every traversal uses an explicit stack;
-degenerate chains of 10^4 nodes and more are fine.
+grammar's own pass where that scan refuses it.  By the depth rule ('a' +1,
+'*' -1) a postfix word, 'a' read as 0 and '*' as 1, is 0 D with D a Catalan
+word, which the sequence's scan checks (_postfix_bits): rpn-paper reads
+0 D 1 with no fold, and read_rpn folds only a word so checked.  The fold
+checks nothing, and decoding folds the text written from a valid code.
+The module holds the value types, the codecs and the read_*/write_*
+passes, which FAMILIES[name].parse and .render compose with a codec.
+Every traversal uses an explicit stack, so chains of 10^4 nodes are fine.
 """
 
 from __future__ import annotations
@@ -76,16 +77,16 @@ class _BinaryNode(_Value):
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return _edge_pairs(self, _CHILDREN) == _edge_pairs(other, _CHILDREN)
+        return _edge_pairs(self) == _edge_pairs(other)
 
     def __hash__(self):
-        return hash((type(self), _edge_pairs(self, _CHILDREN)))
+        return hash((type(self), _edge_pairs(self)))
 
     def __repr__(self):
-        return f"{type(self).__name__}[{_write(_edge_pairs(self, _CHILDREN), self._TOKENS)}]"
+        return f"{type(self).__name__}[{_write(_edge_pairs(self), self._TOKENS)}]"
 
     def __reduce__(self):
-        return _postfix, (_write(_edge_pairs(self, _CHILDREN), _RPN), type(self))
+        return _postfix, (_write(_edge_pairs(self), _RPN), type(self))
 
 
 class Node(_BinaryNode):
@@ -148,18 +149,16 @@ def encode_tree(t: BinaryTree | ExtendedBinaryTree) -> CatalanSequence:
     """
     if t is not None and not isinstance(t, _BinaryNode):
         raise CatalanError(f"tree must be a Node, an Internal or None, not {type(t).__name__}")
-    return _trusted_sequence(_edge_pairs(t, _CHILDREN))
+    return _trusted_sequence(_edge_pairs(t))
 
 
-def _edge_pairs(root, children=None) -> str:
-    """The bits of encode_tree(root); ``children(node)`` is its (left, right), or with ``children``
-    None the node itself is, a folded tuple or a scanned list; a list that is no pair raises ValueError.
-
-    The stack holds the nodes still to walk and None for a 11 still to
-    write, so the word is valid whatever the nodes hold.
-    """
+def _edge_pairs(root) -> str:
+    """The bits of encode_tree(root): a Node or an Internal holds its (left, right) in its slots, and a folded
+    tuple or a scanned list is its own; a list that is no pair raises ValueError.  The stack holds the nodes
+    still to walk and None for a 11 still to write, so the word is valid whatever the nodes hold."""
     if root is None:
         return ""
+    children = _CHILDREN if isinstance(root, _BinaryNode) else None
     out = ["0"]
     stack = [root]
     while stack:
@@ -232,12 +231,12 @@ def _postfix_bits(text: str) -> str:
 
 
 def _postfix(text: str, make=None):
-    """The tree of a postfix word over {'a', '*'}, checked by _postfix_bits: None per leaf
+    """The tree of a postfix word over {'a', '*'} that it does not check: None per leaf
     and ``make(left, right)`` per operator, or with ``make`` None the tuple (left, right)."""
     stack: list = []
     push, pop = stack.append, stack.pop
-    for bit in _postfix_bits(text):
-        if bit == "0":
+    for token in text:
+        if token == "a":
             push(None)
         else:
             right = pop()
@@ -348,7 +347,8 @@ def write_mult(s: CatalanSequence) -> str:
 
 
 def read_rpn(text: str) -> CatalanSequence:
-    """The code of the expression behind a postfix word over {'a', '*'}."""
+    """The code of the expression behind a postfix word over {'a', '*'}, checked before the fold."""
+    _postfix_bits(text)
     return _trusted_sequence(_edge_pairs(_postfix(text)))
 
 

@@ -22,10 +22,9 @@ the fingerprints name the first case that differs.  The sections:
   count, its first and last words and the SHA-256 of its words, one a line;
 - ``cli``: stdout, stderr and exit code of a fixed list of argv.
 
-The digests were taken on CPython 3.11, and CPython 3.10.13 and 3.12.1 match
-them all.  On 3.13.0 the two ``cli`` cases of a missing and of an unknown
-command differ, as argparse wraps their usage text otherwise ("..." joins
-the line above); the other six sections match.  Check with
+The digests were taken on CPython 3.11, and CPython 3.10.13, 3.12.1 and
+3.13.0 match them all: the usage line names the subcommand ``command``, so
+no version's argparse wraps it.  Check with
 ``PYTHONPATH=src python tests/golden.py``, and regenerate, after a
 deliberate change of output only, by adding ``--write``.
 """

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catseq import core, counting, polygons
+from catseq import core, counting, families, lattice, polygons
 from catseq.core import (
     CapExceededError,
+    CatalanError,
     CatalanSequence,
     CountMismatchError,
     IndexOutOfRangeError,
@@ -507,7 +508,8 @@ def test_refuses_a_semilength_over_the_ranking_cap(fn, args):
 
 
 #: (function, arguments, error, the number its message names): the public calls that print a caller's
-#: number in a refusal, each given one past the int-string limit, where ``str`` of it fails
+#: number in a refusal, each given one past the int-string limit, where ``str`` of it fails, or a value
+#: that holds one, where ``repr`` of it fails and the message names its type
 PAST_THE_LIMIT = [
     (sequence_count, (10**5000,), CapExceededError, "10000000000000000000..."),
     (unrank, (10**5000, 0), CapExceededError, "10000000000000000000..."),
@@ -518,6 +520,11 @@ PAST_THE_LIMIT = [
     (counting.catalan_series, (10**5000,), CapExceededError, "99999999999999999999..."),  # its last index
     (polygons.rebuild_triangulation, (None, 10**5000), polygons.SizeMismatchError, "10000000000000000000..."),
     (polygons.rebuild_triangulation, (None, -(10**5000)), polygons.SizeMismatchError, "-1000000000000000000..."),
+    (families.resolve, (10**5000,), CatalanError, "10000000000000000000..."),
+    (families.transcode, (10**5000, "tree", "."), CatalanError, "10000000000000000000..."),
+    (families.transcode, ("tree", (10**5000,), "."), CatalanError, "tuple(...)"),
+    (lattice.PlusMinusSequence, (((0, 10**5000),),), CatalanError, "tuple(...)"),
+    (lattice.PlusMinusSequence, ([[10**5000]],), CatalanError, "list(...)"),
 ]
 
 

@@ -29,6 +29,19 @@ def test_binomial_examples():
         binomial(-1, 0)
 
 
+@pytest.mark.parametrize(
+    "fn,args",
+    [(binomial, (2**64, 2**63)), (binomial, (10**5000, 10**4999)), (catalan_closed, (2**63,)),
+     (catalan_closed, (10**5000,))],
+    ids=["binomial-2**64", "binomial-10**5000", "closed-2**63", "closed-10**5000"],
+)
+def test_a_binomial_that_math_comb_refuses_raises_cap_exceeded(fn, args):
+    # math.comb refuses min(b, a - b) >= 2**63 at once, so these calls cost nothing
+    with pytest.raises(CapExceededError) as info:
+        fn(*args)
+    assert len(str(info.value)) < 200
+
+
 def test_closed_examples():
     assert catalan_closed(0) == 1
     assert catalan_closed(3) == 5

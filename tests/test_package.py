@@ -127,22 +127,24 @@ def test_checks_hold_under_python_O():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
-def _newest_python_at_the_floor() -> Path | None:
-    """The newest CPython 3.10.x, x >= 7, that pyenv holds, or None."""
+def _newest_python(minor: str, floor: int) -> Path | None:
+    """The newest CPython 3.<minor>.x, x >= floor, that pyenv holds, or None."""
     versions = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
     found = []
-    for path in versions.glob("3.10.*/bin/python3"):
-        micro = path.parents[1].name.removeprefix("3.10.")
-        if micro.isdigit() and int(micro) >= 7:
+    for path in versions.glob(f"3.{minor}.*/bin/python3"):
+        micro = path.parents[1].name.removeprefix(f"3.{minor}.")
+        if micro.isdigit() and int(micro) >= floor:
             found.append((int(micro), path))
     return max(found)[1] if found else None
 
 
-def test_the_golden_digests_hold_at_the_python_floor():
-    """tests/golden.py, run by a CPython 3.10 at or past the requires-python floor of 3.10.7: every section matches."""
-    python = _newest_python_at_the_floor()
+# the requires-python floor is 3.10.7; Tier-1 runs the golden test on 3.11 itself
+@pytest.mark.parametrize(("minor", "floor"), [("10", 7), ("12", 0), ("13", 0)], ids=["3.10", "3.12", "3.13"])
+def test_the_golden_digests_hold_at_the_python_floor(minor, floor):
+    """tests/golden.py under the newest CPython 3.10.x (x >= 7), 3.12.x or 3.13.x installed: every section matches."""
+    python = _newest_python(minor, floor)
     if python is None:
-        pytest.skip("no CPython 3.10.7 or later 3.10 under $PYENV_ROOT/versions")
+        pytest.skip(f"no CPython 3.{minor}.{floor} or later 3.{minor} under $PYENV_ROOT/versions")
     path = os.pathsep.join([str(Path(catseq.__file__).parents[1]), str(Path(__file__).parent)])  # src, tests
     proc = subprocess.run(
         [str(python), str(Path(__file__).with_name("golden.py"))],

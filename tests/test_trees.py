@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 import tracemalloc
@@ -7,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catseq import trees
 from catseq.core import CatalanError, ParseError, validate
+from catseq.polygons import decode_polygon, dual_tree
 from catseq.trees import (
     ExcessOperandsError,
     Internal,
@@ -22,8 +26,10 @@ from catseq.trees import (
     internal_count,
     leaf_count,
     node_count,
+    read_rpn,
     rpn_paper_decode,
     rpn_paper_encode,
+    rpn_paper_read,
     strip_leaves,
 )
 from catseq.core import enumerate_sequences
@@ -412,6 +418,36 @@ def test_children_must_be_nodes_of_the_same_type(kind, children, message):
     with pytest.raises(CatalanError) as info:
         kind(*children)
     assert str(info.value) == message
+
+
+def _folds(s):
+    """Every value the library folds from a postfix word it wrote for ``s``, and the pickle and
+    deepcopy round trips of its tree and expression; NotInImageError where rpn-paper refuses ``s``."""
+    t, e = decode_tree(s), decode_expression(s)
+    try:
+        paper = rpn_paper_decode(s)
+    except NotInImageError:
+        paper = NotInImageError
+    copies = [pickle.loads(pickle.dumps(t)), pickle.loads(pickle.dumps(e)), copy.deepcopy(t), copy.deepcopy(e)]
+    return [t, e, paper, extend_tree(t), strip_leaves(e), dual_tree(decode_polygon(s)), *copies]
+
+
+class _Checked(Exception):
+    """Raised by the stand-in for the postfix check."""
+
+
+def test_the_fold_checks_nothing_and_the_readers_check(monkeypatch):
+    words = [s for n in range(7) for s in enumerate_sequences(n)]
+    unpatched = [_folds(s) for s in words]
+
+    def check(text):
+        raise _Checked(text)
+
+    monkeypatch.setattr(trees, "_postfix_bits", check)
+    assert [_folds(s) for s in words] == unpatched
+    for read in (read_rpn, rpn_paper_read):
+        with pytest.raises(_Checked):
+            read("aa*")
 
 
 def balanced_text(n, tokens):
