@@ -35,29 +35,32 @@ class SizeMismatchError(CatalanError):
     """The tree's node count does not fit the requested polygon."""
 
 
-def _triangulation_bits(m, diagonals, typed=False) -> tuple[list[tuple[int, int]], str]:
-    """The diagonals as (smaller, larger) pairs and the dual tree's word;
-    CatalanError names the first fault: a side count that is no int >= 2 or
-    vertices that are no ints, a wrong count, a duplicate, the least diagonal
-    out of range or a side, and a crossing.  ``typed`` skips the type check,
-    for the ints of a parsed text.
-
-    Sorted by (a ascending, b descending), the regions come in the dual
-    tree's preorder: (a, b) is followed by its left region (a, c), unless
-    its apex c is a + 1, and its innermost enclosing region is its parent.
-    One pass with a stack of enclosing regions finds a crossing and writes
-    each region's pair once the next region shows its apex.
-    """
+def _vertex_pairs(m, diagonals) -> list[tuple[int, int]]:
+    """The diagonals as (smaller, larger) pairs, [] when m < 2 so that the check names that first; CatalanError
+    unless m and the vertices are ints.  Only the object API runs it: a parsed text holds ints alone."""
     try:
         if m < 2:
-            raise CatalanError("a polygon needs at least 2 sides")
+            return []
         normalized = [(a, b) if a < b else (b, a) for a, b in diagonals]
-        if not typed and (type(m) is not int or not {type(v) for d in normalized for v in d} <= {int}):
+        if type(m) is not int or not {type(v) for d in normalized for v in d} <= {int}:
             raise TypeError  # a bool or float vertex compares as an int but renders apart
-    except CatalanError:
-        raise
     except (TypeError, ValueError):
         raise CatalanError("expected an int m and diagonals that are pairs of int vertices") from None
+    return normalized
+
+
+def _triangulation_bits(m: int, normalized: list[tuple[int, int]]) -> str:
+    """The dual tree's word of the (smaller, larger) pairs; CatalanError names the first fault: a side count
+    below 2, a wrong count, a duplicate, the least diagonal out of range or a side (the root side (0, m - 1) is
+    the one pair in range with b - a = m - 1), and a crossing.
+
+    Sorted by (a ascending, b descending), the regions come in the dual tree's preorder: (a, b) is followed by
+    its left region (a, c), unless its apex c is a + 1, and its innermost enclosing region is its parent.  One
+    pass with a stack of enclosing regions finds a crossing and writes each region's pair once the next region
+    shows its apex.  The last region is a triangle, as a wider one has a region after it, and writes nothing.
+    """
+    if m < 2:
+        raise CatalanError("a polygon needs at least 2 sides")
     expected = max(0, m - 3)
     if len(normalized) != expected:
         raise CatalanError(
@@ -65,19 +68,18 @@ def _triangulation_bits(m, diagonals, typed=False) -> tuple[list[tuple[int, int]
         )
     if len(set(normalized)) != len(normalized):
         raise CatalanError("duplicate diagonal")
-    root = (0, m - 1)
-    bad = [(a, b) for a, b in normalized if not (0 <= a and b <= m - 1 and b - a >= 2) or (a, b) == root]
+    bad = [(a, b) for a, b in normalized if not (0 <= a and b < m and 1 < b - a < m - 1)]
     if bad:
         a, b = min(bad)
         if not 0 <= a < b <= m - 1:
             raise CatalanError(f"diagonal {cut_number(a)}-{cut_number(b)} is outside the vertex range")
         raise CatalanError(f"{a}-{b} is a polygon side, not a diagonal")
     if m == 2:
-        return normalized, ""
+        return ""
     out = ["0"]
     enclosing: list[tuple[int, int]] = []
     # the innermost enclosing region (c, d), and the region before, whose pair waits for its apex
-    top = c, d = pa, pb = root
+    top = c, d = pa, pb = 0, m - 1
     for region in sorted(sorted(normalized, key=itemgetter(1), reverse=True), key=itemgetter(0)):
         a, b = region
         while d <= a:
@@ -93,9 +95,8 @@ def _triangulation_bits(m, diagonals, typed=False) -> tuple[list[tuple[int, int]
             out.append("11")
         enclosing.append(top)
         top = c, d = pa, pb = region
-    out.append("10" if pb - pa > 2 else "")  # the last region's apex is pa + 1
     out.append("1")
-    return normalized, "".join(out)
+    return "".join(out)
 
 
 class Triangulation(_Value):
@@ -109,7 +110,8 @@ class Triangulation(_Value):
     __slots__ = ("m", "diagonals")
 
     def __init__(self, m: int, diagonals: tuple[tuple[int, int], ...]):
-        normalized, _ = _triangulation_bits(m, diagonals)
+        normalized = _vertex_pairs(m, diagonals)
+        _triangulation_bits(m, normalized)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "diagonals", tuple(sorted(normalized)))
 
@@ -118,7 +120,7 @@ def encode_polygon(tri: Triangulation) -> CatalanSequence:
     """The edge-pair code of the dual tree, semilength m - 2, as the check writes it."""
     check_type(tri, Triangulation, "triangulation")
     try:
-        return _trusted_sequence(_triangulation_bits(tri.m, tri.diagonals)[1])
+        return _trusted_sequence(_triangulation_bits(tri.m, _vertex_pairs(tri.m, tri.diagonals)))
     except CatalanError as exc:
         raise MalformedTriangulationError(f"malformed triangulation: {exc}") from exc
 
@@ -187,8 +189,8 @@ def read_polygon(text: str) -> CatalanSequence:
     if not sep or m is None:
         raise ParseError("expected 'm;diagonals' with a numeric side count")
     labels = iter(parse_pairs(tail, "diagonal", "a-b"))
-    _, bits = parsed(_triangulation_bits, "triangulation", m, zip(labels, labels), True)
-    return _trusted_sequence(bits)
+    normalized = [(a, b) if a < b else (b, a) for a, b in zip(labels, labels)]
+    return _trusted_sequence(parsed(_triangulation_bits, "triangulation", m, normalized))
 
 
 def write_polygon(s: CatalanSequence) -> str:

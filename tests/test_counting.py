@@ -78,6 +78,7 @@ def test_negative_index_rejected():
 
 
 def test_convolution_routes_refuse_one_past_the_cap():
+    assert counting.CONVOLUTION_CAP == 1400  # README's value; the checks below read the constant
     message = f"^Catalan index {counting.CONVOLUTION_CAP + 1} exceeds the convolution cap {counting.CONVOLUTION_CAP}$"
     with pytest.raises(CapExceededError, match=message):
         catalan_convolution(counting.CONVOLUTION_CAP + 1)

@@ -1,11 +1,13 @@
 import random
 import re
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catseq import polygons
 from catseq.core import CatalanError, ParseError, enumerate_sequences, validate
 from catseq.polygons import (
     MalformedTriangulationError,
@@ -18,7 +20,7 @@ from catseq.polygons import (
     rebuild_triangulation,
     write_polygon,
 )
-from catseq.families import FAMILIES
+from catseq.families import FAMILIES, transcode
 from catseq.trees import Node, node_count
 
 from oracle import crosses, cycle_lemma_word, ref_parse_pairs, reference, triangulations
@@ -102,6 +104,28 @@ class TestConstructor:
         with pytest.raises(CatalanError, match="^expected an int m and diagonals that are pairs of int vertices$"):
             Triangulation(m, diagonals)
 
+    @pytest.mark.parametrize(
+        "m,diagonals,message",
+        [
+            (1, 7, "a polygon needs at least 2 sides"),
+            (1.0, (), "a polygon needs at least 2 sides"),
+            ("5", (), "expected an int m and diagonals that are pairs of int vertices"),
+            (4.0, (), "expected an int m and diagonals that are pairs of int vertices"),
+            (5, ((0, 2, 9),), "expected an int m and diagonals that are pairs of int vertices"),
+            (5, ((0, 2.0),), "expected an int m and diagonals that are pairs of int vertices"),
+            (6, ((0, 2), (0, 2), (0, 9)), "duplicate diagonal"),
+            (6, ((1, 3), (0, 2), (0, 9)), "diagonal 0-9 is outside the vertex range"),
+            (6, ((0, 5), (0, 1), (2, 4)), "0-1 is a polygon side, not a diagonal"),
+            (6, ((0, 5), (1, 3), (2, 4)), "0-5 is a polygon side, not a diagonal"),
+            (6, ((4, 2), (3, 1), (0, 4)), "diagonals 1-3 and 2-4 cross"),
+        ],
+    )
+    def test_names_the_first_of_two_faults(self, m, diagonals, message):
+        # in order: a side count below 2, types, count, duplicate, the least bad diagonal by (a, b), crossing
+        with pytest.raises(CatalanError) as info:
+            Triangulation(m, diagonals)
+        assert type(info.value) is CatalanError and str(info.value) == message
+
     @pytest.mark.parametrize("m", range(3, 9))
     def test_accepts_exactly_the_non_crossing_diagonal_sets(self, m):
         diagonals = [(a, b) for a, b in combinations(range(m), 2) if 2 <= b - a < m - 1]
@@ -156,9 +180,9 @@ class TestRebuild:
         assert rebuild_triangulation(chain, 5) == Triangulation(5, ((0, 2), (0, 3)))
 
     def test_size_mismatch(self):
-        with pytest.raises(SizeMismatchError):
+        with pytest.raises(SizeMismatchError, match="^tree has 1 nodes, a 5-gon dual needs 3$"):
             rebuild_triangulation(Node(), 5)
-        with pytest.raises(SizeMismatchError):
+        with pytest.raises(SizeMismatchError, match="^tree has 0 nodes, a 3-gon dual needs 1$"):
             rebuild_triangulation(None, 3)
 
     @pytest.mark.parametrize("m,kind", [("x", "str"), (3.0, "float"), (True, "bool")])
@@ -288,6 +312,9 @@ class TestTextForm:
             ("4;0-\u00b2", "bad diagonal '0-\u00b2', expected the form 'a-b'"),
             ("\u00b2;", "expected 'm;diagonals' with a numeric side count"),
             ("5;0-2,", "bad diagonal '', expected the form 'a-b'"),
+            ("1;0-2", "bad triangulation: a polygon needs at least 2 sides"),
+            ("0;", "bad triangulation: a polygon needs at least 2 sides"),
+            ("6;2-4,1-3,0-9", "bad triangulation: diagonal 0-9 is outside the vertex range"),
             pytest.param(
                 "4;0-" + "9" * 5000,
                 "bad diagonal '0-999999999999999999'..., expected the form 'a-b'",
@@ -299,3 +326,59 @@ class TestTextForm:
         with pytest.raises(ParseError) as exc:
             parse_polygon(text)
         assert str(exc.value) == message
+
+
+def test_only_the_object_api_checks_vertex_types(monkeypatch):
+    # a parsed text holds ints alone, so read_polygon and the hub never run the type check
+    texts = [write_polygon(s) for n in range(7) for s in enumerate_sequences(n)]
+
+    def outcomes():
+        found = {}
+        for text, dst in product(texts, FAMILIES):
+            try:
+                found[text, dst] = transcode("polygon", dst, text)
+            except CatalanError as exc:  # a partial target refuses some words
+                found[text, dst] = type(exc), str(exc)
+        return found
+
+    expected = outcomes()
+    words = [read_polygon(text) for text in texts]
+
+    def refuse(m, diagonals):
+        raise RuntimeError("type check")
+
+    monkeypatch.setattr(polygons, "_vertex_pairs", refuse)
+    assert [read_polygon(text) for text in texts] == words
+    assert outcomes() == expected
+    tri = decode_polygon(validate("001011"))
+    with pytest.raises(RuntimeError, match="^type check$"):
+        Triangulation(tri.m, tri.diagonals)
+    with pytest.raises(RuntimeError, match="^type check$"):
+        encode_polygon(tri)
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_write_peak_memory_at_1e5_diagonals(seed):
+    # measured at 12.6 MB for both seeds' 1.18 MB texts; 16 MB is 1.3x headroom
+    s = validate(cycle_lemma_word(10**5, random.Random(seed)))
+    tracemalloc.start()
+    try:
+        text = write_polygon(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 1_150_000 and peak < 16_000_000, peak
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_read_peak_memory_at_1e5_diagonals(seed):
+    # measured at 19.5 MB (seed 2) and 19.3 MB (seed 5) for a 1.18 MB text; 24 MB is 1.2x headroom
+    s = validate(cycle_lemma_word(10**5, random.Random(seed)))
+    text = write_polygon(s)
+    tracemalloc.start()
+    try:
+        word = read_polygon(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert word == s and peak < 24_000_000, peak
