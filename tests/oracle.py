@@ -219,6 +219,41 @@ def triangulations(m: int):
     yield from region(0, m - 1)
 
 
+def ref_polygon_fault(m: int, pairs) -> str | None:
+    """The message naming the first fault of the m-gon diagonals ``pairs`` (int pairs, either way round, with
+    numbers short enough to print whole), or None when they triangulate it; by brute force, in the documented
+    order:
+
+    1. m < 2;
+    2. a count other than max(0, m - 3);
+    3. a repeated diagonal;
+    4. the least pair (a, b), a < b, that is no diagonal: out of range unless 0 <= a < b <= m - 1, and then a
+       side when b - a = 1 or it is the root side (0, m - 1);
+    5. a crossing: in (a ascending, b descending) order after the root side, the first diagonal (a, b) whose b
+       exceeds the d of (c, d), the last earlier region whose d exceeds a.
+    """
+    if m < 2:
+        return "a polygon needs at least 2 sides"
+    expected = max(0, m - 3)
+    if len(pairs) != expected:
+        return f"a {m}-gon triangulation needs {expected} diagonals, got {len(pairs)}"
+    normalized = [(min(a, b), max(a, b)) for a, b in pairs]
+    if any(normalized[i] in normalized[:i] for i in range(len(normalized))):
+        return "duplicate diagonal"
+    for a, b in sorted(normalized):
+        if not 0 <= a < b <= m - 1:
+            return f"diagonal {a}-{b} is outside the vertex range"
+        if b - a == 1 or (a, b) == (0, m - 1):
+            return f"{a}-{b} is a polygon side, not a diagonal"
+    regions = [(0, m - 1)] + sorted(normalized, key=lambda region: (region[0], -region[1]))
+    for i in range(1, len(regions)):
+        a, b = regions[i]
+        c, d = [region for region in regions[:i] if region[1] > a][-1]
+        if d < b:
+            return f"diagonals {c}-{d} and {a}-{b} cross"
+    return None
+
+
 # A reader of the pair lists with a tuple per pair, and the chord word of pairs
 # in any order: chords' and polygons' flat-int readers must agree with them on
 # every text, whatever its order.

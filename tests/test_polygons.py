@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catseq import polygons
-from catseq.core import CatalanError, ParseError, enumerate_sequences, validate
+from catseq.core import CatalanError, ParseError, _trusted, enumerate_sequences, validate
 from catseq.polygons import (
     MalformedTriangulationError,
     SizeMismatchError,
@@ -23,7 +23,7 @@ from catseq.polygons import (
 from catseq.families import FAMILIES, transcode
 from catseq.trees import Node, node_count
 
-from oracle import crosses, cycle_lemma_word, ref_parse_pairs, reference, triangulations
+from oracle import crosses, cycle_lemma_word, ref_parse_pairs, ref_polygon_fault, reference, triangulations
 
 parse_polygon, render_polygon = FAMILIES["polygon"].parse, FAMILIES["polygon"].render
 
@@ -40,6 +40,7 @@ class TestConstructor:
 
     def test_normalizes(self):
         assert Triangulation(5, ((3, 0), (2, 0))).diagonals == ((0, 2), (0, 3))
+        assert Triangulation(5, [[0, 3], iter((0, 2))]).diagonals == ((0, 2), (0, 3))  # stored as tuples
 
     def test_wrong_count(self):
         with pytest.raises(CatalanError):
@@ -328,6 +329,54 @@ class TestTextForm:
         assert str(exc.value) == message
 
 
+class TestFirstFault:
+    """read_polygon, Triangulation and encode_polygon of a forged value name the fault that the oracle's
+    brute force names first, with its exact class and message, and accept what it accepts."""
+
+    @staticmethod
+    def check(m, pairs, text=None):
+        message = ref_polygon_fault(m, pairs)
+        calls = [
+            (lambda: encode_polygon(Triangulation(m, pairs)), CatalanError, ""),
+            (lambda: encode_polygon(_trusted(Triangulation, m, pairs)), MalformedTriangulationError,
+             "malformed triangulation: "),
+        ]
+        if text is not None:
+            calls.append((lambda: read_polygon(text), ParseError, "bad triangulation: "))
+        for call, cls, prefix in calls:
+            if message is None:
+                assert call().bits == dual_word(m, pairs)
+            else:
+                with pytest.raises(CatalanError) as info:
+                    call()
+                assert (type(info.value), str(info.value)) == (cls, prefix + message)
+
+    def test_every_one_edit_perturbation_up_to_n_6(self):
+        # every text one deletion, insertion or substitution away from a valid one, over the text's own alphabet
+        checked = 0
+        for text in {write_polygon(s) for n in range(7) for s in enumerate_sequences(n)}:
+            edits = {text[:i] + text[i + 1 :] for i in range(len(text))}
+            edits |= {
+                text[:i] + ch + text[j:] for i in range(len(text) + 1) for j in (i, i + 1) for ch in "0123456789-,;"
+            }
+            for edit in edits:
+                head, sep, tail = edit.partition(";")
+                pairs = ref_parse_pairs(tail)
+                if sep and head.isascii() and head.isdigit() and pairs is not None:
+                    self.check(int(head), pairs, edit)
+                    checked += 1
+        assert checked > 30_000
+
+    def test_random_batch(self):
+        rng = random.Random(2010)
+        for _ in range(3_000):
+            m = rng.randint(0, 9)
+            count = max(0, m - 3) if rng.random() < 0.8 else rng.randint(0, 7)
+            pairs = tuple((rng.randint(-1, m), rng.randint(0, m + 1)) for _ in range(count))
+            text = f"{m};" + ",".join(f"{a}-{b}" for a, b in pairs) if all(a >= 0 for a, _ in pairs) else None
+            self.check(m, pairs, text)
+
+
 def test_only_the_object_api_checks_vertex_types(monkeypatch):
     # a parsed text holds ints alone, so read_polygon and the hub never run the type check
     texts = [write_polygon(s) for n in range(7) for s in enumerate_sequences(n)]
@@ -359,7 +408,7 @@ def test_only_the_object_api_checks_vertex_types(monkeypatch):
 
 @pytest.mark.parametrize("seed", [2, 5])
 def test_write_peak_memory_at_1e5_diagonals(seed):
-    # measured at 12.6 MB for both seeds' 1.18 MB texts; 16 MB is 1.3x headroom
+    # measured at 13.9 MB for both seeds' 1.18 MB texts; 16 MB is 1.15x headroom
     s = validate(cycle_lemma_word(10**5, random.Random(seed)))
     tracemalloc.start()
     try:
@@ -372,7 +421,7 @@ def test_write_peak_memory_at_1e5_diagonals(seed):
 
 @pytest.mark.parametrize("seed", [2, 5])
 def test_read_peak_memory_at_1e5_diagonals(seed):
-    # measured at 19.5 MB (seed 2) and 19.3 MB (seed 5) for a 1.18 MB text; 24 MB is 1.2x headroom
+    # measured at 19.1 MB (seed 2) and 18.9 MB (seed 5) for a 1.18 MB text; 24 MB is 1.25x headroom
     s = validate(cycle_lemma_word(10**5, random.Random(seed)))
     text = write_polygon(s)
     tracemalloc.start()
