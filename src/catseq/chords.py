@@ -109,12 +109,20 @@ def decode_chords(s: CatalanSequence) -> ChordDiagram:
     return _trusted(ChordDiagram, s.semilength, tuple(zip(labels, labels)))
 
 
-def read_chords(text: str) -> CatalanSequence:
-    """The word of comma-separated "i-j" pairs, e.g. "1-8,2-7,3-4,5-6"."""
+def _read_chords(text: str) -> str:
     check_text(text, "chord list")
     labels = parse_pairs(text, "chord", "i-j")
-    return _trusted_sequence(parsed(_chord_bits, "chord diagram", len(labels) // 2, labels))
+    return parsed(_chord_bits, "chord diagram", len(labels) // 2, labels)
+
+
+def _write_chords(bits: str) -> str:
+    return write_pairs(tuple(_matching(bits)))
+
+
+def read_chords(text: str) -> CatalanSequence:
+    """The word of comma-separated "i-j" pairs, e.g. "1-8,2-7,3-4,5-6"."""
+    return _trusted_sequence(_read_chords(text))
 
 
 def write_chords(s: CatalanSequence) -> str:
-    return write_pairs(tuple(_matching(sequence_bits(s))))
+    return _write_chords(sequence_bits(s))

@@ -278,6 +278,22 @@ def _scan(word: str, steps=_steps_table().get, bad=(0, float("-inf"))) -> tuple[
     return len(word), balance
 
 
+def _check_bits(bits: str) -> str:
+    """``bits``, checked to be a Catalan word: the check of the CatalanSequence constructor, and the
+    sequence family's read pass on the hub, which builds no sequence."""
+    check_type(bits, str, "bits")  # every codec and text form reads a str
+    if len(bits) % 2:
+        raise OddLengthError(f"length {len(bits)} is odd")
+    i, balance = _scan(bits)
+    if i < len(bits):
+        raise (PrefixViolationError(f"ones exceed zeros in the prefix of length {i + 1}", i + 1) if bits[i] == "1"
+               else InvalidSymbolError(f"invalid symbol {bits[i]!r} at position {i + 1}", i + 1))
+    if balance:
+        ones = (len(bits) - balance) // 2
+        raise CountMismatchError(f"{ones} ones vs {len(bits) - ones} zeros")
+    return bits
+
+
 class CatalanSequence(_Value):
     """A validated Catalan sequence.
 
@@ -304,17 +320,7 @@ class CatalanSequence(_Value):
     __slots__ = ("bits",)
 
     def __init__(self, bits: str):
-        check_type(bits, str, "bits")  # every codec and text form reads a str
-        if len(bits) % 2:
-            raise OddLengthError(f"length {len(bits)} is odd")
-        i, balance = _scan(bits)
-        if i < len(bits):
-            raise (PrefixViolationError(f"ones exceed zeros in the prefix of length {i + 1}", i + 1) if bits[i] == "1"
-                   else InvalidSymbolError(f"invalid symbol {bits[i]!r} at position {i + 1}", i + 1))
-        if balance:
-            ones = (len(bits) - balance) // 2
-            raise CountMismatchError(f"{ones} ones vs {len(bits) - ones} zeros")
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", _check_bits(bits))
 
     @property
     def semilength(self) -> int:

@@ -100,21 +100,37 @@ def decode_pm(s: CatalanSequence) -> PlusMinusSequence:
     return _trusted(PlusMinusSequence, tuple(1 if ch == "0" else -1 for ch in sequence_bits(s)))
 
 
-def read_path(text: str) -> CatalanSequence:
-    return _trusted_sequence(parsed(_check_steps, "path text", text))
+def _read_path(text: str) -> str:
+    return parsed(_check_steps, "path text", text)
 
 
-def write_path(s: CatalanSequence) -> str:
-    return sequence_bits(s).translate(_BITS_TO_PATH)
+def _write_path(bits: str) -> str:
+    return bits.translate(_BITS_TO_PATH)
 
 
-def read_pm(text: str) -> CatalanSequence:
+def _read_pm(text: str) -> str:
     check_text(text, "vote text")
     rest = text.lstrip("+-")
     if rest:
         raise ParseError(f"expected '+' or '-', found {rest[0]!r}", len(text) - len(rest) + 1)
-    return _trusted_sequence(parsed(_checked, "vote text", text, text.translate(_PM_TO_BITS), _VOTE_FAULTS))
+    return parsed(_checked, "vote text", text, text.translate(_PM_TO_BITS), _VOTE_FAULTS)
+
+
+def _write_pm(bits: str) -> str:
+    return bits.translate(_BITS_TO_PM)
+
+
+def read_path(text: str) -> CatalanSequence:
+    return _trusted_sequence(_read_path(text))
+
+
+def write_path(s: CatalanSequence) -> str:
+    return _write_path(sequence_bits(s))
+
+
+def read_pm(text: str) -> CatalanSequence:
+    return _trusted_sequence(_read_pm(text))
 
 
 def write_pm(s: CatalanSequence) -> str:
-    return sequence_bits(s).translate(_BITS_TO_PM)
+    return _write_pm(sequence_bits(s))

@@ -223,19 +223,17 @@ def rebuild_triangulation(t: BinaryTree, m: int) -> Triangulation:
     return decode_polygon(s)
 
 
-def read_polygon(text: str) -> CatalanSequence:
-    """The dual tree's word of "m;a-b,c-d,..." with diagonals optional, e.g. "5;0-2,0-3" or "3;"."""
+def _read_polygon(text: str) -> str:
     check_text(text, "polygon text")
     head, sep, tail = text.partition(";")
     m = parse_natural(head)
     if not sep or m is None:
         raise ParseError("expected 'm;diagonals' with a numeric side count")
     labels = parse_pairs(tail, "diagonal", "a-b")
-    return _trusted_sequence(parsed(_triangulation_bits, "triangulation", m, labels))
+    return parsed(_triangulation_bits, "triangulation", m, labels)
 
 
-def write_polygon(s: CatalanSequence) -> str:
-    bits = sequence_bits(s)
+def _write_polygon(bits: str) -> str:
     m = len(bits) // 2 + 2
     regions = _diagonals(bits)
     labels = [0, 0] * len(regions)
@@ -243,3 +241,12 @@ def write_polygon(s: CatalanSequence) -> str:
     labels[1::2] = [region % m for region in regions]
     del regions  # freed before the text is formatted, which keeps the peak at 10^5 diagonals near 14 MB
     return f"{m};" + write_pairs(tuple(labels))
+
+
+def read_polygon(text: str) -> CatalanSequence:
+    """The dual tree's word of "m;a-b,c-d,..." with diagonals optional, e.g. "5;0-2,0-3" or "3;"."""
+    return _trusted_sequence(_read_polygon(text))
+
+
+def write_polygon(s: CatalanSequence) -> str:
+    return _write_polygon(sequence_bits(s))

@@ -14,20 +14,26 @@ Expressions also have a postfix syntax ("aaa**") and two sequence
 codecs: the total one, which is the tree codec on the internal nodes,
 and the append-a-1 postfix wire format whose decode is partial.
 
-Each text is read straight into the code, by the infix grammar or the
-postfix fold (_postfix), and written from its stream of digit pairs by one
-writer (_write), with no nodes.  The writer takes each pair as its two
-characters, and the pair walk (_edge_pairs) unpacks a folded tuple or a
-scanned list as its own (left, right), with no call per node.  An infix
-text is first read as nested JSON lists by json's C scanner, and by the
-grammar's own pass where that scan refuses it.  By the depth rule ('a' +1,
-'*' -1) a postfix word, 'a' read as 0 and '*' as 1, is 0 D with D a Catalan
-word, which the sequence's scan checks (_postfix_bits): rpn-paper reads
-0 D 1 with no fold, and read_rpn folds only a word so checked.  The fold
-checks nothing, and decoding folds the text written from a valid code.
-The module holds the value types, the codecs and the read_*/write_*
-passes, which FAMILIES[name].parse and .render compose with a codec.
-Every traversal uses an explicit stack, so chains of 10^4 nodes are fine.
+Each text is read straight into the code, by the infix grammar or one
+pass over the postfix word, and written from its stream of digit pairs
+by one writer (_write), with no nodes.  The writer takes each pair as
+its two characters, and the pair walk (_edge_pairs) unpacks a scanned
+list as its own (left, right), with no call per node.  An infix text is
+first read as nested JSON lists by json's C scanner, and by the
+grammar's own pass where that scan refuses it.  By the depth rule
+('a' +1, '*' -1) a postfix word, 'a' read as 0 and '*' as 1, is 0 D
+with D a Catalan word, which the sequence's scan checks (_postfix_bits):
+rpn-paper reads 0 D 1 with no fold, and rpn reads only a word so
+checked, by one pass right to left that writes each node's digit pair
+into its preorder slot, with ints alone on its stack (_read_rpn).  The
+postfix fold (_postfix) checks nothing: decoding folds the text written
+from a valid code into nodes, and pickling folds a node's own text.
+Each _read_*/_write_* pass maps text to a checked word and a word to
+text on plain strs, and the hub runs those; read_*/write_* wrap them in
+and out of a CatalanSequence, which FAMILIES[name].parse and .render
+compose with a codec.  The module holds the value types, the codecs and
+these passes.  Every traversal uses an explicit stack, so chains of 10^4
+nodes are fine.
 """
 
 from __future__ import annotations
@@ -153,9 +159,9 @@ def encode_tree(t: BinaryTree | ExtendedBinaryTree) -> CatalanSequence:
 
 
 def _edge_pairs(root) -> str:
-    """The bits of encode_tree(root): a Node or an Internal holds its (left, right) in its slots, and a folded
-    tuple or a scanned list is its own; a list that is no pair raises ValueError.  The stack holds the nodes
-    still to walk and None for a 11 still to write, so the word is valid whatever the nodes hold."""
+    """The bits of encode_tree(root): a Node or an Internal holds its (left, right) in its slots, and a scanned
+    list is its own; a list that is no pair raises ValueError.  The stack holds the nodes still to walk and None
+    for a 11 still to write, so the word is valid whatever the nodes hold."""
     if root is None:
         return ""
     children = _CHILDREN if isinstance(root, _BinaryNode) else None
@@ -230,9 +236,9 @@ def _postfix_bits(text: str) -> str:
     return bits
 
 
-def _postfix(text: str, make=None):
+def _postfix(text: str, make):
     """The tree of a postfix word over {'a', '*'} that it does not check: None per leaf
-    and ``make(left, right)`` per operator, or with ``make`` None the tuple (left, right)."""
+    and ``make(left, right)`` per operator."""
     stack: list = []
     push, pop = stack.append, stack.pop
     for token in text:
@@ -240,7 +246,7 @@ def _postfix(text: str, make=None):
             push(None)
         else:
             right = pop()
-            stack[-1] = (stack[-1], right) if make is None else make(stack[-1], right)
+            stack[-1] = make(stack[-1], right)
     return stack[0]
 
 
@@ -328,49 +334,110 @@ def _read_infix(text: str, tokens: tuple[str, str, str, str], end_noun: str, nou
     return "".join(slots) + "1" if node else ""
 
 
+def _read_tree(text: str) -> str:
+    return _read_infix(text, _TREE, "tree text", "tree", "' ' between subtrees")
+
+
+def _write_tree(bits: str) -> str:
+    return _write(bits, _TREE)
+
+
+def _read_mult(text: str) -> str:
+    return _read_infix(text, _MULT, "expression", "expression", "'*'")
+
+
+def _write_mult(bits: str) -> str:
+    return _write(bits, _MULT)
+
+
+def _read_rpn(text: str) -> str:
+    """The code of a postfix word that _postfix_bits checks, from one pass over it read right to left, with
+    ints alone on the stack.  Each '*' opens a node, and each 'a' completes a child, right before left; a node
+    whose left child completes is complete.  Its preorder index is then the nodes still open plus the '*'s to
+    the left of its first token, and it writes its digit pair into that slot, by which children are nodes; a
+    00 also puts the 11 that ends its left subtree in front of its right child's pair."""
+    _postfix_bits(text)
+    n = len(text) // 2  # a checked word holds n '*'s among its 2n + 1 tokens
+    slots = [""] * n
+    stack = [-2]  # per open node: -2 until its right child completes, then that child's slot, or -1 for a leaf
+    push, pop = stack.append, stack.pop
+    left = n - 1  # the '*'s left of this token, less one for the bottom entry, which no node owns
+    for token in reversed(text):
+        if token == "*":
+            left -= 1
+            push(-2)
+            continue
+        child = -1
+        right = pop()
+        while right != -2:  # the node whose left child just completed is complete
+            i = len(stack) + left
+            if child >= 0:
+                if right >= 0:
+                    slots[i] = "00"
+                    slots[right] = "11" + slots[right]
+                else:
+                    slots[i] = "01"
+            elif right >= 0:
+                slots[i] = "10"
+            child = i
+            right = pop()
+        push(child)
+    return "0" + "".join(slots) + "1" if n else ""
+
+
+def _write_rpn(bits: str) -> str:
+    return _write(bits, _RPN)
+
+
+def _rpn_paper_read(text: str) -> str:
+    return _postfix_bits(text) + "1"
+
+
+def _rpn_paper_write(bits: str) -> str:
+    if not bits:
+        raise NotInImageError("the empty sequence is outside the rpn-paper image")
+    if _scan(bits[1:-1])[0] < len(bits) - 2:  # D ends balanced as the word does, so a drop alone fails it
+        raise NotInImageError(f"sequence {bits} is outside the rpn-paper image")
+    return bits[:-1].translate(_BITS_TO_RPN)
+
+
 def read_tree(text: str) -> CatalanSequence:
     """The code of the tree text  Tree := "." | "(" Tree " " Tree ")"."""
-    return _trusted_sequence(_read_infix(text, _TREE, "tree text", "tree", "' ' between subtrees"))
+    return _trusted_sequence(_read_tree(text))
 
 
 def write_tree(s: CatalanSequence) -> str:
-    return _write(sequence_bits(s), _TREE)
+    return _write_tree(sequence_bits(s))
 
 
 def read_mult(text: str) -> CatalanSequence:
     """The code of the expression  Expr := "a" | "(" Expr "*" Expr ")"."""
-    return _trusted_sequence(_read_infix(text, _MULT, "expression", "expression", "'*'"))
+    return _trusted_sequence(_read_mult(text))
 
 
 def write_mult(s: CatalanSequence) -> str:
-    return _write(sequence_bits(s), _MULT)
+    return _write_mult(sequence_bits(s))
 
 
 def read_rpn(text: str) -> CatalanSequence:
-    """The code of the expression behind a postfix word over {'a', '*'}, checked before the fold."""
-    _postfix_bits(text)
-    return _trusted_sequence(_edge_pairs(_postfix(text)))
+    """The code of the expression behind a postfix word over {'a', '*'}, checked before the pass."""
+    return _trusted_sequence(_read_rpn(text))
 
 
 def write_rpn(s: CatalanSequence) -> str:
-    return _write(sequence_bits(s), _RPN)
+    return _write_rpn(sequence_bits(s))
 
 
 def rpn_paper_read(text: str) -> CatalanSequence:
     """The rpn-paper code of a postfix word, its image and a final 1, with no fold; raises read_rpn's errors."""
-    return _trusted_sequence(_postfix_bits(text) + "1")
+    return _trusted_sequence(_rpn_paper_read(text))
 
 
 def rpn_paper_write(s: CatalanSequence) -> str:
     """The postfix word whose rpn-paper code is ``s``: the rest after the final 1.
     A postfix word keeps its depth ('a' +1, '*' -1) at 1 or more and ends at 1, so
     the image is the words 0 D 1 with D a Catalan word; NotInImageError for the rest."""
-    bits = sequence_bits(s)
-    if not bits:
-        raise NotInImageError("the empty sequence is outside the rpn-paper image")
-    if _scan(bits[1:-1])[0] < len(bits) - 2:  # D ends balanced as s does, so a drop alone fails it
-        raise NotInImageError(f"sequence {bits} is outside the rpn-paper image")
-    return bits[:-1].translate(_BITS_TO_RPN)
+    return _rpn_paper_write(sequence_bits(s))
 
 
 def rpn_paper_encode(e: ExtendedBinaryTree) -> CatalanSequence:

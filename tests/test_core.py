@@ -78,6 +78,7 @@ class TestValidate:
         with pytest.raises(PrefixViolationError) as exc:
             validate("0110")
         assert exc.value.position == 3
+        assert str(exc.value) == "ones exceed zeros in the prefix of length 3"
 
     def test_odd_length(self):
         with pytest.raises(OddLengthError):
@@ -85,12 +86,14 @@ class TestValidate:
 
     def test_count_mismatch(self):
         # prefixes all fine, totals differ
-        with pytest.raises(CountMismatchError):
+        with pytest.raises(CountMismatchError) as exc:
             validate("0001")
+        assert str(exc.value) == "1 ones vs 3 zeros" and exc.value.position is None
 
     def test_invalid_symbol(self):
-        with pytest.raises(InvalidSymbolError):
+        with pytest.raises(InvalidSymbolError) as exc:
             validate("0a01")
+        assert str(exc.value) == "invalid symbol 'a' at position 2" and exc.value.position == 2
 
     def test_sequence_is_immutable(self):
         s = validate("01")

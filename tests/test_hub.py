@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catseq import chords, lattice, polygons, render, trees
+from catseq import chords, core, families, lattice, polygons, render, trees
 from catseq.chords import ChordDiagram
 from catseq.cli import main
 from catseq.core import (
@@ -178,6 +178,11 @@ class TestTranscode:
         assert transcode("tree", "chords", "((. (. .)) (. .))") == "1-8,2-7,3-4,5-6"
         assert transcode("sequence", "sequence", "001011") == "001011"
 
+    def test_a_family_put_into_the_registry_goes_through_its_read_and_write(self, monkeypatch):
+        monkeypatch.setitem(FAMILIES, "trees", FAMILIES["tree"])
+        assert transcode("trees", "pm", "((. .) .)") == "++--"
+        assert transcode("pm", "trees", "+-") == "(. .)"
+
     def test_partial_target_can_reject(self):
         with pytest.raises(DomainError):
             transcode("sequence", "rpn-paper", "010011")
@@ -258,7 +263,8 @@ class TestTranscode:
 
     def test_transcode_builds_no_family_objects(self, monkeypatch):
         """No pair calls a family's parse, encode, decode or render, nor the
-        module codecs and value types behind them."""
+        module codecs and value types behind them, and no pair builds or
+        unwraps a CatalanSequence: the hub moves plain words."""
         words = [w for n in range(6) for w in brute_sequences(n)]
         cases = []
         for src in FAMILIES:
@@ -268,7 +274,7 @@ class TestTranscode:
                 cases += [(src, dst, text, outcome(transcode, src, dst, text)) for dst in FAMILIES]
 
         def built(*args, **kwargs):
-            raise AssertionError("transcode built a family object")
+            raise AssertionError("transcode built a family object or a sequence")
 
         monkeypatch.setattr(Family, "parse", built)
         monkeypatch.setattr(Family, "render", built)
@@ -277,6 +283,11 @@ class TestTranscode:
         for module, names in OBJECT_API.items():
             for attr in names.split():
                 monkeypatch.setattr(module, attr, built)
+        monkeypatch.setattr(CatalanSequence, "__init__", built)
+        for module in (core, families, trees, lattice, chords, polygons):
+            for attr in ("_trusted_sequence", "sequence_bits"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, built)
         for src, dst, text, expected in cases:
             assert outcome(transcode, src, dst, text) == expected, (src, dst, text)
 

@@ -1,4 +1,4 @@
-"""Work that grows linearly: every family's read and write, counted by events.
+"""Work that grows linearly: every family's read and write, and transcode, counted by events.
 
 One call's count is the number of ``sys.settrace`` line events plus
 ``sys.setprofile`` ``c_call`` events it raises, after one warming call.  The
@@ -20,7 +20,7 @@ import pytest
 
 from catseq.chords import read_chords, write_chords
 from catseq.core import ParseError, validate
-from catseq.families import FAMILIES
+from catseq.families import FAMILIES, transcode
 from catseq.polygons import Triangulation, decode_polygon, encode_polygon, read_polygon, write_polygon
 
 from oracle import cycle_lemma_word
@@ -104,6 +104,14 @@ def calls(shape, n: int) -> dict:
         text = family.write(t)
         families[f"{name} read"] = lambda family=family, text=text: family.read(text)
         families[f"{name} write"] = lambda family=family, t=t: family.write(t)
+    hub = {}  # transcode runs each family's word passes, apart from the object read and write above
+    for name in FAMILIES:
+        bits = image.bits if name == "rpn-paper" else word
+        text = transcode("sequence", name, bits)
+        hub[f"transcode {name} to sequence"] = lambda name=name, text=text: transcode(name, "sequence", text)
+        hub[f"transcode sequence to {name}"] = lambda name=name, bits=bits: transcode("sequence", name, bits)
+    rpn_text = transcode("sequence", "rpn", word)
+    hub["transcode rpn to polygon"] = lambda: transcode("rpn", "polygon", rpn_text)
     return {
         "read_polygon": lambda: read_polygon(polygon_text),
         "write_polygon": lambda: write_polygon(s),
@@ -113,6 +121,7 @@ def calls(shape, n: int) -> dict:
         "write_chords": lambda: write_chords(s),
         **{f"refused read_polygon, {fault}": refused(text) for fault, text in faults.items()},
         **families,
+        **hub,
     }
 
 

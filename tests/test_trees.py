@@ -33,9 +33,9 @@ from catseq.trees import (
     strip_leaves,
 )
 from catseq.core import enumerate_sequences
-from catseq.families import FAMILIES
+from catseq.families import FAMILIES, transcode
 
-from oracle import brute_sequences, cycle_lemma_word, ref_encode_tree
+from oracle import brute_sequences, cycle_lemma_word, ref_encode_tree, reference
 
 parse_tree, render_tree = FAMILIES["tree"].parse, FAMILIES["tree"].render
 parse_mult, render_mult = FAMILIES["mult"].parse, FAMILIES["mult"].render
@@ -232,6 +232,27 @@ class TestRpnText:
     def test_empty(self):
         with pytest.raises(ParseError):
             parse_rpn("")
+
+
+class TestRpnPass:
+    """read_rpn's one pass over the postfix word, right to left, gives the code that the fold into nodes and the
+    pair walk give, and the word bench/reference.py reads from the same text, through read_rpn and the hub alike."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_every_word(self, n):
+        for bits in brute_sequences(n):
+            text = reference.family_text("rpn", bits)
+            folded = trees._edge_pairs(trees._postfix(text, Internal))
+            assert folded == reference.tree_to_word(reference.parse_postfix(text)) == bits
+            assert read_rpn(text).bits == transcode("rpn", "sequence", text) == bits
+
+    @pytest.mark.parametrize("shape", ["random", "deep", "flat"])
+    @pytest.mark.parametrize("n", [16, 1000, 10**5])
+    def test_large_words(self, shape, n):
+        bits = {"random": cycle_lemma_word(n, random.Random(n)), "deep": "0" * n + "1" * n, "flat": "01" * n}[shape]
+        text = reference.family_text("rpn", bits)
+        assert trees._edge_pairs(trees._postfix(text, Internal)) == bits
+        assert read_rpn(text).bits == transcode("rpn", "sequence", text) == bits
 
 
 class TestRpnPaperCodec:
@@ -463,8 +484,8 @@ def balanced_text(n, tokens):
 @pytest.mark.parametrize("shape", ["balanced", "deep"])
 def test_read_peak_memory_at_1e5_nodes(name, shape):
     # the JSON scan of a balanced text holds its nested lists, about 10.5 MB; a text nested past the
-    # recursion limit goes on to the per-character pass, which holds about 2.8 MB.  The postfix fold
-    # holds a tuple per operator, about 6.6 MB on either shape
+    # recursion limit goes on to the per-character pass, which holds about 2.8 MB.  The rpn pass holds
+    # a slot per operator and an int stack: 2.9 MB balanced and 2.2 MB deep
     family = FAMILIES[name]
     if shape == "balanced":
         text = balanced_text(10**5, {"tree": "(. )", "mult": "(a*)", "rpn": ("", "a", "", "*")}[name])
