@@ -9,8 +9,8 @@ three computations, and a CLI (``catseq`` or ``python -m catseq``).
 
 Every public name is listed once, in ``_PUBLIC``, under the submodule
 that defines it.  Names load on first use: ``catseq.transcode`` imports
-``catseq.families`` (and the codecs it joins) when it is first read, so
-``import catseq`` alone loads no submodule.
+``catseq.families`` when it is first read, and the hub imports each codec
+at its family's first use, so ``import catseq`` alone loads no submodule.
 """
 
 from importlib import import_module
@@ -20,9 +20,7 @@ _PUBLIC = {
     "core": (
         "AltitudeProfile", "CapExceededError", "CatalanError", "CatalanSequence",
         "CountMismatchError", "DomainError", "IndexOutOfRangeError", "InvalidSymbolError",
-        "OddLengthError", "ParseError", "PrefixViolationError", "altitude_profile",
-        "enumerate_sequences", "iter_sequences", "random_uniform", "rank", "sequence_count", "unrank",
-        "validate",
+        "OddLengthError", "ParseError", "PrefixViolationError", "altitude_profile", "validate",
     ),
     "counting": (
         "SeriesPrefix", "binomial", "catalan_closed", "catalan_convolution", "catalan_linear",
@@ -36,6 +34,7 @@ _PUBLIC = {
         "MalformedTriangulationError", "SizeMismatchError", "Triangulation", "decode_polygon",
         "dual_tree", "encode_polygon", "rebuild_triangulation",
     ),
+    "ranking": ("enumerate_sequences", "iter_sequences", "random_uniform", "rank", "sequence_count", "unrank"),
     "render": ("render_dot", "render_mountain"),
     "trees": (
         "BinaryTree", "ExcessOperandsError", "ExtendedBinaryTree", "Internal", "Node",

@@ -99,9 +99,10 @@ def _cmd_count(args) -> None:
 
 
 def _cmd_enumerate(args) -> None:
+    from . import ranking
     # streams in constant memory: one write per batch of the prefix walk, joined in C, with no sequence built
-    core._check_semilength(args.n, core.ENUMERATION_CAP, "enumeration")
-    for prefix, ends in core._successors(args.n):
+    core._check_semilength(args.n, ranking.ENUMERATION_CAP, "enumeration")
+    for prefix, ends in ranking._successors(args.n):
         sys.stdout.write(prefix + ("\n" + prefix).join(ends) + "\n")
 
 
@@ -116,15 +117,18 @@ def _cmd_transcode(args) -> None:
 
 
 def _cmd_rank(args) -> None:
-    print(core.rank(validate(args.bits)))
+    from .ranking import rank
+    print(rank(validate(args.bits)))
 
 
 def _cmd_unrank(args) -> None:
-    print(core.unrank(args.n, args.index).bits)
+    from .ranking import unrank
+    print(unrank(args.n, args.index).bits)
 
 
 def _cmd_random(args) -> None:
-    print(core.random_uniform(args.n, args.seed).bits)
+    from .ranking import random_uniform
+    print(random_uniform(args.n, args.seed).bits)
 
 
 def _cmd_render(args) -> None:

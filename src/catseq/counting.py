@@ -64,7 +64,7 @@ def catalan_closed(n: int) -> int:
     return quotient
 
 
-#: C_0..C_k; grown onto a copy that then replaces it, like core._ballot, so no lock
+#: C_0..C_k; grown onto a copy that then replaces it, like ranking._ballot, so no lock
 _conv_cache = [1]
 
 

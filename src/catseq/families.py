@@ -4,22 +4,27 @@ Each family reads its text straight into the Catalan sequence and writes
 the sequence straight back as text, so a conversion is one read and one
 write and builds no object of either family.  Each read and write is a word
 pass on a plain str, which its module's read_*/write_* wraps in or takes out
-of a CatalanSequence; transcode runs the two word passes alone, from one
-table of names and aliases, so it builds no sequence either.  The object API
-composes the wrapped passes with the family's codec: ``parse`` is ``decode``
-after ``read`` and ``render`` is ``write`` after ``encode``.  The identity
-family for sequences is registered too, so the hub is uniform: its read pass
-is the check of the CatalanSequence constructor and its write pass returns
-the word.  "mountain" names the same family, as do the vote and ballot
-aliases for the ±1 family.  rpn text is read by one pass over the postfix
-word, right to left, with ints alone on its stack (trees._read_rpn).
+of a CatalanSequence; transcode runs the two word passes alone, so it builds
+no sequence either.  One static table maps each name and alias to its
+family's module and the names of its passes there.  transcode imports a
+family's module at its first use and keeps the two passes, so a call loads
+no codec but its two, and a later call reads the passes with one dict read
+a side.  FAMILIES is built from the same table when it is first read, every
+codec with it.  The object API composes the wrapped passes with the
+family's codec: ``parse`` is ``decode`` after ``read`` and ``render`` is
+``write`` after ``encode``.  The identity family for sequences is
+registered too, so the hub is uniform: its read pass is the check of the
+CatalanSequence constructor and its write pass returns the word.
+"mountain" names the same family, as do the vote and ballot aliases for the
+±1 family.  rpn text is read by one pass over the postfix word, right to
+left, with ints alone on its stack (trees._read_rpn).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from importlib import import_module
 
-from . import chords, lattice, polygons, trees
 from .core import CatalanError, CatalanSequence, _check_bits, _Value, _whole, check_type, sequence_bits, validate
 
 
@@ -58,49 +63,59 @@ def _same(bits: str) -> str:
     return bits
 
 
-#: per family: the Family, then its word passes, text to checked word and word to text, which transcode runs
-_ROWS = (
-    (Family("sequence", validate, sequence_bits, _identity, _identity), _check_bits, _same),
-    (Family("tree", trees.read_tree, trees.write_tree, trees.encode_tree, trees.decode_tree),
-     trees._read_tree, trees._write_tree),
-    (Family("path", lattice.read_path, lattice.write_path, lattice.encode_path, lattice.decode_path),
-     lattice._read_path, lattice._write_path),
-    (Family("pm", lattice.read_pm, lattice.write_pm, lattice.encode_pm, lattice.decode_pm),
-     lattice._read_pm, lattice._write_pm),
-    (Family("chords", chords.read_chords, chords.write_chords, chords.encode_chords, chords.decode_chords),
-     chords._read_chords, chords._write_chords),
-    (Family("mult", trees.read_mult, trees.write_mult, trees.encode_expression, trees.decode_expression),
-     trees._read_mult, trees._write_mult),
-    (Family("rpn", trees.read_rpn, trees.write_rpn, trees.encode_expression, trees.decode_expression),
-     trees._read_rpn, trees._write_rpn),
-    (Family("rpn-paper", trees.rpn_paper_read, trees.rpn_paper_write, trees.rpn_paper_encode,
-            trees.rpn_paper_decode, total=False),
-     trees._rpn_paper_read, trees._rpn_paper_write),
-    (Family("polygon", polygons.read_polygon, polygons.write_polygon, polygons.encode_polygon,
-            polygons.decode_polygon),
-     polygons._read_polygon, polygons._write_polygon),
-)
-
-FAMILIES: dict[str, Family] = {family.name: family for family, _, _ in _ROWS}
+#: per canonical name: the module that holds the family's passes, and the names there of its read, write,
+#: encode and decode, then of its two word passes, text to checked word and word to text, which transcode runs
+_ROWS = {
+    "sequence": ("families", "validate", "sequence_bits", "_identity", "_identity", "_check_bits", "_same"),
+    "tree": ("trees", "read_tree", "write_tree", "encode_tree", "decode_tree", "_read_tree", "_write_tree"),
+    "path": ("lattice", "read_path", "write_path", "encode_path", "decode_path", "_read_path", "_write_path"),
+    "pm": ("lattice", "read_pm", "write_pm", "encode_pm", "decode_pm", "_read_pm", "_write_pm"),
+    "chords": ("chords", "read_chords", "write_chords", "encode_chords", "decode_chords", "_read_chords",
+               "_write_chords"),
+    "mult": ("trees", "read_mult", "write_mult", "encode_expression", "decode_expression", "_read_mult",
+             "_write_mult"),
+    "rpn": ("trees", "read_rpn", "write_rpn", "encode_expression", "decode_expression", "_read_rpn", "_write_rpn"),
+    "rpn-paper": ("trees", "rpn_paper_read", "rpn_paper_write", "rpn_paper_encode", "rpn_paper_decode",
+                  "_rpn_paper_read", "_rpn_paper_write"),
+    "polygon": ("polygons", "read_polygon", "write_polygon", "encode_polygon", "decode_polygon", "_read_polygon",
+                "_write_polygon"),
+}
 
 ALIASES = {"ballot": "pm", "votes": "pm", "mountain": "sequence"}
 
-#: every canonical name and alias to its family's two word passes
-_PASSES = {family.name: passes for family, *passes in _ROWS}
-_PASSES.update({alias: _PASSES[name] for alias, name in ALIASES.items()})
+#: every name transcode has met to its family's two word passes, which _load keeps at the name's first use
+_PASSES = {}
+
+FAMILIES: dict[str, Family]  # every family by canonical name: no value until __getattr__ builds it
+
+
+def __getattr__(name: str):
+    """FAMILIES, built from _ROWS on its first read, which imports every codec module, and kept (PEP 562)."""
+    if name != "FAMILIES":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    families = globals()["FAMILIES"] = {
+        family: Family(family, *[getattr(import_module(f".{module}", __package__), f) for f in fields],
+                       total=family != "rpn-paper")  # the paper's wire format is the one partial codec
+        for family, (module, *fields, _, _) in _ROWS.items()
+    }
+    return families
 
 
 def family_ids() -> list[str]:
-    """Canonical family names, aliases excluded."""
-    return list(FAMILIES)
+    """Canonical family names, aliases excluded: FAMILIES', or _ROWS' until it is first read."""
+    return list(globals().get("FAMILIES", _ROWS))
 
 
 def resolve(name: str) -> Family:
-    """Look up a family by canonical name or alias."""
+    """Look up a family by canonical name or alias.  An unknown name imports no codec module."""
     try:
-        return FAMILIES[ALIASES.get(name, name)]
+        key = ALIASES.get(name, name)
+        families = globals().get("FAMILIES")
+        if families is None:
+            families = __getattr__("FAMILIES") if key in _ROWS else {}
+        return families[key]
     except (KeyError, TypeError):  # TypeError: a name no dict can hold, such as a list
-        known = ", ".join([*FAMILIES, *ALIASES])
+        known = ", ".join([*family_ids(), *ALIASES])
         raise CatalanError(f"unknown family {_whole(name)} (known: {known})") from None
 
 
@@ -117,7 +132,19 @@ def transcode(source: str, target: str, text: str) -> str:
     """
     try:
         read, write = _PASSES[source][0], _PASSES[target][1]
-    except (KeyError, TypeError):  # a name the table lacks: resolve refuses it or finds a family put in since
-        src, dst = resolve(source), resolve(target)
-        return dst.write(src.read(text))
+    except (KeyError, TypeError):  # a name met here first: _load imports its family's module
+        try:
+            read, write = _load(source)[0], _load(target)[1]
+        except (KeyError, TypeError):  # a name _ROWS lacks: resolve refuses it or finds a family put in since
+            src, dst = resolve(source), resolve(target)
+            return dst.write(src.read(text))
     return write(read(text))
+
+
+def _load(name: str) -> tuple[Callable[[str], str], Callable[[str], str]]:
+    """The two word passes of the family that ``name``, canonical or an alias, names in _ROWS: its module
+    imported, and the pair kept in _PASSES for every later call.  KeyError or TypeError for any other name."""
+    module, *_, read, write = _ROWS[ALIASES.get(name, name)]
+    module = import_module(f".{module}", __package__)
+    passes = _PASSES[name] = getattr(module, read), getattr(module, write)
+    return passes

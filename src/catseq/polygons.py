@@ -7,7 +7,8 @@ are the triangles across its (a, c) / (c, b) edges, apex c on base
 (a, b).  The degenerate two-sided polygon stands in for n = 0.
 
 The codec is the tree codec of the dual tree, worked straight on the
-word, and dual_tree and rebuild_triangulation go through it.  A diagonal
+word, and dual_tree and rebuild_triangulation go through it; they alone
+import catseq.trees, so the family's own passes never load it.  A diagonal
 set is valid exactly when it has a dual tree, so the check Triangulation
 and encode_polygon share with read_polygon, on the flat ints that
 parse_pairs scans after the ';', is the pass that writes the word.  It
@@ -22,12 +23,15 @@ them, with no text written.
 from __future__ import annotations
 
 from itertools import chain, repeat
+from typing import TYPE_CHECKING
 
 from .core import (
     CatalanError, CatalanSequence, ParseError, _trusted, _trusted_sequence, _Value, _whole, check_int, check_text,
     check_type, cut_number, parse_natural, parse_pairs, parsed, sequence_bits, write_pairs,
 )
-from .trees import BinaryTree, decode_tree, encode_tree
+
+if TYPE_CHECKING:  # BinaryTree is named in annotations alone
+    from .trees import BinaryTree
 
 
 class MalformedTriangulationError(CatalanError):
@@ -211,12 +215,14 @@ def decode_polygon(s: CatalanSequence) -> Triangulation:
 
 def dual_tree(tri: Triangulation) -> BinaryTree:
     """Dual binary tree rooted at the triangle on the marked side (0, m-1)."""
+    from .trees import decode_tree
     return decode_tree(encode_polygon(tri))
 
 
 def rebuild_triangulation(t: BinaryTree, m: int) -> Triangulation:
     """Inverse of dual_tree for a tree of m - 2 nodes; CatalanError unless m is a plain int."""
     check_int(m, "side count")
+    from .trees import encode_tree
     s = encode_tree(t)
     if s.semilength != m - 2:
         raise SizeMismatchError(f"tree has {s.semilength} nodes, a {_whole(m)}-gon dual needs {_whole(m - 2)}")

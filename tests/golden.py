@@ -44,16 +44,9 @@ from pathlib import Path
 from unittest import mock
 
 from catseq import cli, counting
-from catseq.core import (
-    CatalanSequence,
-    altitude_profile,
-    iter_sequences,
-    random_uniform,
-    rank,
-    sequence_count,
-    unrank,
-)
+from catseq.core import CatalanSequence, altitude_profile
 from catseq.families import FAMILIES, transcode
+from catseq.ranking import iter_sequences, random_uniform, rank, sequence_count, unrank
 
 from oracle import brute_sequences, cycle_lemma_word
 

@@ -10,9 +10,10 @@ import sys
 import time
 from itertools import product
 
-from catseq.core import enumerate_sequences, rank, unrank, validate
+from catseq.core import validate
 from catseq.counting import catalan_closed, catalan_convolution, catalan_linear, catalan_series
 from catseq.families import FAMILIES
+from catseq.ranking import enumerate_sequences, rank, unrank
 from catseq.trees import NotInImageError, node_count, rpn_paper_decode, rpn_paper_encode
 
 parse_rpn, render_rpn = FAMILIES["rpn"].parse, FAMILIES["rpn"].render

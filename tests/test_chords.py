@@ -6,8 +6,9 @@ from itertools import combinations
 import pytest
 
 from catseq.chords import ChordDiagram, decode_chords, encode_chords, read_chords, write_chords
-from catseq.core import CatalanError, ParseError, enumerate_sequences, validate
+from catseq.core import CatalanError, ParseError, validate
 from catseq.families import FAMILIES
+from catseq.ranking import enumerate_sequences
 
 from oracle import (
     crosses, cycle_lemma_word, first01_pairs, perfect_matchings, ref_chord_word, ref_parse_pairs, reference,

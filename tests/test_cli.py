@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catseq import core, counting
+from catseq import counting, ranking
 from catseq.cli import main
-from catseq.core import RANKING_CAP, CatalanSequence, DomainError, enumerate_sequences, validate
+from catseq.core import CatalanSequence, DomainError, validate
 from catseq.counting import catalan_closed
 from catseq.families import ALIASES, FAMILIES, resolve
+from catseq.ranking import RANKING_CAP, enumerate_sequences
 
 import golden
 from test_core import traced_in_a_fresh_process
@@ -125,7 +126,7 @@ class TestEnumerateValidate:
         def refuse(*args):
             raise AssertionError("a sequence was built")
 
-        monkeypatch.setattr(core, "_trusted_sequences", refuse)
+        monkeypatch.setattr(ranking, "_trusted_sequences", refuse)
         monkeypatch.setattr(CatalanSequence, "__init__", refuse)
         assert run(capsys, "enumerate", "--n", "9") == (0, lines, "")
 
@@ -394,9 +395,9 @@ print(json.dumps([code, loaded]))
 """
 
 
-def _loaded(*argv):
+def _loaded(*argv, stderr=""):
     proc = subprocess.run([sys.executable, "-c", _SCOPE, *argv], capture_output=True, text=True)
-    assert proc.stderr == ""
+    assert proc.stderr == stderr
     *out, last = proc.stdout.splitlines()
     code, modules = json.loads(last)
     return code, out, set(modules)
@@ -417,6 +418,8 @@ def test_core_commands_leave_the_family_modules_unloaded(argv):
     code, out, modules = _loaded(*argv)
     assert code == 0 and out
     assert not modules & _CODECS, modules & _CODECS
+    # only the commands that order or draw words load the ranking module
+    assert ("catseq.ranking" in modules) == (argv[0] in ("random", "rank", "unrank", "enumerate"))
 
 
 @pytest.mark.parametrize(
@@ -435,7 +438,7 @@ def test_core_commands_leave_json_unloaded(argv):
 def test_mountain_leaves_the_tree_module_unloaded():
     code, out, modules = _loaded("render", "--format", "mountain", "0011")
     assert (code, out) == (0, [" /\\", "/  \\"])
-    assert "catseq.render" in modules and "catseq.trees" not in modules
+    assert "catseq.render" in modules and "catseq.trees" not in modules and "catseq.ranking" not in modules
 
 
 def test_dot_is_written_from_the_word_with_no_tree_module():
@@ -447,11 +450,33 @@ def test_dot_is_written_from_the_word_with_no_tree_module():
 
 def test_transcode_loads_the_codecs_it_joins():
     # a mult text is scanned as nested JSON lists; the postfix fold of the same expression scans none
+    joined = {"catseq.families", "catseq.trees", "catseq.chords"}
     code, out, modules = _loaded("transcode", "--from", "mult", "--to", "chords", "--input", "(a*((a*a)*a))")
     assert (code, out) == (0, ["1-2,3-6,4-5"])
-    assert _CODECS <= modules and "json" in modules
+    assert modules & _CODECS == joined and "json" in modules
     code, out, modules = _loaded("transcode", "--from", "rpn", "--to", "chords", "--input", "aaa*a**")
     assert (code, out) == (0, ["1-2,3-6,4-5"])
-    assert _CODECS <= modules and "json" not in modules
+    assert modules & _CODECS == joined and "json" not in modules
     code, out, modules = _loaded("transcode", "--from", "chords", "--to", "mult", "--input", "1-2,3-6,4-5")
     assert (code, out) == (0, ["(a*((a*a)*a))"]) and "json" in modules
+
+
+def test_a_codec_command_loads_only_its_families_modules():
+    code, out, modules = _loaded("transcode", "--from", "path", "--to", "pm", "--input", "HHVV")
+    assert (code, out) == (0, ["++--"])
+    assert modules & _CODECS == {"catseq.families", "catseq.lattice"} and "json" not in modules
+    code, out, modules = _loaded("transcode", "--from", "polygon", "--to", "chords", "--input", "5;0-2,0-3")
+    assert (code, out) == (0, ["1-6,2-3,4-5"])
+    assert modules & _CODECS == {"catseq.families", "catseq.polygons", "catseq.chords"}
+    error = "catseq: error: bad chord '1-²', expected the form 'i-j'\n"  # the benchmark's fault call
+    code, out, modules = _loaded("encode", "--family", "chords", "--input", "1-²", stderr=error)
+    assert (code, out) == (1, [])
+    assert modules & _CODECS == {"catseq.families", "catseq.chords"}
+
+
+def test_an_unknown_family_loads_no_codec_module():
+    known = "sequence, tree, path, pm, chords, mult, rpn, rpn-paper, polygon, ballot, votes, mountain"
+    error = f"catseq: error: unknown family 'nope' (known: {known})\n"
+    code, out, modules = _loaded("transcode", "--from", "nope", "--to", "tree", "--input", "x", stderr=error)
+    assert (code, out) == (1, []) and modules & _CODECS == {"catseq.families"}
+

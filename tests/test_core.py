@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catseq import core, counting, families, lattice, polygons
+from catseq import core, counting, families, lattice, polygons, ranking
 from catseq.core import (
     CapExceededError,
     CatalanError,
@@ -22,14 +22,9 @@ from catseq.core import (
     ParseError,
     PrefixViolationError,
     altitude_profile,
-    enumerate_sequences,
-    iter_sequences,
-    random_uniform,
-    rank,
-    sequence_count,
-    unrank,
     validate,
 )
+from catseq.ranking import enumerate_sequences, iter_sequences, random_uniform, rank, sequence_count, unrank
 
 from oracle import (
     ballot, ballot_rows, brute_closings, brute_sequences, ranked_word, ref_parse_pairs, reference, word_rank,
@@ -204,8 +199,8 @@ class TestEnumerate:
 
     def test_cap(self, monkeypatch):
         with pytest.raises(CapExceededError):
-            enumerate_sequences(core.ENUMERATION_CAP + 1)
-        monkeypatch.setattr(core, "ENUMERATION_CAP", 5)
+            enumerate_sequences(ranking.ENUMERATION_CAP + 1)
+        monkeypatch.setattr(ranking, "ENUMERATION_CAP", 5)
         assert len(enumerate_sequences(5)) == 42
         with pytest.raises(CapExceededError, match="^semilength 6 exceeds the enumeration cap 5$"):
             enumerate_sequences(6)
@@ -245,8 +240,8 @@ class TestIterSequences:
 
     @pytest.mark.parametrize("n", range(13))
     def test_each_batch_is_every_word_of_one_prefix(self, n):
-        cut = max(0, 2 * n - core._BATCH)
-        batches = list(core._successors(n))  # (prefix, closings) pairs: the walk builds no sequence
+        cut = max(0, 2 * n - ranking._BATCH)
+        batches = list(ranking._successors(n))  # (prefix, closings) pairs: the walk builds no sequence
         assert all(type(prefix) is str and len(prefix) == cut and type(ends) is list for prefix, ends in batches)
         words = [prefix + end for prefix, ends in batches for end in ends]
         prefixes = [prefix for prefix, _ in batches]
@@ -265,10 +260,10 @@ class TestIterSequences:
             assert rank(s) == i
 
     def test_yields_validated_sequences(self):
-        batches = list(core._successors(10))
+        batches = list(ranking._successors(10))
         assert len(batches) == 20  # 16,796 words: each batch is a 6-symbol prefix and its closings
         for prefix, ends in batches:
-            batch = core._trusted_sequences(prefix, ends)
+            batch = ranking._trusted_sequences(prefix, ends)
             assert type(batch) is list and len(batch) == len(ends)
             for s, end in zip(batch, ends):
                 bits = CatalanSequence.bits.__get__(s)  # the slot is set
@@ -279,33 +274,33 @@ class TestIterSequences:
         assert next(iter_sequences(16)).bits == "0" * 16 + "1" * 16
 
     def test_streams_in_constant_memory(self):
-        setup = "from catseq.core import iter_sequences"
+        setup = "from catseq.ranking import iter_sequences"
         count, peak = traced_in_a_fresh_process(setup, "count = sum(1 for _ in iter_sequences(12))")  # keeps no word
         assert count == 208012
         assert peak < 2**20  # the list of 208,012 sequences alone takes over 20 MB
 
-    @pytest.mark.parametrize("n,error", [(-1, core.CatalanError), (core.ENUMERATION_CAP + 1, CapExceededError)])
+    @pytest.mark.parametrize("n,error", [(-1, core.CatalanError), (ranking.ENUMERATION_CAP + 1, CapExceededError)])
     def test_bad_semilength_raises_when_called(self, n, error):
         with pytest.raises(error):
             iter_sequences(n)  # no next(): the check is not deferred to the first word
 
     def test_cap_holds_at_its_boundary(self, monkeypatch):
-        monkeypatch.setattr(core, "ENUMERATION_CAP", 6)
+        monkeypatch.setattr(ranking, "ENUMERATION_CAP", 6)
         assert [s.bits for s in iter_sequences(6)] == brute_sequences(6)
         with pytest.raises(CapExceededError, match="^semilength 7 exceeds the enumeration cap 6$"):
             iter_sequences(7)  # no next(): the check is not deferred to the first word
 
     @pytest.mark.parametrize("m", range(11))
     def test_closings_are_the_brute_force_filter(self, m):
-        assert core._closings(m) == brute_closings(m)
+        assert ranking._closings(m) == brute_closings(m)
 
     def test_closings_cache_keeps_only_the_length_it_serves(self):
-        core._closings.cache_clear()
+        ranking._closings.cache_clear()
         enumerate_sequences(8)
-        assert core._closings.cache_info().currsize == 1
-        hits = core._closings.cache_info().hits
-        core._closings(core._BATCH)
-        assert core._closings.cache_info().hits == hits + 1
+        assert ranking._closings.cache_info().currsize == 1
+        hits = ranking._closings.cache_info().hits
+        ranking._closings(ranking._BATCH)
+        assert ranking._closings.cache_info().hits == hits + 1
 
 
 class TestRankUnrank:
@@ -345,20 +340,20 @@ class TestRankUnrank:
 
     @pytest.mark.parametrize("n", [150, 200, 300])
     def test_unrank_refuses_an_index_before_growing_the_table(self, monkeypatch, n):
-        monkeypatch.setattr(core, "_ballot", [(1, 0, 0)])
+        monkeypatch.setattr(ranking, "_ballot", [(1, 0, 0)])
         with pytest.raises(IndexOutOfRangeError):
             unrank(n, -1)  # C_n by the closed form, within the table's 400 symbols or past them
-        assert len(core._ballot) == 1
+        assert len(ranking._ballot) == 1
 
     def test_a_cold_count_grows_no_table(self, monkeypatch):
-        monkeypatch.setattr(core, "_ballot", [(1, 0, 0)])
+        monkeypatch.setattr(ranking, "_ballot", [(1, 0, 0)])
         assert sequence_count(200) == ballot(400, 0)
-        assert len(core._ballot) == 1
+        assert len(ranking._ballot) == 1
 
     def test_unrank_grows_a_table_set_shorter_after_its_count(self, monkeypatch):
-        total = core._count(10)
-        monkeypatch.setattr(core, "_ballot", [(1, 0, 0)])  # as a thread that grew a shorter copy would
-        assert core._unrank(10, 12345, total).bits == ranked_word(10, 12345)
+        total = ranking._count(10)
+        monkeypatch.setattr(ranking, "_ballot", [(1, 0, 0)])  # as a thread that grew a shorter copy would
+        assert ranking._unrank(10, 12345, total).bits == ranked_word(10, 12345)
 
     def test_rank_without_materializing(self):
         # far beyond the enumeration cap
@@ -410,7 +405,7 @@ class TestRandomUniform:
         def draw(order):
             return {i: random_uniform(*cases[i]).bits for i in order}
 
-        monkeypatch.setattr(core, "_ballot", [(1, 0, 0)])  # every thread grows it anew
+        monkeypatch.setattr(ranking, "_ballot", [(1, 0, 0)])  # every thread grows it anew
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -420,7 +415,7 @@ class TestRandomUniform:
             sys.setswitchinterval(interval)
         for result in drawn:
             assert [result[i] for i in range(len(cases))] == expected
-        assert len(core._ballot) == core._TABLE_ROWS + 1
+        assert len(ranking._ballot) == ranking._TABLE_ROWS + 1
 
 
 #: semilengths on both sides of the table's last row, 400 symbols, and far past it
@@ -465,8 +460,8 @@ class TestAcrossTheTable:
 
     def test_rank_inverts_unrank_at_the_ranking_cap(self):
         # both carries over 65,136 symbols past the table, each pinned against the other
-        k = sequence_count(core.RANKING_CAP) // 3
-        assert rank(unrank(core.RANKING_CAP, k)) == k
+        k = sequence_count(ranking.RANKING_CAP) // 3
+        assert rank(unrank(ranking.RANKING_CAP, k)) == k
 
     def test_unrank_far_past_the_table_stays_small(self):
         unrank(200, 0)  # the table, grown in full
@@ -479,7 +474,7 @@ class TestAcrossTheTable:
             tracemalloc.stop()
         assert peak < 1_000_000
         assert rank(s) == k
-        assert len(core._ballot) <= core._TABLE_ROWS + 1
+        assert len(ranking._ballot) <= ranking._TABLE_ROWS + 1
 
     def test_unrank_names_a_total_past_the_int_string_limit_cut(self):
         # C_7200 has 4,329 digits, past the default limit of 4,300
@@ -504,10 +499,10 @@ OVER_THE_RANKING_CAP = [
 
 @pytest.mark.parametrize("fn,args", OVER_THE_RANKING_CAP, ids=[fn.__name__ for fn, _ in OVER_THE_RANKING_CAP])
 def test_refuses_a_semilength_over_the_ranking_cap(fn, args):
-    n = core.RANKING_CAP + 1
+    n = ranking.RANKING_CAP + 1
     with pytest.raises(CapExceededError) as info:
         fn(*args(n))
-    assert str(info.value) == f"semilength {n} exceeds the ranking cap {core.RANKING_CAP}"
+    assert str(info.value) == f"semilength {n} exceeds the ranking cap {ranking.RANKING_CAP}"
 
 
 #: (function, arguments, error, the number its message names): the public calls that print a caller's
@@ -554,7 +549,7 @@ def test_names_a_number_at_the_int_string_limit_in_full():
             sequence_count(n)
     finally:
         sys.set_int_max_str_digits(limit)
-    assert str(info.value) == f"semilength 1{'0' * 4299} exceeds the ranking cap {core.RANKING_CAP}"
+    assert str(info.value) == f"semilength 1{'0' * 4299} exceeds the ranking cap {ranking.RANKING_CAP}"
 
 
 #: (function, arguments, message): a semilength or index that is not a plain
@@ -591,7 +586,7 @@ NOT_INTS = [(None, "NoneType"), ("5", "str"), (2.5, "float"), (True, "bool"), (1
 @pytest.mark.parametrize("fn", [iter_sequences, enumerate_sequences])
 @pytest.mark.parametrize("n,name", NOT_INTS)
 def test_checks_the_semilength_before_the_enumeration_cap(monkeypatch, fn, n, name):
-    monkeypatch.setattr(core, "ENUMERATION_CAP", -2)  # every semilength is past it
+    monkeypatch.setattr(ranking, "ENUMERATION_CAP", -2)  # every semilength is past it
     with pytest.raises(core.CatalanError) as info:
         fn(n)
     assert (type(info.value), str(info.value)) == (core.CatalanError, f"semilength must be an int, not {name}")
@@ -642,7 +637,7 @@ def test_rejects_a_seed_that_is_not_deterministic(seed, message):
 
 def test_sequence_count_matches_enumeration():
     for n in range(11):
-        assert core.sequence_count(n) == len(enumerate_sequences(n))
+        assert ranking.sequence_count(n) == len(enumerate_sequences(n))
 
 
 def test_catalan_sequence_equality_and_str():

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import catseq.core
 import catseq.counting
+import catseq.ranking
 
 
 def test_core_doctests():
@@ -12,6 +13,11 @@ def test_core_doctests():
 
 def test_counting_doctests():
     failures, _ = doctest.testmod(catseq.counting)
+    assert failures == 0
+
+
+def test_ranking_doctests():
+    failures, _ = doctest.testmod(catseq.ranking)
     assert failures == 0
 
 

@@ -20,16 +20,12 @@ from catseq.core import (
     ParseError,
     PrefixViolationError,
     altitude_profile,
-    enumerate_sequences,
-    random_uniform,
-    rank,
-    sequence_count,
-    unrank,
     validate,
 )
 from catseq.families import FAMILIES, Family, family_ids, resolve, transcode
 from catseq.lattice import GridPath, PlusMinusSequence
 from catseq.polygons import Triangulation
+from catseq.ranking import enumerate_sequences, random_uniform, rank, sequence_count, unrank
 from catseq.render import render_dot, render_mountain
 from catseq.trees import NotInImageError, decode_expression, decode_tree, leaf_count, node_count
 
@@ -182,6 +178,22 @@ class TestTranscode:
         monkeypatch.setitem(FAMILIES, "trees", FAMILIES["tree"])
         assert transcode("trees", "pm", "((. .) .)") == "++--"
         assert transcode("pm", "trees", "+-") == "(. .)"
+
+    def test_a_warm_hub_imports_nothing(self, monkeypatch):
+        """Each name's first call loads its family's word passes; after that a call only reads them."""
+        names = [*FAMILIES, *families.ALIASES]
+        texts = {name: transcode("sequence", name, "00010111") for name in names}  # a word in rpn-paper's image
+        cases = [(src, dst, texts[src]) for src in names for dst in names] + [("mountain", "rpn-paper", "001011")]
+        monkeypatch.setattr(families, "_PASSES", {})  # cold, as in a fresh process
+        cold = [outcome(transcode, *case) for case in cases]
+
+        def load(*args):
+            raise AssertionError("a warm hub loaded a family")
+
+        monkeypatch.setattr(families, "_load", load)
+        monkeypatch.setattr(families, "import_module", load)
+        assert [outcome(transcode, *case) for case in cases] == cold
+        assert set(families._PASSES) == set(names)
 
     def test_partial_target_can_reject(self):
         with pytest.raises(DomainError):

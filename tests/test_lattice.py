@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from catseq.core import CatalanError, ParseError, altitude_profile, enumerate_sequences, validate
+from catseq.core import CatalanError, ParseError, altitude_profile, validate
 from catseq.lattice import (
     GridPath,
     PlusMinusSequence,
@@ -12,6 +12,7 @@ from catseq.lattice import (
     encode_pm,
 )
 from catseq.families import FAMILIES
+from catseq.ranking import enumerate_sequences
 
 parse_path = FAMILIES["path"].parse
 parse_pm, render_pm = FAMILIES["pm"].parse, FAMILIES["pm"].render

@@ -1,4 +1,5 @@
-"""Work that grows linearly: every family's read and write, and transcode, counted by events.
+"""Work that grows linearly: every family's read and write, transcode, and rank and unrank within the ballot
+table, counted by events.
 
 One call's count is the number of ``sys.settrace`` line events plus
 ``sys.setprofile`` ``c_call`` events it raises, after one warming call.  The
@@ -22,6 +23,7 @@ from catseq.chords import read_chords, write_chords
 from catseq.core import ParseError, validate
 from catseq.families import FAMILIES, transcode
 from catseq.polygons import Triangulation, decode_polygon, encode_polygon, read_polygon, write_polygon
+from catseq.ranking import rank, unrank
 
 from oracle import cycle_lemma_word
 
@@ -136,6 +138,22 @@ SHAPES = {
 @pytest.mark.parametrize("shape", SHAPES)
 def test_doubling_n_at_most_doubles_the_work(shape):
     small, large = calls(SHAPES[shape], N), calls(SHAPES[shape], 2 * N)
+    grown = {name: (events(small[name]), events(large[name])) for name in small}
+    too_fast = {name: counts for name, counts in grown.items() if counts[1] > 2 * counts[0] + SLACK}
+    assert not too_fast, too_fast
+
+
+
+def ranked(shape, n: int) -> dict:
+    """rank and unrank of the word ``shape(n)``: at n <= 200 the ballot table's 400 rows serve every symbol."""
+    s = validate(shape(n))
+    k = rank(s)
+    return {"rank": lambda: rank(s), "unrank": lambda: unrank(n, k)}
+
+
+@pytest.mark.parametrize("shape", ["random", "deep", "flat"])
+def test_ranking_within_the_table_at_most_doubles_the_work(shape):
+    small, large = ranked(SHAPES[shape], 100), ranked(SHAPES[shape], 200)  # each warming call grows the table
     grown = {name: (events(small[name]), events(large[name])) for name in small}
     too_fast = {name: counts for name, counts in grown.items() if counts[1] > 2 * counts[0] + SLACK}
     assert not too_fast, too_fast

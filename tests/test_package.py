@@ -15,13 +15,13 @@ SURFACE = {
     "chords": "ChordDiagram decode_chords encode_chords",
     "core": "AltitudeProfile CapExceededError CatalanError CatalanSequence CountMismatchError"
     " DomainError IndexOutOfRangeError InvalidSymbolError OddLengthError ParseError"
-    " PrefixViolationError altitude_profile enumerate_sequences iter_sequences random_uniform rank"
-    " sequence_count unrank validate",
+    " PrefixViolationError altitude_profile validate",
     "counting": "SeriesPrefix binomial catalan_closed catalan_convolution catalan_linear catalan_series",
     "families": "FAMILIES Family family_ids resolve transcode",
     "lattice": "GridPath PlusMinusSequence decode_path decode_pm encode_path encode_pm",
     "polygons": "MalformedTriangulationError SizeMismatchError Triangulation decode_polygon dual_tree"
     " encode_polygon rebuild_triangulation",
+    "ranking": "enumerate_sequences iter_sequences random_uniform rank sequence_count unrank",
     "render": "render_dot render_mountain",
     "trees": "BinaryTree ExcessOperandsError ExtendedBinaryTree Internal Node NotInImageError"
     " StackUnderflowError decode_expression decode_tree encode_expression encode_tree extend_tree"
@@ -84,8 +84,8 @@ def test_names_load_on_first_use_and_submodules_still_import():
 
 _CHECKS = """
 from catseq.chords import ChordDiagram
-from catseq.core import AltitudeProfile, CatalanError, CatalanSequence, sequence_count, unrank
-from catseq.core import enumerate_sequences, iter_sequences, random_uniform
+from catseq.core import AltitudeProfile, CatalanError, CatalanSequence
+from catseq.ranking import enumerate_sequences, iter_sequences, random_uniform, sequence_count, unrank
 from catseq.counting import SeriesPrefix, catalan_linear
 from catseq.families import FAMILIES
 from catseq.lattice import GridPath, PlusMinusSequence

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catseq import polygons
-from catseq.core import CatalanError, ParseError, _trusted, enumerate_sequences, validate
+from catseq.core import CatalanError, ParseError, _trusted, validate
 from catseq.polygons import (
     MalformedTriangulationError,
     SizeMismatchError,
@@ -21,6 +21,7 @@ from catseq.polygons import (
     write_polygon,
 )
 from catseq.families import FAMILIES, transcode
+from catseq.ranking import enumerate_sequences
 from catseq.trees import Node, node_count
 
 from oracle import crosses, cycle_lemma_word, ref_parse_pairs, ref_polygon_fault, reference, triangulations

@@ -32,7 +32,7 @@ from catseq.trees import (
     rpn_paper_read,
     strip_leaves,
 )
-from catseq.core import enumerate_sequences
+from catseq.ranking import enumerate_sequences
 from catseq.families import FAMILIES, transcode
 
 from oracle import brute_sequences, cycle_lemma_word, ref_encode_tree, reference

@@ -12,11 +12,12 @@ import pytest
 
 import catseq
 from catseq.chords import ChordDiagram
-from catseq.core import AltitudeProfile, CatalanSequence, enumerate_sequences, unrank, validate
+from catseq.core import AltitudeProfile, CatalanSequence, validate
 from catseq.counting import SeriesPrefix
 from catseq.families import FAMILIES, transcode
 from catseq.lattice import GridPath, PlusMinusSequence
 from catseq.polygons import Triangulation, dual_tree, rebuild_triangulation
+from catseq.ranking import enumerate_sequences, unrank
 from catseq.trees import Internal, Node
 
 SRC = Path(__file__).resolve().parent.parent / "src"
