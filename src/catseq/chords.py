@@ -6,11 +6,11 @@ adjacent 0-then-1 among the positions still present, keeping original
 labels.  Each pair so extracted is a 0 and the 1 that matches it as
 parentheses, so decoding here is one pass of stack matching.  A chord
 list is valid exactly when its word is a Catalan word, so the check that
-ChordDiagram shares with read_chords is the pass that writes the word.
-Text and word meet through flat int lists, with no tuple per chord:
-read_chords checks, two at a time, the labels a0, b0, a1, b1, ... that
-parse_pairs scans as one JSON array once the separators check, and
-write_chords formats the stack matching's labels with write_pairs.
+ChordDiagram shares with the text's read pass is the pass that writes
+the word.  Text and word meet through flat int lists, with no tuple per
+chord: _read_chords checks, two at a time, the labels a0, b0, a1, b1, ...
+that parse_pairs scans as one JSON array once the separators check, and
+_write_chords formats the stack matching's labels with write_pairs.
 """
 
 from __future__ import annotations
@@ -110,6 +110,7 @@ def decode_chords(s: CatalanSequence) -> ChordDiagram:
 
 
 def _read_chords(text: str) -> str:
+    """The word of comma-separated "i-j" pairs, e.g. "1-8,2-7,3-4,5-6"."""
     check_text(text, "chord list")
     labels = parse_pairs(text, "chord", "i-j")
     return parsed(_chord_bits, "chord diagram", len(labels) // 2, labels)
@@ -117,12 +118,3 @@ def _read_chords(text: str) -> str:
 
 def _write_chords(bits: str) -> str:
     return write_pairs(tuple(_matching(bits)))
-
-
-def read_chords(text: str) -> CatalanSequence:
-    """The word of comma-separated "i-j" pairs, e.g. "1-8,2-7,3-4,5-6"."""
-    return _trusted_sequence(_read_chords(text))
-
-
-def write_chords(s: CatalanSequence) -> str:
-    return _write_chords(sequence_bits(s))

@@ -2,22 +2,18 @@
 
 Each family reads its text straight into the Catalan sequence and writes
 the sequence straight back as text, so a conversion is one read and one
-write and builds no object of either family.  Each read and write is a word
-pass on a plain str, which its module's read_*/write_* wraps in or takes out
-of a CatalanSequence; transcode runs the two word passes alone, so it builds
-no sequence either.  One static table maps each name and alias to its
-family's module and the names of its passes there.  transcode imports a
-family's module at its first use and keeps the two passes, so a call loads
-no codec but its two, and a later call reads the passes with one dict read
-a side.  FAMILIES is built from the same table when it is first read, every
-codec with it.  The object API composes the wrapped passes with the
-family's codec: ``parse`` is ``decode`` after ``read`` and ``render`` is
-``write`` after ``encode``.  The identity family for sequences is
-registered too, so the hub is uniform: its read pass is the check of the
-CatalanSequence constructor and its write pass returns the word.
-"mountain" names the same family, as do the vote and ballot aliases for the
-±1 family.  rpn text is read by one pass over the postfix word, right to
-left, with ints alone on its stack (trees._read_rpn).
+write and builds no object of either family.  A family's module holds its
+read and write as word passes on plain strs, text to checked word and word
+to text: transcode runs the two alone, so it builds no sequence either,
+and a Family puts the word into a CatalanSequence and takes it out around
+them.  One static table maps each name and alias to its family's module
+and the names of its passes there.  transcode checks both names, then
+imports a family's module at its first use and keeps the two passes, so a
+call loads no codec but its two, and a later call reads the passes with
+one dict read a side.  FAMILIES is built from the same table when it is
+first read, every codec with it.  The sequence family is registered too,
+so the hub is uniform, and "mountain" names it, as the vote and ballot
+aliases name the ±1 family.
 """
 
 from __future__ import annotations
@@ -25,7 +21,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from importlib import import_module
 
-from .core import CatalanError, CatalanSequence, _check_bits, _Value, _whole, check_type, sequence_bits, validate
+from .core import (
+    CatalanError, CatalanSequence, _check_bits, _trusted_sequence, _Value, _whole, check_type, sequence_bits,
+)
 
 
 class Family(_Value):
@@ -53,6 +51,11 @@ class Family(_Value):
     def render(self, obj: object) -> str:
         return self.write(self.encode(obj))
 
+    def __reduce__(self):
+        # a family in FAMILIES pickles as its name, as a function does: only FAMILIES composes its read and write
+        registered = globals().get("FAMILIES", {}).get(self.name) is self
+        return (resolve, (self.name,)) if registered else super().__reduce__()
+
 
 def _identity(s: CatalanSequence) -> CatalanSequence:
     check_type(s, CatalanSequence, "sequence")
@@ -63,22 +66,18 @@ def _same(bits: str) -> str:
     return bits
 
 
-#: per canonical name: the module that holds the family's passes, and the names there of its read, write,
-#: encode and decode, then of its two word passes, text to checked word and word to text, which transcode runs
+#: per canonical name: the module that holds the family's passes, and the names there of its encode and
+#: decode, then of its two word passes, text to checked word and word to text, which transcode runs
 _ROWS = {
-    "sequence": ("families", "validate", "sequence_bits", "_identity", "_identity", "_check_bits", "_same"),
-    "tree": ("trees", "read_tree", "write_tree", "encode_tree", "decode_tree", "_read_tree", "_write_tree"),
-    "path": ("lattice", "read_path", "write_path", "encode_path", "decode_path", "_read_path", "_write_path"),
-    "pm": ("lattice", "read_pm", "write_pm", "encode_pm", "decode_pm", "_read_pm", "_write_pm"),
-    "chords": ("chords", "read_chords", "write_chords", "encode_chords", "decode_chords", "_read_chords",
-               "_write_chords"),
-    "mult": ("trees", "read_mult", "write_mult", "encode_expression", "decode_expression", "_read_mult",
-             "_write_mult"),
-    "rpn": ("trees", "read_rpn", "write_rpn", "encode_expression", "decode_expression", "_read_rpn", "_write_rpn"),
-    "rpn-paper": ("trees", "rpn_paper_read", "rpn_paper_write", "rpn_paper_encode", "rpn_paper_decode",
-                  "_rpn_paper_read", "_rpn_paper_write"),
-    "polygon": ("polygons", "read_polygon", "write_polygon", "encode_polygon", "decode_polygon", "_read_polygon",
-                "_write_polygon"),
+    "sequence": ("families", "_identity", "_identity", "_check_bits", "_same"),
+    "tree": ("trees", "encode_tree", "decode_tree", "_read_tree", "_write_tree"),
+    "path": ("lattice", "encode_path", "decode_path", "_read_path", "_write_path"),
+    "pm": ("lattice", "encode_pm", "decode_pm", "_read_pm", "_write_pm"),
+    "chords": ("chords", "encode_chords", "decode_chords", "_read_chords", "_write_chords"),
+    "mult": ("trees", "encode_expression", "decode_expression", "_read_mult", "_write_mult"),
+    "rpn": ("trees", "encode_expression", "decode_expression", "_read_rpn", "_write_rpn"),
+    "rpn-paper": ("trees", "rpn_paper_encode", "rpn_paper_decode", "_rpn_paper_read", "_rpn_paper_write"),
+    "polygon": ("polygons", "encode_polygon", "decode_polygon", "_read_polygon", "_write_polygon"),
 }
 
 ALIASES = {"ballot": "pm", "votes": "pm", "mountain": "sequence"}
@@ -94,11 +93,18 @@ def __getattr__(name: str):
     if name != "FAMILIES":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     families = globals()["FAMILIES"] = {
-        family: Family(family, *[getattr(import_module(f".{module}", __package__), f) for f in fields],
+        family: Family(family, *_on_sequences(*_load(family)),
+                       *[getattr(import_module(f".{module}", __package__), f) for f in codec],
                        total=family != "rpn-paper")  # the paper's wire format is the one partial codec
-        for family, (module, *fields, _, _) in _ROWS.items()
+        for family, (module, *codec, _, _) in _ROWS.items()
     }
     return families
+
+
+def _on_sequences(read: Callable[[str], str], write: Callable[[str], str]) -> tuple[Callable, Callable]:
+    """A family's read and write on CatalanSequences, from its two word passes; the read pass checks the word."""
+    return ((lambda text: _trusted_sequence(read(text))),
+            sequence_bits if write is _same else lambda s: write(sequence_bits(s)))
 
 
 def family_ids() -> list[str]:
@@ -106,17 +112,23 @@ def family_ids() -> list[str]:
     return list(globals().get("FAMILIES", _ROWS))
 
 
-def resolve(name: str) -> Family:
-    """Look up a family by canonical name or alias.  An unknown name imports no codec module."""
+def _key(name: str) -> str:
+    """The canonical name of a family name or alias, found in FAMILIES, or in _ROWS until FAMILIES is first
+    read; resolve's error for any other name, with nothing built and no codec module imported."""
     try:
         key = ALIASES.get(name, name)
-        families = globals().get("FAMILIES")
-        if families is None:
-            families = __getattr__("FAMILIES") if key in _ROWS else {}
-        return families[key]
-    except (KeyError, TypeError):  # TypeError: a name no dict can hold, such as a list
-        known = ", ".join([*family_ids(), *ALIASES])
-        raise CatalanError(f"unknown family {_whole(name)} (known: {known})") from None
+        if key in globals().get("FAMILIES", _ROWS):
+            return key
+    except TypeError:  # a name no dict can hold, such as a list
+        pass
+    known = ", ".join([*family_ids(), *ALIASES])
+    raise CatalanError(f"unknown family {_whole(name)} (known: {known})")
+
+
+def resolve(name: str) -> Family:
+    """Look up a family by canonical name or alias.  An unknown name imports no codec module."""
+    key = _key(name)
+    return globals()["FAMILIES"][key] if "FAMILIES" in globals() else __getattr__("FAMILIES")[key]
 
 
 def transcode(source: str, target: str, text: str) -> str:
@@ -127,23 +139,22 @@ def transcode(source: str, target: str, text: str) -> str:
     Raises ParseError when ``text`` does not parse in the source family, or
     validate's errors for ``sequence`` text (PrefixViolationError for "0110"),
     and DomainError when the target codec is partial and rejects the sequence.
-    An unknown name raises resolve's error, the source's before the target's;
-    a family put into FAMILIES after import runs through its read and write.
+    An unknown name raises resolve's error, the source's before the target's,
+    before any codec module loads; a family put into FAMILIES after import
+    runs through its read and write.
     """
     try:
         read, write = _PASSES[source][0], _PASSES[target][1]
-    except (KeyError, TypeError):  # a name met here first: _load imports its family's module
-        try:
-            read, write = _load(source)[0], _load(target)[1]
-        except (KeyError, TypeError):  # a name _ROWS lacks: resolve refuses it or finds a family put in since
-            src, dst = resolve(source), resolve(target)
-            return dst.write(src.read(text))
+    except (KeyError, TypeError):  # a name met here first: both are checked, then _load imports their modules
+        if _key(source) not in _ROWS or _key(target) not in _ROWS:  # a family put into FAMILIES since
+            return resolve(target).write(resolve(source).read(text))
+        read, write = _load(source)[0], _load(target)[1]
     return write(read(text))
 
 
 def _load(name: str) -> tuple[Callable[[str], str], Callable[[str], str]]:
     """The two word passes of the family that ``name``, canonical or an alias, names in _ROWS: its module
-    imported, and the pair kept in _PASSES for every later call.  KeyError or TypeError for any other name."""
+    imported, and the pair kept in _PASSES for every later call."""
     module, *_, read, write = _ROWS[ALIASES.get(name, name)]
     module = import_module(f".{module}", __package__)
     passes = _PASSES[name] = getattr(module, read), getattr(module, write)

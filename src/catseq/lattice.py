@@ -18,7 +18,7 @@ from .core import (
 
 _PATH_TO_BITS = str.maketrans("HV01", "0122")  # a literal 0 or 1 stays a bad symbol to the scan
 _BITS_TO_PATH = str.maketrans("01", "HV")
-_PM_TO_BITS = str.maketrans("+-", "01")  # read_pm refuses any other character first
+_PM_TO_BITS = str.maketrans("+-", "01")  # _read_pm refuses any other character first
 _BITS_TO_PM = str.maketrans("01", "+-")
 _VOTE_BITS = {1: "0", -1: "1"}
 _STEP_FAULTS = ("invalid step", "path crosses the diagonal at step", "path does not end on the diagonal")
@@ -85,7 +85,7 @@ def encode_path(p: GridPath) -> CatalanSequence:
 
 def decode_path(s: CatalanSequence) -> GridPath:
     """0 -> H, 1 -> V; inverse of encode_path."""
-    return _trusted(GridPath, write_path(s))
+    return _trusted(GridPath, _write_path(sequence_bits(s)))
 
 
 def encode_pm(x: PlusMinusSequence) -> CatalanSequence:
@@ -118,19 +118,3 @@ def _read_pm(text: str) -> str:
 
 def _write_pm(bits: str) -> str:
     return bits.translate(_BITS_TO_PM)
-
-
-def read_path(text: str) -> CatalanSequence:
-    return _trusted_sequence(_read_path(text))
-
-
-def write_path(s: CatalanSequence) -> str:
-    return _write_path(sequence_bits(s))
-
-
-def read_pm(text: str) -> CatalanSequence:
-    return _trusted_sequence(_read_pm(text))
-
-
-def write_pm(s: CatalanSequence) -> str:
-    return _write_pm(sequence_bits(s))

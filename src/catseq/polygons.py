@@ -10,12 +10,12 @@ The codec is the tree codec of the dual tree, worked straight on the
 word, and dual_tree and rebuild_triangulation go through it; they alone
 import catseq.trees, so the family's own passes never load it.  A diagonal
 set is valid exactly when it has a dual tree, so the check Triangulation
-and encode_polygon share with read_polygon, on the flat ints that
+and encode_polygon share with _read_polygon, on the flat ints that
 parse_pairs scans after the ';', is the pass that writes the word.  It
 sorts one tuple per diagonal, and then each region's digit pair comes from
 the region just before it, with a stack that holds only the ends of the
 enclosing regions; the first fault is named apart, on the error path
-alone.  decode_polygon and write_polygon share one pass over the code's
+alone.  decode_polygon and _write_polygon share one pass over the code's
 digit pairs that finds the regions as the dual tree's postfix text closes
 them, with no text written.
 """
@@ -230,6 +230,7 @@ def rebuild_triangulation(t: BinaryTree, m: int) -> Triangulation:
 
 
 def _read_polygon(text: str) -> str:
+    """The dual tree's word of "m;a-b,c-d,..." with diagonals optional, e.g. "5;0-2,0-3" or "3;"."""
     check_text(text, "polygon text")
     head, sep, tail = text.partition(";")
     m = parse_natural(head)
@@ -247,12 +248,3 @@ def _write_polygon(bits: str) -> str:
     labels[1::2] = [region % m for region in regions]
     del regions  # freed before the text is formatted, which keeps the peak at 10^5 diagonals near 14 MB
     return f"{m};" + write_pairs(tuple(labels))
-
-
-def read_polygon(text: str) -> CatalanSequence:
-    """The dual tree's word of "m;a-b,c-d,..." with diagonals optional, e.g. "5;0-2,0-3" or "3;"."""
-    return _trusted_sequence(_read_polygon(text))
-
-
-def write_polygon(s: CatalanSequence) -> str:
-    return _write_polygon(sequence_bits(s))

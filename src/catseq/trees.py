@@ -29,11 +29,9 @@ into its preorder slot, with ints alone on its stack (_read_rpn).  The
 postfix fold (_postfix) checks nothing: decoding folds the text written
 from a valid code into nodes, and pickling folds a node's own text.
 Each _read_*/_write_* pass maps text to a checked word and a word to
-text on plain strs, and the hub runs those; read_*/write_* wrap them in
-and out of a CatalanSequence, which FAMILIES[name].parse and .render
-compose with a codec.  The module holds the value types, the codecs and
-these passes.  Every traversal uses an explicit stack, so chains of 10^4
-nodes are fine.
+text on plain strs; the hub runs those, and FAMILIES[name].read and
+.write are the same passes on a CatalanSequence.  Every traversal uses
+an explicit stack, so chains of 10^4 nodes are fine.
 """
 
 from __future__ import annotations
@@ -251,8 +249,8 @@ def _postfix(text: str, make):
 
 
 def decode_tree(s: CatalanSequence) -> BinaryTree:
-    """Exact inverse of encode_tree: the postfix fold over write_rpn(s)."""
-    return _postfix(write_rpn(s), Node)
+    """Exact inverse of encode_tree: the postfix fold over the rpn text of s."""
+    return _postfix(_write_rpn(sequence_bits(s)), Node)
 
 
 def extend_tree(t: BinaryTree) -> ExtendedBinaryTree:
@@ -271,7 +269,7 @@ encode_expression = encode_tree  # the total expression codec: n multiplications
 
 def decode_expression(s: CatalanSequence) -> ExtendedBinaryTree:
     """Inverse of encode_expression: decode_tree with Internal nodes."""
-    return _postfix(write_rpn(s), Internal)
+    return _postfix(_write_rpn(sequence_bits(s)), Internal)
 
 
 def _read_infix(text: str, tokens: tuple[str, str, str, str], end_noun: str, noun: str, separator: str) -> str:
@@ -335,6 +333,7 @@ def _read_infix(text: str, tokens: tuple[str, str, str, str], end_noun: str, nou
 
 
 def _read_tree(text: str) -> str:
+    """The code of the tree text  Tree := "." | "(" Tree " " Tree ")"."""
     return _read_infix(text, _TREE, "tree text", "tree", "' ' between subtrees")
 
 
@@ -343,6 +342,7 @@ def _write_tree(bits: str) -> str:
 
 
 def _read_mult(text: str) -> str:
+    """The code of the expression  Expr := "a" | "(" Expr "*" Expr ")"."""
     return _read_infix(text, _MULT, "expression", "expression", "'*'")
 
 
@@ -351,11 +351,12 @@ def _write_mult(bits: str) -> str:
 
 
 def _read_rpn(text: str) -> str:
-    """The code of a postfix word that _postfix_bits checks, from one pass over it read right to left, with
-    ints alone on the stack.  Each '*' opens a node, and each 'a' completes a child, right before left; a node
-    whose left child completes is complete.  Its preorder index is then the nodes still open plus the '*'s to
-    the left of its first token, and it writes its digit pair into that slot, by which children are nodes; a
-    00 also puts the 11 that ends its left subtree in front of its right child's pair."""
+    """The code of the expression behind a postfix word over {'a', '*'}, checked by _postfix_bits before one
+    pass over it read right to left, with ints alone on the stack.  Each '*' opens a node, and each 'a'
+    completes a child, right before left; a node whose left child completes is complete.  Its preorder index is
+    then the nodes still open plus the '*'s to the left of its first token, and it writes its digit pair into
+    that slot, by which children are nodes; a 00 also puts the 11 that ends its left subtree in front of its
+    right child's pair."""
     _postfix_bits(text)
     n = len(text) // 2  # a checked word holds n '*'s among its 2n + 1 tokens
     slots = [""] * n
@@ -390,10 +391,14 @@ def _write_rpn(bits: str) -> str:
 
 
 def _rpn_paper_read(text: str) -> str:
+    """The rpn-paper code of a postfix word, its image and a final 1, with no fold; raises _read_rpn's errors."""
     return _postfix_bits(text) + "1"
 
 
 def _rpn_paper_write(bits: str) -> str:
+    """The postfix word whose rpn-paper code is ``bits``: the rest after the final 1.
+    A postfix word keeps its depth ('a' +1, '*' -1) at 1 or more and ends at 1, so
+    the image is the words 0 D 1 with D a Catalan word; NotInImageError for the rest."""
     if not bits:
         raise NotInImageError("the empty sequence is outside the rpn-paper image")
     if _scan(bits[1:-1])[0] < len(bits) - 2:  # D ends balanced as the word does, so a drop alone fails it
@@ -401,51 +406,12 @@ def _rpn_paper_write(bits: str) -> str:
     return bits[:-1].translate(_BITS_TO_RPN)
 
 
-def read_tree(text: str) -> CatalanSequence:
-    """The code of the tree text  Tree := "." | "(" Tree " " Tree ")"."""
-    return _trusted_sequence(_read_tree(text))
-
-
-def write_tree(s: CatalanSequence) -> str:
-    return _write_tree(sequence_bits(s))
-
-
-def read_mult(text: str) -> CatalanSequence:
-    """The code of the expression  Expr := "a" | "(" Expr "*" Expr ")"."""
-    return _trusted_sequence(_read_mult(text))
-
-
-def write_mult(s: CatalanSequence) -> str:
-    return _write_mult(sequence_bits(s))
-
-
-def read_rpn(text: str) -> CatalanSequence:
-    """The code of the expression behind a postfix word over {'a', '*'}, checked before the pass."""
-    return _trusted_sequence(_read_rpn(text))
-
-
-def write_rpn(s: CatalanSequence) -> str:
-    return _write_rpn(sequence_bits(s))
-
-
-def rpn_paper_read(text: str) -> CatalanSequence:
-    """The rpn-paper code of a postfix word, its image and a final 1, with no fold; raises read_rpn's errors."""
-    return _trusted_sequence(_rpn_paper_read(text))
-
-
-def rpn_paper_write(s: CatalanSequence) -> str:
-    """The postfix word whose rpn-paper code is ``s``: the rest after the final 1.
-    A postfix word keeps its depth ('a' +1, '*' -1) at 1 or more and ends at 1, so
-    the image is the words 0 D 1 with D a Catalan word; NotInImageError for the rest."""
-    return _rpn_paper_write(sequence_bits(s))
-
-
 def rpn_paper_encode(e: ExtendedBinaryTree) -> CatalanSequence:
     """Postfix wire format: operand -> 0, operator -> 1, then one extra 1;
     k factors give semilength k, as operands lead in every proper prefix."""
-    return _trusted_sequence(write_rpn(encode_expression(e)).translate(_RPN_TO_BITS) + "1")
+    return _trusted_sequence(_write_rpn(encode_expression(e).bits).translate(_RPN_TO_BITS) + "1")
 
 
 def rpn_paper_decode(s: CatalanSequence) -> ExtendedBinaryTree:
     """Partial inverse of rpn_paper_encode; NotInImageError outside its image."""
-    return _postfix(rpn_paper_write(s), Internal)
+    return _postfix(_rpn_paper_write(sequence_bits(s)), Internal)

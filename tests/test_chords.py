@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from catseq.chords import ChordDiagram, decode_chords, encode_chords, read_chords, write_chords
+from catseq.chords import ChordDiagram, decode_chords, encode_chords
 from catseq.core import CatalanError, ParseError, validate
 from catseq.families import FAMILIES
 from catseq.ranking import enumerate_sequences
@@ -15,6 +15,7 @@ from oracle import (
 )
 
 parse_chords, render_chords = FAMILIES["chords"].parse, FAMILIES["chords"].render
+read_chords, write_chords = FAMILIES["chords"].read, FAMILIES["chords"].write
 
 
 class TestConstructor:

@@ -480,3 +480,14 @@ def test_an_unknown_family_loads_no_codec_module():
     code, out, modules = _loaded("transcode", "--from", "nope", "--to", "tree", "--input", "x", stderr=error)
     assert (code, out) == (1, []) and modules & _CODECS == {"catseq.families"}
 
+
+
+@pytest.mark.parametrize(
+    "source, target, unknown", [("tree", "nope", "nope"), ("nope", "nope2", "nope"), ("ballot", "nope", "nope")]
+)
+def test_an_unknown_target_loads_no_codec_module_either(source, target, unknown):
+    # both names are checked before the known one's module loads, and the source's error comes first
+    known = "sequence, tree, path, pm, chords, mult, rpn, rpn-paper, polygon, ballot, votes, mountain"
+    error = f"catseq: error: unknown family '{unknown}' (known: {known})\n"
+    code, out, modules = _loaded("transcode", "--from", source, "--to", target, "--input", "(. .)", stderr=error)
+    assert (code, out) == (1, []) and modules & _CODECS == {"catseq.families"}

@@ -19,10 +19,9 @@ import sys
 
 import pytest
 
-from catseq.chords import read_chords, write_chords
 from catseq.core import ParseError, validate
 from catseq.families import FAMILIES, transcode
-from catseq.polygons import Triangulation, decode_polygon, encode_polygon, read_polygon, write_polygon
+from catseq.polygons import Triangulation, decode_polygon, encode_polygon
 from catseq.ranking import rank, unrank
 
 from oracle import cycle_lemma_word
@@ -60,7 +59,7 @@ def events(call) -> int:
 def refused(text: str):
     def call():
         with pytest.raises(ParseError):
-            read_polygon(text)
+            FAMILIES["polygon"].read(text)
     return call
 
 
@@ -91,7 +90,7 @@ def calls(shape, n: int) -> dict:
     word = shape(n)
     s = validate(word)
     tri = decode_polygon(s)
-    polygon_text, chords_text = write_polygon(s), write_chords(s)
+    polygon_text = FAMILIES["polygon"].write(s)
     head, _, tail = polygon_text.partition(";")
     parts = tail.split(",")
     faults = {
@@ -101,7 +100,7 @@ def calls(shape, n: int) -> dict:
     faults.update(check_faults(tri))
     image = validate("0" + shape(n - 1) + "1")  # the words rpn-paper writes
     families = {}
-    for name in ("sequence", "tree", "path", "pm", "mult", "rpn", "rpn-paper"):
+    for name in FAMILIES:
         family, t = FAMILIES[name], image if name == "rpn-paper" else s
         text = family.write(t)
         families[f"{name} read"] = lambda family=family, text=text: family.read(text)
@@ -115,13 +114,9 @@ def calls(shape, n: int) -> dict:
     rpn_text = transcode("sequence", "rpn", word)
     hub["transcode rpn to polygon"] = lambda: transcode("rpn", "polygon", rpn_text)
     return {
-        "read_polygon": lambda: read_polygon(polygon_text),
-        "write_polygon": lambda: write_polygon(s),
         "Triangulation": lambda: Triangulation(tri.m, tri.diagonals),
         "encode_polygon": lambda: encode_polygon(tri),
-        "read_chords": lambda: read_chords(chords_text),
-        "write_chords": lambda: write_chords(s),
-        **{f"refused read_polygon, {fault}": refused(text) for fault, text in faults.items()},
+        **{f"refused polygon read, {fault}": refused(text) for fault, text in faults.items()},
         **families,
         **hub,
     }

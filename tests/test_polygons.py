@@ -16,9 +16,7 @@ from catseq.polygons import (
     decode_polygon,
     dual_tree,
     encode_polygon,
-    read_polygon,
     rebuild_triangulation,
-    write_polygon,
 )
 from catseq.families import FAMILIES, transcode
 from catseq.ranking import enumerate_sequences
@@ -27,6 +25,7 @@ from catseq.trees import Node, node_count
 from oracle import crosses, cycle_lemma_word, ref_parse_pairs, ref_polygon_fault, reference, triangulations
 
 parse_polygon, render_polygon = FAMILIES["polygon"].parse, FAMILIES["polygon"].render
+read_polygon, write_polygon = FAMILIES["polygon"].read, FAMILIES["polygon"].write
 
 
 def dual_word(m: int, diagonals) -> str:

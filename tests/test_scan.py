@@ -20,17 +20,9 @@ from catseq.core import (
     PrefixViolationError,
     _steps_table,
 )
-from catseq.families import transcode
-from catseq.lattice import GridPath, PlusMinusSequence, read_path, read_pm
-from catseq.trees import (
-    ExcessOperandsError,
-    NotInImageError,
-    StackUnderflowError,
-    read_rpn,
-    rpn_paper_read,
-    rpn_paper_write,
-    write_rpn,
-)
+from catseq.families import FAMILIES, transcode
+from catseq.lattice import GridPath, PlusMinusSequence
+from catseq.trees import ExcessOperandsError, NotInImageError, StackUnderflowError
 
 from oracle import cycle_lemma_word, first_fault
 
@@ -113,25 +105,26 @@ def expected_image(w):
 
 def check_word(w):
     """Run ``w``, spelt in each family, through every scanned check and compare with the reference."""
+    path, pm, rpn, rpn_paper = (FAMILIES[name] for name in ("path", "pm", "rpn", "rpn-paper"))
     assert outcome(lambda: CatalanSequence(w).bits) == expected_sequence(w)
 
     p = w.translate(PATH)
     fault = path_fault(p)
     assert outcome(lambda: GridPath(p).steps) == ((CatalanError, fault, None) if fault else p)
-    assert outcome(lambda: read_path(p).bits) == ((ParseError, f"bad path text: {fault}", None) if fault else w)
+    assert outcome(lambda: path.read(p).bits) == ((ParseError, f"bad path text: {fault}", None) if fault else w)
 
     fault = vote_fault(w)
     values = tuple(VOTES[ch] for ch in w)
     assert outcome(lambda: PlusMinusSequence(values).values) == ((CatalanError, fault, None) if fault else values)
-    assert outcome(lambda: read_pm(w.translate(PM)).bits) == expected_pm_read(w)
+    assert outcome(lambda: pm.read(w.translate(PM)).bits) == expected_pm_read(w)
 
     r = w.translate(RPN)
     error = expected_postfix(r)
-    assert outcome(lambda: rpn_paper_read(r).bits) == (error or w + "1")
-    assert outcome(lambda: write_rpn(read_rpn(r))) == (error or r)
+    assert outcome(lambda: rpn_paper.read(r).bits) == (error or w + "1")
+    assert outcome(lambda: rpn.write(rpn.read(r))) == (error or r)
 
     if isinstance(expected_sequence(w), str):
-        assert outcome(rpn_paper_write, CatalanSequence(w)) == expected_image(w)
+        assert outcome(rpn_paper.write, CatalanSequence(w)) == expected_image(w)
 
 
 def test_the_step_table_holds_every_word_of_8_symbols():

@@ -26,10 +26,8 @@ from catseq.trees import (
     internal_count,
     leaf_count,
     node_count,
-    read_rpn,
     rpn_paper_decode,
     rpn_paper_encode,
-    rpn_paper_read,
     strip_leaves,
 )
 from catseq.ranking import enumerate_sequences
@@ -40,6 +38,7 @@ from oracle import brute_sequences, cycle_lemma_word, ref_encode_tree, reference
 parse_tree, render_tree = FAMILIES["tree"].parse, FAMILIES["tree"].render
 parse_mult, render_mult = FAMILIES["mult"].parse, FAMILIES["mult"].render
 parse_rpn, render_rpn = FAMILIES["rpn"].parse, FAMILIES["rpn"].render
+read_rpn, rpn_paper_read = FAMILIES["rpn"].read, FAMILIES["rpn-paper"].read
 
 FIG7_BITS = "00010111"
 FIG7_TREE = Node(Node(None, Node()), Node())  # root: left child with a right child, right child
@@ -235,7 +234,7 @@ class TestRpnText:
 
 
 class TestRpnPass:
-    """read_rpn's one pass over the postfix word, right to left, gives the code that the fold into nodes and the
+    """_read_rpn's one pass over the postfix word, right to left, gives the code that the fold into nodes and the
     pair walk give, and the word bench/reference.py reads from the same text, through read_rpn and the hub alike."""
 
     @pytest.mark.parametrize("n", range(9))
