@@ -56,6 +56,31 @@ class TestConstructor:
             ChordDiagram(1, chords)
         assert len(str(info.value)) < 200
 
+    @pytest.mark.parametrize(
+        "n,chords,message",
+        [
+            # a pair list that does not sort, before the chord count
+            (3, ((1, 2), ("a", "b")), "expected an int n and chords that are pairs of int labels"),
+            (3, ((1, 2), (3,)), "expected an int n and chords that are pairs of int labels"),
+            # the chord count, before a label or an n that is no int
+            (3, ((1, 2), (3, 4.0)), "expected 3 chords, got 2"),
+            (2, ((1, 2), (3, 4), (5, 6.0)), "expected 2 chords, got 3"),
+            (2.5, ((1, 2),), "expected 2.5 chords, got 1"),
+            # an n or a label that is no int, before the coverage and crossing checks
+            (2.0, ((1, 4), (2, 3)), "expected an int n and chords that are pairs of int labels"),
+            (2, ((1, 3), (2, 4.0)), "expected an int n and chords that are pairs of int labels"),
+            (2, ((1, 2), (1, 2.0)), "expected an int n and chords that are pairs of int labels"),
+            # the chord count, before the coverage check
+            (1, ((1, 5), (2, 3)), "expected 1 chords, got 2"),
+            # the coverage, before a crossing
+            (2, ((1, 3), (2, 5)), "chords must pair each of the points 1..2n exactly once"),
+        ],
+    )
+    def test_names_the_first_of_two_faults(self, n, chords, message):
+        with pytest.raises(CatalanError) as info:
+            ChordDiagram(n, chords)
+        assert (type(info.value), str(info.value)) == (CatalanError, message)
+
     @pytest.mark.parametrize("n", range(6))
     def test_accepts_exactly_the_non_crossing_matchings(self, n):
         accepted = 0
