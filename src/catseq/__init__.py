@@ -31,8 +31,8 @@ _PUBLIC = {
         "GridPath", "PlusMinusSequence", "decode_path", "decode_pm", "encode_path", "encode_pm",
     ),
     "polygons": (
-        "MalformedTriangulationError", "SizeMismatchError", "Triangulation", "decode_polygon",
-        "dual_tree", "encode_polygon", "rebuild_triangulation",
+        "SizeMismatchError", "Triangulation", "decode_polygon", "dual_tree", "encode_polygon",
+        "rebuild_triangulation",
     ),
     "ranking": ("enumerate_sequences", "iter_sequences", "random_uniform", "rank", "sequence_count", "unrank"),
     "render": ("render_dot", "render_mountain"),

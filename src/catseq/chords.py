@@ -58,27 +58,27 @@ def _chord_bits(n: int, labels) -> str:
 class ChordDiagram(_Value):
     """n non-crossing chords pairing the points 1..2n, labeled clockwise.
 
-    Chords are stored sorted ascending by smaller endpoint with each pair
-    as (smaller, larger).  Rotations and reflections are distinct
-    diagrams; the labels are part of the object.
+    Chords are stored as their word's stack matching gives them: sorted by
+    smaller endpoint, each as (smaller, larger).  Rotations and reflections
+    are distinct diagrams; the labels are part of the object.
     """
 
     __slots__ = ("n", "chords")
 
     def __init__(self, n: int, chords: tuple[tuple[int, int], ...]):
         try:
-            normalized = tuple(sorted((min(i, j), max(i, j)) for i, j in chords))
-            if len(normalized) != n:
-                raise CatalanError(f"expected {cut_number(n)} chords, got {len(normalized)}")
-            if type(n) is not int or not {type(v) for chord in normalized for v in chord} <= {int}:
-                raise TypeError  # a bool or float label equals an int but renders apart
-        except CatalanError:
-            raise
+            labels = [label for a, b in chords for label in (a, b)]
+            if type(n) is not int or not {*map(type, labels)} <= {int}:  # a bool or float label renders apart
+                sorted([(min(a, b), max(a, b)) for a, b in zip(labels[::2], labels[1::2])])  # the first fault is
+                if len(labels) // 2 == n:  # a pair list that does not sort, then a wrong count, then a type
+                    raise TypeError
         except (TypeError, ValueError):
             raise CatalanError("expected an int n and chords that are pairs of int labels") from None
-        _chord_bits(n, chain.from_iterable(normalized))
+        if len(labels) // 2 != n:
+            raise CatalanError(f"expected {cut_number(n)} chords, got {len(labels) // 2}")
+        pairs = iter(_matching(_chord_bits(n, labels)))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "chords", normalized)
+        object.__setattr__(self, "chords", tuple(zip(pairs, pairs)))
 
 
 def _matching(bits: str) -> list[int]:

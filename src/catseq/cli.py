@@ -24,6 +24,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    # the choices quoted, as CPython 3.10 to 3.13.0 word it, so the text does not change with argparse's version
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="catseq", description=__doc__)

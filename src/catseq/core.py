@@ -186,8 +186,7 @@ def _trusted(cls, *values):
     """``cls(*values)`` with no check run: the fields, in order, set straight
     into their slots, for a codec whose own construction proves the value
     valid.  It builds every value type but CatalanSequence, which has
-    ``_trusted_sequence``, and unpickling and copying rebuild every value
-    through here.  The public constructors and every ``read`` keep every check."""
+    ``_trusted_sequence``; a pickled value enters by its checked constructor."""
     obj = object.__new__(cls)
     for name, value in zip(cls.__match_args__, values):
         object.__setattr__(obj, name, value)
@@ -200,7 +199,8 @@ class _Value:
     A subclass lists its fields as its ``__slots__`` and sets them in
     ``__init__`` with ``object.__setattr__``, after its checks.  Equality
     (same type, equal fields), hashing, the repr ``Name(field=...)``,
-    ``__match_args__``, pickling and copying follow from the slots.
+    ``__match_args__`` and pickling through the constructor and its check
+    follow from the slots.  A copy is the value itself, as for a tuple.
     """
 
     __slots__ = ()
@@ -231,7 +231,12 @@ class _Value:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return _trusted, (type(self), *self._values())
+        return type(self), self._values()
+
+    def __copy__(self, memo=None):  # copy.deepcopy passes a memo
+        return self
+
+    __deepcopy__ = __copy__
 
 
 def _steps_table() -> dict[str, tuple[int, int]]:

@@ -10,8 +10,8 @@ The codec is the tree codec of the dual tree, worked straight on the
 word, and dual_tree and rebuild_triangulation go through it; they alone
 import catseq.trees, so the family's own passes never load it.  A diagonal
 set is valid exactly when it has a dual tree, so the check Triangulation
-and encode_polygon share with _read_polygon, on the flat ints that
-parse_pairs scans after the ';', is the pass that writes the word.  It
+shares with _read_polygon, on the flat ints that parse_pairs scans after
+the ';', is the pass that writes the word, which encode_polygon reruns.  It
 sorts one tuple per diagonal, and then each region's digit pair comes from
 the region just before it, with a stack that holds only the ends of the
 enclosing regions; the first fault is named apart, on the error path
@@ -34,17 +34,13 @@ if TYPE_CHECKING:  # BinaryTree is named in annotations alone
     from .trees import BinaryTree
 
 
-class MalformedTriangulationError(CatalanError):
-    """A Triangulation whose diagonals changed after its check fails it now."""
-
-
 class SizeMismatchError(CatalanError):
     """The tree's node count does not fit the requested polygon."""
 
 
 def _vertex_pairs(m, diagonals) -> tuple[list[tuple[int, int]], list[int]]:
     """The diagonals as (smaller, larger) pairs and their vertices flat, a0, b0, a1, b1, ...; nothing when m < 2
-    so that the check names that first.  CatalanError unless m and the vertices are ints.  Only the object API
+    so that the check names that first.  CatalanError unless m and the vertices are ints.  Only the constructor
     runs it: a parsed text holds ints alone.  A tuple already in order is kept, so that the check's regions are
     the only tuples made."""
     try:
@@ -167,10 +163,7 @@ class Triangulation(_Value):
 def encode_polygon(tri: Triangulation) -> CatalanSequence:
     """The edge-pair code of the dual tree, semilength m - 2, as the check writes it."""
     check_type(tri, Triangulation, "triangulation")
-    try:
-        return _trusted_sequence(_triangulation_bits(tri.m, _vertex_pairs(tri.m, tri.diagonals)[1]))
-    except CatalanError as exc:
-        raise MalformedTriangulationError(f"malformed triangulation: {exc}") from exc
+    return _trusted_sequence(_triangulation_bits(tri.m, list(chain.from_iterable(tri.diagonals))))
 
 
 def _diagonals(bits: str) -> list[int]:

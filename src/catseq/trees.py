@@ -26,8 +26,8 @@ with D a Catalan word, which the sequence's scan checks (_postfix_bits):
 rpn-paper reads 0 D 1 with no fold, and rpn reads only a word so
 checked, by one pass right to left that writes each node's digit pair
 into its preorder slot, with ints alone on its stack (_read_rpn).  The
-postfix fold (_postfix) checks nothing: decoding folds the text written
-from a valid code into nodes, and pickling folds a node's own text.
+postfix fold (_postfix) checks nothing: only decoding runs it, on the text
+written from a valid code, and a node pickles as the decoding of its code.
 Each _read_*/_write_* pass maps text to a checked word and a word to
 text on plain strs; the hub runs those, and FAMILIES[name].read and
 .write are the same passes on a CatalanSequence.  Every traversal uses
@@ -62,10 +62,10 @@ class _BinaryNode(_Value):
 
     Equality and hashing compare the concrete type and the edge-pair code,
     which is one-to-one on shapes, so a Node never equals an Internal.  The
-    repr shows the infix text in the subclass's tokens, and pickling and
-    copying rebuild from the postfix text, so a deep chain needs no deep
-    recursion.  A child that is neither ``None`` nor a node of the same type
-    raises CatalanError.
+    repr shows the infix text in the subclass's tokens.  A node pickles as
+    its code and its decoder, so unpickling checks the word and a deep chain
+    needs no deep recursion; a copy is the node itself.  A child that is
+    neither ``None`` nor a node of the same type raises CatalanError.
     """
 
     __slots__ = ("left", "right")
@@ -90,7 +90,7 @@ class _BinaryNode(_Value):
         return f"{type(self).__name__}[{_write(_edge_pairs(self), self._TOKENS)}]"
 
     def __reduce__(self):
-        return _postfix, (_write(_edge_pairs(self), _RPN), type(self))
+        return decode_tree if type(self) is Node else decode_expression, (_trusted_sequence(_edge_pairs(self)),)
 
 
 class Node(_BinaryNode):
@@ -235,8 +235,8 @@ def _postfix_bits(text: str) -> str:
 
 
 def _postfix(text: str, make):
-    """The tree of a postfix word over {'a', '*'} that it does not check: None per leaf
-    and ``make(left, right)`` per operator."""
+    """The tree of a postfix word over {'a', '*'} that it does not check, as the decoders write it from a valid
+    code: None per leaf and ``make(left, right)`` per operator."""
     stack: list = []
     push, pop = stack.append, stack.pop
     for token in text:

@@ -1,5 +1,5 @@
-"""Work that grows linearly: every family's read and write, transcode, and rank and unrank within the ballot
-table, counted by events.
+"""Work that grows linearly: every family's read and write, transcode, the chord and polygon constructors,
+unpickling, and rank and unrank within the ballot table, counted by events.
 
 One call's count is the number of ``sys.settrace`` line events plus
 ``sys.setprofile`` ``c_call`` events it raises, after one warming call.  The
@@ -14,15 +14,18 @@ arithmetic may grow faster than linearly without showing here, and so may
 the cyclic collector.  A Python-level loop that grows faster does show.
 """
 
+import pickle
 import random
 import sys
 
 import pytest
 
+from catseq.chords import ChordDiagram, decode_chords
 from catseq.core import ParseError, validate
 from catseq.families import FAMILIES, transcode
 from catseq.polygons import Triangulation, decode_polygon, encode_polygon
 from catseq.ranking import rank, unrank
+from catseq.trees import decode_tree
 
 from oracle import cycle_lemma_word
 
@@ -89,7 +92,8 @@ def calls(shape, n: int) -> dict:
     """The passes under test, each on the one input the word ``shape(n)`` gives them."""
     word = shape(n)
     s = validate(word)
-    tri = decode_polygon(s)
+    tri, diagram = decode_polygon(s), decode_chords(s)
+    pickles = {type(value).__name__: pickle.dumps(value) for value in (diagram, tri, decode_tree(s))}
     polygon_text = FAMILIES["polygon"].write(s)
     head, _, tail = polygon_text.partition(";")
     parts = tail.split(",")
@@ -115,6 +119,8 @@ def calls(shape, n: int) -> dict:
     hub["transcode rpn to polygon"] = lambda: transcode("rpn", "polygon", rpn_text)
     return {
         "Triangulation": lambda: Triangulation(tri.m, tri.diagonals),
+        "ChordDiagram": lambda: ChordDiagram(diagram.n, diagram.chords),
+        **{f"unpickle {name}": lambda data=data: pickle.loads(data) for name, data in pickles.items()},
         "encode_polygon": lambda: encode_polygon(tri),
         **{f"refused polygon read, {fault}": refused(text) for fault, text in faults.items()},
         **families,

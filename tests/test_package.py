@@ -1,6 +1,7 @@
-"""The package surface: 66 names, each loaded from its module on first use."""
+"""The package surface: 65 names, each loaded from its module on first use."""
 
 import os
+import shutil
 import subprocess
 import sys
 from importlib import import_module
@@ -19,8 +20,7 @@ SURFACE = {
     "counting": "SeriesPrefix binomial catalan_closed catalan_convolution catalan_linear catalan_series",
     "families": "FAMILIES Family family_ids resolve transcode",
     "lattice": "GridPath PlusMinusSequence decode_path decode_pm encode_path encode_pm",
-    "polygons": "MalformedTriangulationError SizeMismatchError Triangulation decode_polygon dual_tree"
-    " encode_polygon rebuild_triangulation",
+    "polygons": "SizeMismatchError Triangulation decode_polygon dual_tree encode_polygon rebuild_triangulation",
     "ranking": "enumerate_sequences iter_sequences random_uniform rank sequence_count unrank",
     "render": "render_dot render_mountain",
     "trees": "BinaryTree ExcessOperandsError ExtendedBinaryTree Internal Node NotInImageError"
@@ -31,7 +31,7 @@ MODULE_OF = {name: module for module, names in SURFACE.items() for name in names
 
 
 def test_all_is_the_pinned_surface():
-    assert len(MODULE_OF) == 66
+    assert len(MODULE_OF) == 65
     assert catseq.__all__ == sorted(MODULE_OF)
 
 
@@ -128,13 +128,22 @@ def test_checks_hold_under_python_O():
 
 
 def _newest_python(minor: str, floor: int) -> Path | None:
-    """The newest CPython 3.<minor>.x, x >= floor, that pyenv holds, or None."""
+    """The newest CPython 3.<minor>.x, x >= floor, that pyenv holds or that ``python3.<minor>`` on PATH runs,
+    or None."""
     versions = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
     found = []
     for path in versions.glob(f"3.{minor}.*/bin/python3"):
         micro = path.parents[1].name.removeprefix(f"3.{minor}.")
         if micro.isdigit() and int(micro) >= floor:
             found.append((int(micro), path))
+    on_path = shutil.which(f"python3.{minor}")
+    if on_path:  # a pyenv shim runs some version, or fails
+        code = "import sys; print(*sys.version_info[:3], sys.executable)"
+        proc = subprocess.run([on_path, "-c", code], capture_output=True, text=True)
+        if proc.returncode == 0:
+            _, got, micro, executable = proc.stdout.split(maxsplit=3)
+            if got == minor and int(micro) >= floor:
+                found.append((int(micro), Path(executable.rstrip("\n"))))
     return max(found)[1] if found else None
 
 

@@ -1,6 +1,7 @@
 """The value types: immutable, without a per-instance ``__dict__``, and
-equal to themselves after pickling and copying; the errors keep their
-message and position through the same."""
+equal to themselves after pickling and copying; a pickle with a field
+replaced loads only through the value's check; the errors keep their
+message and position through pickling and copying."""
 
 import copy
 import pickle
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import catseq
 from catseq.chords import ChordDiagram
@@ -16,7 +19,7 @@ from catseq.core import AltitudeProfile, CatalanSequence, validate
 from catseq.counting import SeriesPrefix
 from catseq.families import FAMILIES, transcode
 from catseq.lattice import GridPath, PlusMinusSequence
-from catseq.polygons import Triangulation, dual_tree, rebuild_triangulation
+from catseq.polygons import Triangulation, rebuild_triangulation
 from catseq.ranking import enumerate_sequences, unrank
 from catseq.trees import Internal, Node
 
@@ -59,10 +62,83 @@ def test_pickle_and_copy_give_an_equal_value(value, clone):
     assert [getattr(twin, name) for name in _fields(value)] == [getattr(value, name) for name in _fields(value)]
 
 
-def _corrupted_dual_tree():
-    tri = Triangulation(5, ((0, 2), (0, 3)))
-    object.__setattr__(tri, "diagonals", ((0, 2), (1, 3)))  # crossing, set past the check
-    return dual_tree(tri)
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_a_copy_is_the_value_itself(value):
+    assert copy.copy(value) is value
+    assert copy.deepcopy(value) is value
+
+
+class _Reduced:
+    """An object that pickles as ``build(*args)``: a value's own pickle with one argument replaced."""
+
+    def __init__(self, build, args):
+        self.reduced = build, args
+
+    def __reduce__(self):
+        return self.reduced
+
+
+def _forged(value, index: int, replacement) -> bytes:
+    """The pickle of ``value`` with the ``index``-th argument of its rebuild replaced by ``replacement``."""
+    build, args = value.__reduce__()
+    return pickle.dumps(_Reduced(build, (*args[:index], replacement, *args[index + 1 :])))
+
+
+#: per corruption: a valid value, the argument of its pickle's rebuild that is replaced, what replaces it, and
+#: the error it loads as; a Node pickles as its decoder and its CatalanSequence
+CORRUPTED = {
+    "a side for a diagonal": (
+        Triangulation(5, ((0, 2), (0, 3))), 1, ((0, 2), (0, 1)),
+        (catseq.CatalanError, "0-1 is a polygon side, not a diagonal"),
+    ),
+    "a float chord label": (
+        ChordDiagram(2, ((1, 4), (2, 3))), 1, ((1, 4.0), (2, 3)),
+        (catseq.CatalanError, "expected an int n and chords that are pairs of int labels"),
+    ),
+    "a step that is no H or V": (GridPath("HV"), 0, "HX", (catseq.CatalanError, "invalid step 'X' at position 2")),
+    "a vote of 2": (PlusMinusSequence((1, -1)), 0, (2, -1), (catseq.CatalanError, "invalid value 2 at position 1")),
+    "a prefix violation": (
+        CatalanSequence("0011"), 0, "0110", (catseq.PrefixViolationError, "ones exceed zeros in the prefix of length 3"),
+    ),
+    "a node word aaa": (Node(), 0, _Reduced(CatalanSequence, ("aaa",)), (catseq.OddLengthError, "length 3 is odd")),
+    "a node word a**": (Node(), 0, _Reduced(CatalanSequence, ("a**",)), (catseq.OddLengthError, "length 3 is odd")),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPTED)
+def test_a_pickle_with_a_field_corrupted_raises_the_check_s_error(case):
+    value, index, replacement, (cls, message) = CORRUPTED[case]
+    data = _forged(value, index, replacement)
+    with pytest.raises(catseq.CatalanError) as info:
+        pickle.loads(data)
+    assert (type(info.value), str(info.value)) == (cls, message)
+
+
+#: what may stand in a field: the kinds of value the fields hold, every pickled field of VALUES among them, wrong
+#: kinds, and words forged into the pickle
+_WORDS = st.sampled_from(["", "01", "0011", "001011"]) | st.text("01x", max_size=8)
+_OBJECTS = st.one_of(
+    st.sampled_from([field for value in VALUES for field in value.__reduce__()[1]]),
+    st.none(), st.booleans(), st.integers(-2, 9), st.floats(), st.text("HVX+-a*", max_size=6), _WORDS,
+    st.builds(lambda bits: _Reduced(CatalanSequence, (bits,)), _WORDS),
+    st.lists(st.integers(-1, 2) | st.floats(-1, 2), max_size=6).map(tuple),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6) | st.floats(0, 6)), max_size=3).map(tuple),
+    st.lists(st.none() | st.integers(0, 3) | st.text("HV", max_size=2), max_size=3),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_a_pickle_with_a_field_replaced_loads_as_a_checked_value_or_not_at_all(data):
+    value = data.draw(st.sampled_from(VALUES))
+    index = data.draw(st.integers(0, len(value.__reduce__()[1]) - 1))
+    forged = _forged(value, index, data.draw(_OBJECTS))
+    try:
+        twin = pickle.loads(forged)
+    except catseq.CatalanError:
+        return
+    if twin is not None:  # the empty tree or expression
+        assert twin == type(twin)(*[getattr(twin, name) for name in _fields(twin)])
 
 
 #: per error class, a call that raises it; DomainError is raised only as its subclass NotInImageError
@@ -78,7 +154,6 @@ RAISERS = {
     "StackUnderflowError": lambda: transcode("rpn", "sequence", "a*"),
     "ExcessOperandsError": lambda: transcode("rpn", "sequence", "aa"),
     "NotInImageError": lambda: transcode("sequence", "rpn-paper", "0101"),
-    "MalformedTriangulationError": _corrupted_dual_tree,
     "SizeMismatchError": lambda: rebuild_triangulation(None, 5),
 }
 
