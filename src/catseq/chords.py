@@ -67,11 +67,13 @@ class ChordDiagram(_Value):
 
     def __init__(self, n: int, chords: tuple[tuple[int, int], ...]):
         try:
-            labels = [label for a, b in chords for label in (a, b)]
+            labels = []
+            for a, b in chords:
+                labels += a, b
             if type(n) is not int or not {*map(type, labels)} <= {int}:  # a bool or float label renders apart
-                sorted([(min(a, b), max(a, b)) for a, b in zip(labels[::2], labels[1::2])])  # the first fault is
-                if len(labels) // 2 == n:  # a pair list that does not sort, then a wrong count, then a type
-                    raise TypeError
+                labels = [*chain.from_iterable(sorted([(min(p), max(p)) for p in zip(labels[::2], labels[1::2])]))]
+                if len(labels) // 2 == n and (type(n) is not int or not {*map(type, labels)} <= {int}):
+                    raise TypeError  # faults in the order of the sorted (min, max) pairs: no sort, count, type
         except (TypeError, ValueError):
             raise CatalanError("expected an int n and chords that are pairs of int labels") from None
         if len(labels) // 2 != n:

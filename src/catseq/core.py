@@ -199,8 +199,7 @@ class _Value:
     A subclass lists its fields as its ``__slots__`` and sets them in
     ``__init__`` with ``object.__setattr__``, after its checks.  Equality
     (same type, equal fields), hashing, the repr ``Name(field=...)``,
-    ``__match_args__`` and pickling through the constructor and its check
-    follow from the slots.  A copy is the value itself, as for a tuple.
+    ``__match_args__`` and pickling by the checked constructor follow from the slots.
     """
 
     __slots__ = ()
@@ -233,7 +232,7 @@ class _Value:
     def __reduce__(self):
         return type(self), self._values()
 
-    def __copy__(self, memo=None):  # copy.deepcopy passes a memo
+    def __copy__(self, memo=None):  # immutable, as a tuple is, so a copy is the value itself; deepcopy passes a memo
         return self
 
     __deepcopy__ = __copy__

@@ -70,6 +70,11 @@ class TestConstructor:
             (2.0, ((1, 4), (2, 3)), "expected an int n and chords that are pairs of int labels"),
             (2, ((1, 3), (2, 4.0)), "expected an int n and chords that are pairs of int labels"),
             (2, ((1, 2), (1, 2.0)), "expected an int n and chords that are pairs of int labels"),
+            # a chord of two equal labels: min and max keep the first, so a float second is a repeated point
+            (2, ((1, 2), (3, 3.0)), "chords must pair each of the points 1..2n exactly once"),
+            (2, ((1, 2), (3.0, 3)), "expected an int n and chords that are pairs of int labels"),
+            (1, ((True, 1),), "expected an int n and chords that are pairs of int labels"),
+            (1, ((1, True),), "chords must pair each of the points 1..2n exactly once"),
             # the chord count, before the coverage check
             (1, ((1, 5), (2, 3)), "expected 1 chords, got 2"),
             # the coverage, before a crossing

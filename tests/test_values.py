@@ -106,7 +106,7 @@ CORRUPTED = {
 
 
 @pytest.mark.parametrize("case", CORRUPTED)
-def test_a_pickle_with_a_field_corrupted_raises_the_check_s_error(case):
+def test_a_corrupted_field_makes_unpickling_raise_the_check_error(case):
     value, index, replacement, (cls, message) = CORRUPTED[case]
     data = _forged(value, index, replacement)
     with pytest.raises(catseq.CatalanError) as info:
