@@ -3,7 +3,7 @@ import pickle
 import random
 import sys
 import tracemalloc
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -380,6 +380,36 @@ class TestTreeText:
         with pytest.raises(ParseError) as exc:
             parse_tree(text)
         assert str(exc.value) == message
+
+
+INFIX_TOKENS = {"tree": ("(", ".", " ", ")"), "mult": ("(", "a", "*", ")")}
+
+
+@pytest.mark.parametrize("name", ["tree", "mult"])
+def test_every_short_text_gives_its_code_or_names_its_first_fault(name):
+    """Every text of up to 7 symbols over the family's four tokens and 'x': an accepted one gives the code
+    bench/reference.py reads from it, and a refused one names 1 + its longest prefix that begins some valid
+    text, taking the prefixes from every valid text of up to 7 nodes."""
+    opener, leaf, sep, closer = INFIX_TOKENS[name]
+    valid = {text[:k] for n in range(8) for bits in brute_sequences(n)
+             for text in [reference.family_text(name, bits)] for k in range(8)}
+    read = FAMILIES[name].read
+    faults = []
+    for length in range(8):
+        for symbols in product((opener, leaf, sep, closer, "x"), repeat=length):
+            text = "".join(symbols)
+            tree = reference.parse_infix(text, leaf, sep)
+            if tree is False:
+                want = 1 + max(k for k in range(len(text) + 1) if text[:k] in valid)
+            else:
+                want = reference.tree_to_word(tree)
+            try:
+                got = read(text).bits
+            except ParseError as exc:
+                got = exc.position
+            if got != want:
+                faults.append((text, got, want))
+    assert not faults, faults[:10]
 
 
 class TestDeepChains:
