@@ -1,9 +1,10 @@
 """Catalan sequences in lexicographic order: enumeration, counting, ranking and uniform sampling.
 
 The words of semilength n come from one walk of the prefix tree, '0' before '1', in batches of a prefix
-and its closings; rank, unrank and random_uniform read one shared ballot-number table, with a closed-form
-carry through the symbols before its last _TABLE_ROWS.  Only the commands that order or draw words import
-this module; the codecs and the hub need none of it.
+and its closings; rank, unrank and random_uniform read one shared ballot-number table, rank a symbol a
+step and unrank a digit pair a step, with a closed-form carry through the symbols before its last
+_TABLE_ROWS.  Only the commands that order or draw words import this module; the codecs and the hub need
+none of it.
 """
 
 from __future__ import annotations
@@ -109,9 +110,10 @@ def enumerate_sequences(n: int) -> list[CatalanSequence]:
 #: z h (r+1-j) / (r (h+1)), as h falls by 1; r falls by 1 either way.  Both
 #: divides are exact.  The table serves the last _TABLE_ROWS symbols.
 _ballot: list[tuple[int, ...]] = [(1, 0, 0)]
-#: The last row of the table.  A whole word read off the table, a digit pair a
-#: step, takes 2.0 to 3.8 times less than one carried a symbol a step at
-#: n = 25..200; past here the rows would grow as the square of the length.
+#: The last row of the table.  A whole word read off the table takes 2.0 to
+#: 3.8 times less than one carried a symbol a step at n = 25..200 (rank, a
+#: symbol a step: 2.9 to 3.6); past here the rows would grow as the square of
+#: the length.
 _TABLE_ROWS = 400
 #: Largest semilength ``sequence_count``, ``rank``, ``unrank`` and
 #: ``random_uniform`` accept: the carry costs a word O(n^2) digit operations.
@@ -152,9 +154,9 @@ def rank(s: CatalanSequence) -> int:
     """0-based position of ``s`` within ``enumerate_sequences(s.semilength)``.
 
     Every '1' is charged with the count of valid words that branch off with
-    a '0' at that position: carried by the closed form a symbol a step
-    through all but the last 400 symbols, read off the ballot table a digit
-    pair a step for those.  Raises CapExceededError for a semilength above
+    a '0' at that position: carried by the closed form through all but the
+    last 400 symbols and read off the ballot table for those, a symbol a
+    step either way.  Raises CapExceededError for a semilength above
     RANKING_CAP.
     """
     bits = sequence_bits(s)
@@ -179,18 +181,13 @@ def rank(s: CatalanSequence) -> int:
         bits = bits[head:]
     table = _ballot_rows(len(bits))
     remaining = len(bits)
-    it = iter(bits)
-    for first, second in zip(it, it):  # remaining - 1 symbols follow the first
-        if first == "1":
-            position += table[remaining - 1][b]
-            if second == "1":
-                position += table[remaining - 2][b - 1]
-                b -= 2
-        elif second == "1":
-            position += table[remaining - 2][b + 1]
+    for ch in bits:
+        remaining -= 1  # the symbols that follow this one
+        if ch == "1":
+            position += table[remaining][b]
+            b -= 1
         else:
-            b += 2
-        remaining -= 2
+            b += 1
     return position
 
 

@@ -14,13 +14,15 @@ Expressions also have a postfix syntax ("aaa**") and two sequence
 codecs: the total one, which is the tree codec on the internal nodes,
 and the append-a-1 postfix wire format whose decode is partial.
 
-Each text is read straight into the code, by the infix grammar or one
-pass over the postfix word, and written from its stream of digit pairs
-by one writer (_write), with no nodes.  The writer takes each pair as
-its two characters, and the pair walk (_edge_pairs) unpacks a scanned
-list as its own (left, right), with no call per node.  An infix text is
-first read as nested JSON lists by json's C scanner, and by the
-grammar's own pass where that scan refuses it.  By the depth rule
+Each text is read straight into the code, by the pair walk over scanned
+lists or one pass over the postfix word, and written from its stream of
+digit pairs by one writer (_write), with no nodes.  The writer takes each
+pair as its two characters, and the pair walk (_edge_pairs) unpacks a
+scanned list as its own (left, right), with no call per node.  An infix
+text is first read as nested JSON lists by json's C scanner.  Where that
+scan refuses it, the grammar's own pass checks it and names the first
+fault; deleting each "(" and separator and reading the leaf as 'a' and
+each ")" as '*' then takes it to its postfix word.  By the depth rule
 ('a' +1, '*' -1) a postfix word, 'a' read as 0 and '*' as 1, is 0 D
 with D a Catalan word, which the sequence's scan checks (_postfix_bits):
 rpn-paper reads 0 D 1 with no fold, and rpn reads only a word so
@@ -54,6 +56,9 @@ _RPN = ("", "a", "", "*")
 _INFIX_TO_JSON = str.maketrans("(. a*)", "[n,n,]")
 #: per infix token set, the table that deletes its tokens: a text of those alone translates to ""
 _DROP_TOKENS = {tokens: str.maketrans("", "", "".join(tokens)) for tokens in (_TREE, _MULT)}
+#: per infix token set, the table that deletes the opener and separator and maps the leaf to 'a' and ")" to '*':
+#: a text the grammar accepts translates to the postfix word of its tree
+_INFIX_TO_RPN = {tokens: str.maketrans(tokens[1] + tokens[3], "a*", tokens[0] + tokens[2]) for tokens in (_TREE, _MULT)}
 _CHILDREN = attrgetter("left", "right")  # a Node's or an Internal's (left, right), for _edge_pairs
 
 
@@ -275,13 +280,15 @@ def decode_expression(s: CatalanSequence) -> ExtendedBinaryTree:
 def _read_infix(text: str, tokens: tuple[str, str, str, str], end_noun: str, noun: str, separator: str) -> str:
     """The code of the text  T := leaf | "(" T sep T ")"  in ``tokens``.
 
-    Each "(" reserves a slot for its node's pair and its separator one for
-    its 11; its ")" fills both, knowing now which subtrees are nodes.
-    ParseError gives the 1-based position; the strings name parts in it.
-
     A text of the four tokens alone is first scanned by json's C scanner as
     nested lists; a list that is no pair, a scan that stops short and one
     nested past the recursion limit leave it to the pass below.
+
+    That pass checks the grammar alone, with a flag per open "(" for
+    whether its separator has come.  ParseError gives the 1-based position
+    of the first fault; the strings name parts in it.  A text it accepts,
+    with each "(" and separator deleted, the leaf read as 'a' and each ")"
+    as '*', is the postfix word of the same tree, which _read_rpn reads.
     """
     check_text(text, end_noun)
     if not text.translate(_DROP_TOKENS[tokens]):  # JSON would also skip whitespace
@@ -293,43 +300,31 @@ def _read_infix(text: str, tokens: tuple[str, str, str, str], end_noun: str, nou
         except (ValueError, StopIteration, RecursionError):
             pass
     leaf, sep = tokens[1:3]
-    slots = ["0"]
-    frames: list[int] = []  # per open "(": its pair's slot, then its 11's slot, or -1 past an empty left
+    seps: list[bool] = []  # per open "(": its separator has come
     want = True  # a subtree starts here
-    node = False  # the subtree just finished is a node
     for pos, ch in enumerate(text, 1):
         if want:
             if ch == "(":
-                frames += (len(slots), 0)
-                slots.append("")
+                seps.append(False)
             elif ch == leaf:
-                want = node = False
+                want = False
             else:
                 raise ParseError(f"expected '(' or {leaf!r}, found {ch!r}", pos)
-        elif not frames:
+        elif not seps:
             raise ParseError(f"trailing characters after {noun}", pos)
-        elif not frames[-1]:
+        elif not seps[-1]:
             if ch != sep:
                 raise ParseError(f"expected {separator}", pos)
-            frames[-1] = len(slots) if node else -1
-            slots.append("")
-            want = True
+            seps[-1] = want = True
         elif ch != ")":
             raise ParseError("expected ')'", pos)
         else:
-            eleven = frames.pop()
-            pair = frames.pop()
-            if eleven > 0:
-                slots[pair] = "00" if node else "01"
-                slots[eleven] = "11" if node else ""
-            elif node:
-                slots[pair] = "10"
-            node = True
+            seps.pop()
     if want:
         raise ParseError(f"unexpected end of {end_noun}", len(text) + 1)
-    if frames:
-        raise ParseError("expected ')'" if frames[-1] else f"expected {separator}", len(text) + 1)
-    return "".join(slots) + "1" if node else ""
+    if seps:
+        raise ParseError("expected ')'" if seps[-1] else f"expected {separator}", len(text) + 1)
+    return _read_rpn(text.translate(_INFIX_TO_RPN[tokens]))
 
 
 def _read_tree(text: str) -> str:
@@ -356,7 +351,7 @@ def _read_rpn(text: str) -> str:
     completes a child, right before left; a node whose left child completes is complete.  Its preorder index is
     then the nodes still open plus the '*'s to the left of its first token, and it writes its digit pair into
     that slot, by which children are nodes; a 00 also puts the 11 that ends its left subtree in front of its
-    right child's pair."""
+    right child's pair.  An infix text that the JSON scan refuses and the grammar accepts is read here too."""
     _postfix_bits(text)
     n = len(text) // 2  # a checked word holds n '*'s among its 2n + 1 tokens
     slots = [""] * n

@@ -1,5 +1,6 @@
-"""Work that grows linearly: every family's read and write, transcode, the chord and polygon constructors,
-unpickling, and rank and unrank within the ballot table, counted by events.
+"""Work that grows linearly: every family's read and write, refused infix texts nested past the recursion
+limit, transcode, the chord and polygon constructors, unpickling, and rank and unrank within the ballot
+table, counted by events.
 
 One call's count is the number of ``sys.settrace`` line events plus
 ``sys.setprofile`` ``c_call`` events it raises, after one warming call.  The
@@ -59,10 +60,10 @@ def events(call) -> int:
     return count
 
 
-def refused(text: str):
+def refused(name: str, text: str):
     def call():
         with pytest.raises(ParseError):
-            FAMILIES["polygon"].read(text)
+            FAMILIES[name].read(text)
     return call
 
 
@@ -122,7 +123,7 @@ def calls(shape, n: int) -> dict:
         "ChordDiagram": lambda: ChordDiagram(diagram.n, diagram.chords),
         **{f"unpickle {name}": lambda data=data: pickle.loads(data) for name, data in pickles.items()},
         "encode_polygon": lambda: encode_polygon(tri),
-        **{f"refused polygon read, {fault}": refused(text) for fault, text in faults.items()},
+        **{f"refused polygon read, {fault}": refused("polygon", text) for fault, text in faults.items()},
         **families,
         **hub,
     }
@@ -143,6 +144,28 @@ def test_doubling_n_at_most_doubles_the_work(shape):
     too_fast = {name: counts for name, counts in grown.items() if counts[1] > 2 * counts[0] + SLACK}
     assert not too_fast, too_fast
 
+
+
+def refused_chains(n: int) -> dict:
+    """tree's and mult's read of the text of a right chain of n nodes, nested n deep, with one fault: its
+    innermost separator deleted, or a closer appended.  The JSON scan refuses both, and the grammar's pass
+    walks each up to its fault, near or at the end."""
+    s = validate("0" + "10" * (n - 1) + "1")
+    texts = {}
+    for name, (opener, leaf, sep, closer) in {"tree": "(. )", "mult": "(a*)"}.items():
+        text = FAMILIES[name].write(s)
+        i = text.index(opener + leaf + sep + leaf + closer)
+        texts[f"{name}, innermost separator deleted"] = refused(name, text[: i + 2] + text[i + 3 :])
+        texts[f"{name}, closer appended"] = refused(name, text + closer)
+    return texts
+
+
+def test_refused_infix_read_past_the_recursion_limit_at_most_doubles_the_work():
+    assert N > sys.getrecursionlimit()
+    small, large = refused_chains(N), refused_chains(2 * N)
+    grown = {name: (events(small[name]), events(large[name])) for name in small}
+    too_fast = {name: counts for name, counts in grown.items() if counts[1] > 2 * counts[0] + SLACK}
+    assert not too_fast, too_fast
 
 
 def ranked(shape, n: int) -> dict:

@@ -412,6 +412,16 @@ def test_every_short_text_gives_its_code_or_names_its_first_fault(name):
     assert not faults, faults[:10]
 
 
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(n=st.integers(0, 2000), seed=st.integers(0, 2**32 - 1))
+def test_an_infix_text_translates_to_its_postfix_word(n, seed):
+    """Deleting each "(" and separator, and reading the leaf as 'a' and each ")" as '*', takes tree's and mult's
+    text of a word to rpn's: the word _read_infix reads where the JSON scan refuses a text."""
+    s = validate(cycle_lemma_word(n, random.Random(seed)))
+    for name in ("tree", "mult"):
+        assert FAMILIES[name].write(s).translate(trees._INFIX_TO_RPN[INFIX_TOKENS[name]]) == FAMILIES["rpn"].write(s)
+
+
 class TestDeepChains:
     CHAIN = 10_000
 
@@ -439,6 +449,29 @@ class TestDeepChains:
         assert parse_rpn(render_rpn(e)) == e
         assert rpn_paper_decode(rpn_paper_encode(e)) == e
         assert sys.getrecursionlimit() == limit
+
+    @pytest.mark.parametrize("name", ["tree", "mult"])
+    @pytest.mark.parametrize("pair", ["01", "10"])
+    def test_a_chain_text_translates_to_its_postfix_word(self, pair, name):
+        s = validate(self.chain_bits(pair))
+        assert FAMILIES[name].write(s).translate(trees._INFIX_TO_RPN[INFIX_TOKENS[name]]) == FAMILIES["rpn"].write(s)
+
+    @pytest.mark.parametrize(
+        "name,pair,message",
+        [
+            ("tree", "01", "expected ' ' between subtrees (position 10002)"),
+            ("tree", "10", "expected ' ' between subtrees (position 30000)"),
+            ("mult", "01", "expected '*' (position 10002)"),
+            ("mult", "10", "expected '*' (position 30000)"),
+        ],
+    )
+    def test_a_chain_without_its_innermost_separator_names_its_first_fault(self, name, pair, message):
+        opener, leaf, sep, closer = INFIX_TOKENS[name]
+        text = FAMILIES[name].write(validate(self.chain_bits(pair)))
+        i = text.index(opener + leaf + sep + leaf + closer)
+        with pytest.raises(ParseError) as exc:
+            FAMILIES[name].read(text[: i + 2] + text[i + 3 :])
+        assert (str(exc.value), exc.value.position) == (message, i + 3)
 
 
 def test_structural_equality_and_hash():
@@ -513,8 +546,8 @@ def balanced_text(n, tokens):
 @pytest.mark.parametrize("shape", ["balanced", "deep"])
 def test_read_peak_memory_at_1e5_nodes(name, shape):
     # the JSON scan of a balanced text holds its nested lists, about 10.5 MB; a text nested past the
-    # recursion limit goes on to the per-character pass, which holds about 2.8 MB.  The rpn pass holds
-    # a slot per operator and an int stack: 2.9 MB balanced and 2.2 MB deep
+    # recursion limit goes on to the grammar check and the rpn pass over its postfix word, about 3.2 MB.
+    # The rpn pass holds a slot per operator and an int stack: 2.9 MB balanced and 2.2 MB deep
     family = FAMILIES[name]
     if shape == "balanced":
         text = balanced_text(10**5, {"tree": "(. )", "mult": "(a*)", "rpn": ("", "a", "", "*")}[name])
