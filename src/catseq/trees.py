@@ -21,13 +21,13 @@ pair as its two characters, and the pair walk (_edge_pairs) unpacks a
 scanned list as its own (left, right), with no call per node.  An infix
 text is first read as nested JSON lists by json's C scanner.  Where that
 scan refuses it, the grammar's own pass checks it and names the first
-fault; deleting each "(" and separator and reading the leaf as 'a' and
-each ")" as '*' then takes it to its postfix word.  By the depth rule
+fault, and the text, each "(" and separator deleted, the leaf read as 'a'
+and each ")" as '*', is its postfix word.  By the depth rule
 ('a' +1, '*' -1) a postfix word, 'a' read as 0 and '*' as 1, is 0 D
 with D a Catalan word, which the sequence's scan checks (_postfix_bits):
 rpn-paper reads 0 D 1 with no fold, and rpn reads only a word so
 checked, by one pass right to left that writes each node's digit pair
-into its preorder slot, with ints alone on its stack (_read_rpn).  The
+into its preorder slot, with ints alone on its stack (_read_checked_rpn).  The
 postfix fold (_postfix) checks nothing: only decoding runs it, on the text
 written from a valid code, and a node pickles as the decoding of its code.
 Each _read_*/_write_* pass maps text to a checked word and a word to
@@ -288,7 +288,7 @@ def _read_infix(text: str, tokens: tuple[str, str, str, str], end_noun: str, nou
     whether its separator has come.  ParseError gives the 1-based position
     of the first fault; the strings name parts in it.  A text it accepts,
     with each "(" and separator deleted, the leaf read as 'a' and each ")"
-    as '*', is the postfix word of the same tree, which _read_rpn reads.
+    as '*', is the postfix word of the same tree, which rpn's pass reads.
     """
     check_text(text, end_noun)
     if not text.translate(_DROP_TOKENS[tokens]):  # JSON would also skip whitespace
@@ -324,7 +324,7 @@ def _read_infix(text: str, tokens: tuple[str, str, str, str], end_noun: str, nou
         raise ParseError(f"unexpected end of {end_noun}", len(text) + 1)
     if seps:
         raise ParseError("expected ')'" if seps[-1] else f"expected {separator}", len(text) + 1)
-    return _read_rpn(text.translate(_INFIX_TO_RPN[tokens]))
+    return _read_checked_rpn(text.translate(_INFIX_TO_RPN[tokens]))
 
 
 def _read_tree(text: str) -> str:
@@ -346,13 +346,17 @@ def _write_mult(bits: str) -> str:
 
 
 def _read_rpn(text: str) -> str:
-    """The code of the expression behind a postfix word over {'a', '*'}, checked by _postfix_bits before one
-    pass over it read right to left, with ints alone on the stack.  Each '*' opens a node, and each 'a'
-    completes a child, right before left; a node whose left child completes is complete.  Its preorder index is
-    then the nodes still open plus the '*'s to the left of its first token, and it writes its digit pair into
-    that slot, by which children are nodes; a 00 also puts the 11 that ends its left subtree in front of its
-    right child's pair.  An infix text that the JSON scan refuses and the grammar accepts is read here too."""
+    """The code of the expression behind a postfix word over {'a', '*'}, checked by _postfix_bits."""
     _postfix_bits(text)
+    return _read_checked_rpn(text)
+
+
+def _read_checked_rpn(text: str) -> str:
+    """The code of a postfix word that _postfix_bits or the infix grammar has checked, by one pass over it read
+    right to left, with ints alone on the stack.  Each '*' opens a node, and each 'a' completes a child, right
+    before left; a node whose left child completes is complete.  Its preorder index is then the nodes still
+    open plus the '*'s to the left of its first token, and it writes its digit pair into that slot, by which
+    children are nodes; a 00 also puts the 11 that ends its left subtree in front of its right child's pair."""
     n = len(text) // 2  # a checked word holds n '*'s among its 2n + 1 tokens
     slots = [""] * n
     stack = [-2]  # per open node: -2 until its right child completes, then that child's slot, or -1 for a leaf

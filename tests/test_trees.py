@@ -391,8 +391,7 @@ def test_every_short_text_gives_its_code_or_names_its_first_fault(name):
     bench/reference.py reads from it, and a refused one names 1 + its longest prefix that begins some valid
     text, taking the prefixes from every valid text of up to 7 nodes."""
     opener, leaf, sep, closer = INFIX_TOKENS[name]
-    valid = {text[:k] for n in range(8) for bits in brute_sequences(n)
-             for text in [reference.family_text(name, bits)] for k in range(8)}
+    valid = {reference.family_text(name, bits)[:k] for n in range(8) for bits in brute_sequences(n) for k in range(8)}
     read = FAMILIES[name].read
     faults = []
     for length in range(8):
@@ -412,14 +411,17 @@ def test_every_short_text_gives_its_code_or_names_its_first_fault(name):
     assert not faults, faults[:10]
 
 
+def assert_infix_texts_translate_to_the_postfix_word(s):
+    """Deleting each "(" and separator, and reading the leaf as 'a' and each ")" as '*', takes tree's and mult's
+    text of ``s`` to rpn's: the word _read_infix reads where the JSON scan refuses a text."""
+    for name, tokens in INFIX_TOKENS.items():
+        assert FAMILIES[name].write(s).translate(trees._INFIX_TO_RPN[tokens]) == FAMILIES["rpn"].write(s)
+
+
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(n=st.integers(0, 2000), seed=st.integers(0, 2**32 - 1))
 def test_an_infix_text_translates_to_its_postfix_word(n, seed):
-    """Deleting each "(" and separator, and reading the leaf as 'a' and each ")" as '*', takes tree's and mult's
-    text of a word to rpn's: the word _read_infix reads where the JSON scan refuses a text."""
-    s = validate(cycle_lemma_word(n, random.Random(seed)))
-    for name in ("tree", "mult"):
-        assert FAMILIES[name].write(s).translate(trees._INFIX_TO_RPN[INFIX_TOKENS[name]]) == FAMILIES["rpn"].write(s)
+    assert_infix_texts_translate_to_the_postfix_word(validate(cycle_lemma_word(n, random.Random(seed))))
 
 
 class TestDeepChains:
@@ -450,11 +452,9 @@ class TestDeepChains:
         assert rpn_paper_decode(rpn_paper_encode(e)) == e
         assert sys.getrecursionlimit() == limit
 
-    @pytest.mark.parametrize("name", ["tree", "mult"])
     @pytest.mark.parametrize("pair", ["01", "10"])
-    def test_a_chain_text_translates_to_its_postfix_word(self, pair, name):
-        s = validate(self.chain_bits(pair))
-        assert FAMILIES[name].write(s).translate(trees._INFIX_TO_RPN[INFIX_TOKENS[name]]) == FAMILIES["rpn"].write(s)
+    def test_a_chain_text_translates_to_its_postfix_word(self, pair):
+        assert_infix_texts_translate_to_the_postfix_word(validate(self.chain_bits(pair)))
 
     @pytest.mark.parametrize(
         "name,pair,message",
